@@ -12,10 +12,12 @@
 // planned slots (requests per slot ~ 0).
 //
 // E23b times the engine on a busy fully-periodic 32-node cell both
-// engines admit identically (0.9 x U_max): best-of-five slots/s,
-// planner on vs off.  The plan-driven fast-forward must be >= 2x the
-// slot-by-slot PR-8 engine (the acceptance claim; re-asserted by
-// validate_bench_json.py, with absolute floors in perf_floors.json).
+// engines admit identically (0.9 x U_max), planner on vs off, timed in
+// alternating repetitions on two warmed networks so host noise cannot
+// decide the ratio.  The median per-repetition ratio must show the
+// plan-driven engine >= 2x the slot-by-slot TCMA engine (the acceptance
+// claim; re-asserted by validate_bench_json.py); each engine's best
+// slots/s is reported against the absolute floors in perf_floors.json.
 //
 // E23c re-runs the planner-axis sweep determinism gates: the report is
 // byte-identical across 1-vs-8 worker threads and fast-forward vs
@@ -23,12 +25,15 @@
 // plan ever builds) planner-on is a byte-level no-op.
 //
 // Usage: bench_hypercycle [--quick] [--json <path>]
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "sweep/report.hpp"
@@ -94,23 +99,31 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Best-of-five steady-state slots/s (same protocol as E16).
-double time_engine(net::Network& n, double min_seconds) {
-  n.run_slots(5'000);  // warm-up
-  double best = 0.0;
-  for (int rep = 0; rep < 5; ++rep) {
-    const std::int64_t slots0 = n.stats().slots;
-    const auto t0 = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-      n.run_slots(20'000);
-      elapsed = seconds_since(t0);
-    } while (elapsed < min_seconds);
-    const double rate =
-        static_cast<double>(n.stats().slots - slots0) / elapsed;
-    if (rate > best) best = rate;
+/// Steady-state slots/s of two warmed networks, timed in 25 short
+/// alternating repetitions so that a slow stretch of a shared host hits
+/// both engines alike; one {a, b} rate pair per repetition.
+std::vector<std::array<double, 2>> time_engines(net::Network& a,
+                                                net::Network& b,
+                                                double min_seconds) {
+  a.run_slots(5'000);  // warm-up
+  b.run_slots(5'000);
+  std::vector<std::array<double, 2>> rates;
+  for (int rep = 0; rep < 25; ++rep) {
+    std::array<double, 2> pair{};
+    for (std::size_t i = 0; i < 2; ++i) {
+      net::Network& n = i == 0 ? a : b;
+      const std::int64_t slots0 = n.stats().slots;
+      const auto t0 = std::chrono::steady_clock::now();
+      double elapsed = 0.0;
+      do {
+        n.run_slots(20'000);
+        elapsed = seconds_since(t0);
+      } while (elapsed < min_seconds);
+      pair[i] = static_cast<double>(n.stats().slots - slots0) / elapsed;
+    }
+    rates.push_back(pair);
   }
-  return best;
+  return rates;
 }
 
 // Hexfloat digest of a sweep point's aggregated metrics (bitwise
@@ -136,7 +149,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
   const std::int64_t run_slots = quick ? 6'000 : 20'000;
-  const double min_seconds = quick ? 0.05 : 0.4;
+  const double min_seconds = quick ? 0.01 : 0.1;
 
   bench::header("E23", "hypercycle reservation planner",
                 "admission past Eq. 6 via spatial reuse (paper section 2)");
@@ -230,29 +243,39 @@ int main(int argc, char** argv) {
   const int busy_streams =
       static_cast<int>(0.9 * u_max * static_cast<double>(kPeriod));
   const auto busy = busy_set(busy_streams);
-  double rate_on = 0.0;
-  double rate_off = 0.0;
-  double planned_on = 0.0;
-  for (const bool planner : {true, false}) {
-    net::Network n(cell_config(bench::Protocol::kCcrEdf, planner));
-    const int admitted = bench::open_all(n, busy);
+  net::Network on(cell_config(bench::Protocol::kCcrEdf, true));
+  net::Network off(cell_config(bench::Protocol::kCcrEdf, false));
+  for (net::Network* n : {&on, &off}) {
+    const int admitted = bench::open_all(*n, busy);
     if (admitted != busy_streams) {
       std::cerr << "E23b FAIL: engine cell admitted " << admitted << "/"
                 << busy_streams << " with planner "
-                << (planner ? "on" : "off") << "\n";
-      ok = false;
-    }
-    const double rate = time_engine(n, min_seconds);
-    (planner ? rate_on : rate_off) = rate;
-    if (planner) planned_on = n.stats().planned_slot_fraction();
-    const bench::RunDigest d = bench::digest(n);
-    if (d.rt_sched_miss != 0.0 || d.rt_user_miss != 0.0) {
-      std::cerr << "E23b FAIL: busy cell missed deadlines (planner "
-                << (planner ? "on" : "off") << ")\n";
+                << (n == &on ? "on" : "off") << "\n";
       ok = false;
     }
   }
-  const double speedup = rate_off > 0.0 ? rate_on / rate_off : 0.0;
+  // The gate reads the median of the per-repetition ratios: a stretch
+  // boundary falling inside one repetition spoils that ratio only.
+  const auto rates = time_engines(on, off, min_seconds);
+  double rate_on = 0.0;
+  double rate_off = 0.0;
+  std::vector<double> ratios;
+  for (const auto& [r_on, r_off] : rates) {
+    rate_on = std::max(rate_on, r_on);
+    rate_off = std::max(rate_off, r_off);
+    ratios.push_back(r_off > 0.0 ? r_on / r_off : 0.0);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double speedup = ratios[ratios.size() / 2];
+  const double planned_on = on.stats().planned_slot_fraction();
+  for (net::Network* n : {&on, &off}) {
+    const bench::RunDigest d = bench::digest(*n);
+    if (d.rt_sched_miss != 0.0 || d.rt_user_miss != 0.0) {
+      std::cerr << "E23b FAIL: busy cell missed deadlines (planner "
+                << (n == &on ? "on" : "off") << ")\n";
+      ok = false;
+    }
+  }
   analysis::Table engine_table("slot engine, 32 nodes, 0.9 x U_max");
   engine_table.columns({"engine", "slots/s", "planned", "speedup"});
   engine_table.row()

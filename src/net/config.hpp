@@ -89,12 +89,12 @@ struct NetworkConfig {
   /// NetworkStats still see every delivery.
   bool record_inboxes = true;
 
-  /// Slot fast-forward: when the ring is provably idle (no queued
-  /// messages, no pending grants/acks, master keeps the clock) and no
-  /// event fires before a slot's end, the engine advances whole slots
-  /// arithmetically instead of simulating them.  Statistics are bitwise
-  /// identical either way (DESIGN.md §8); off only to benchmark the
-  /// slot-by-slot path or to debug the engine itself.
+  /// Slot fast-forward: when the next slots provably grant nobody and
+  /// keep the master (an idle ring, or an engaged plan waiting for its
+  /// next bundle) and no event fires before a slot's end, the engine
+  /// advances whole slots arithmetically instead of simulating them.
+  /// Statistics are bitwise identical either way (DESIGN.md §8); off only
+  /// to benchmark the slot-by-slot path or to debug the engine itself.
   bool fast_forward = true;
 
   /// Hypercycle reservation planner (ROADMAP item 4, PROTOCOL.md §9):

@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "net/ccredf_protocol.hpp"
@@ -225,14 +226,14 @@ Network::OpenResult Network::open_connection(
     planner_admit = true;
   }
 
-  ReleaseState st;
+  const ConnectionId id = decision.id;
+  if (id >= releases_.size()) releases_.resize(id + std::size_t{1});
+  ReleaseState& st = releases_[id];
   st.params = params;
   st.base = sim_.now() + timing_->slot() * params.offset_slots;
-  const ConnectionId id = decision.id;
-  releases_.emplace(id, st);
-  auto& stored = releases_.at(id);
-  stored.next_event = sim_.schedule_at(
-      st.base, [this, id] { release_message(id); });
+  st.open = true;
+  st.next_event =
+      sim_.schedule_at(st.base, [this, id] { release_message(id); });
   rebuild_plan();
   if (planner_admit) {
     trace_.emit(sim_.now(), sim::TraceCategory::kAdmission, [&] {
@@ -246,8 +247,8 @@ Network::OpenResult Network::open_connection(
     });
     if (!plan_valid_) {
       // The layout/feasibility proof failed: the Eq. 5 rejection stands.
-      sim_.cancel(stored.next_event);
-      releases_.erase(id);
+      sim_.cancel(st.next_event);
+      st.open = false;
       admission_.release(id);
       rebuild_plan();
       return OpenResult{false, kNoConnection};
@@ -256,7 +257,8 @@ Network::OpenResult Network::open_connection(
   return OpenResult{true, id};
 }
 
-void Network::fire_release(ConnectionId id, ReleaseState& st) {
+void Network::fire_release(ConnectionId id) {
+  ReleaseState& st = releases_[id];
   const core::ConnectionParams& p = st.params;
   const sim::TimePoint release_t =
       st.base + timing_->slot() * (p.period_slots * st.released);
@@ -283,10 +285,9 @@ void Network::fire_release(ConnectionId id, ReleaseState& st) {
 }
 
 void Network::release_message(ConnectionId id) {
-  auto it = releases_.find(id);
-  if (it == releases_.end() || !it->second.open) return;
-  ReleaseState& st = it->second;
-  fire_release(id, st);
+  ReleaseState& st = releases_[id];
+  if (!st.open) return;
+  fire_release(id);
   // The clamp only bites when a restored event is catching up on more
   // than one deferred release; on the steady event path next > now.
   const sim::TimePoint next =
@@ -296,12 +297,12 @@ void Network::release_message(ConnectionId id) {
 }
 
 bool Network::close_connection(ConnectionId id) {
-  auto it = releases_.find(id);
-  if (it == releases_.end() || !it->second.open) return false;
-  it->second.open = false;
-  sim_.cancel(it->second.next_event);
-  nodes_[it->second.params.source].queues().drop_connection(id);
-  refresh_queued_bit(it->second.params.source);
+  if (id >= releases_.size() || !releases_[id].open) return false;
+  ReleaseState& st = releases_[id];
+  st.open = false;
+  sim_.cancel(st.next_event);
+  nodes_[st.params.source].queues().drop_connection(id);
+  refresh_queued_bit(st.params.source);
   const bool released = admission_.release(id);
   // Any in-effect plan covered the closed connection: re-derive (a
   // mid-run close leaves released>0 peers, so this lands on TCMA).
@@ -472,15 +473,12 @@ NodeId Network::degraded_anchor() const {
 std::vector<Network::OpenConnectionInfo> Network::connections_of(
     NodeId src) const {
   std::vector<OpenConnectionInfo> out;
-  for (const auto& [id, st] : releases_) {
+  for (ConnectionId id = 0; id < releases_.size(); ++id) {
+    const ReleaseState& st = releases_[id];
     if (st.open && st.params.source == src) {
       out.push_back(OpenConnectionInfo{id, st.params});
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const OpenConnectionInfo& a, const OpenConnectionInfo& b) {
-              return a.id < b.id;
-            });
   return out;
 }
 
@@ -688,6 +686,7 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
     return;
   }
 
+  rec_.heard = NodeSet{};
   for (NodeId h = 0; h <= reach; ++h) {
     const NodeId j = topo_.downstream(master_, h);
     // The collection packet reaches node j after propagating h hops and
@@ -758,335 +757,370 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
   sim_.run_until(last_sample);
 }
 
-void Network::step_slot() {
-  sim_.run_until(slot_start_);
-  plan_release_due(slot_start_);
+// The slot loop is the simulator's hot path: flattening inlines the phase
+// helpers it calls from this file (grant execution, plan cursor, release
+// table, collection), so the phases stay separate functions without a
+// call round trip per slot.
+[[gnu::flatten]] void Network::advance(std::int64_t max_slots,
+                                       sim::TimePoint horizon) {
   const sim::Duration t_slot = timing_->slot();
-  const sim::TimePoint slot_end = slot_start_ + t_slot;
-
-  // Reuse the scratch record: its vectors keep their high-water capacity,
-  // so a steady-state slot performs no heap allocation.
+  // The scratch record is reused: its vectors keep their high-water
+  // capacity, so a steady-state slot performs no heap allocation.  Each
+  // slot resets only what the slot itself reads; the rest is filled at
+  // notify time, and only when somebody listens.
   SlotRecord& rec = rec_;
-  rec.index = slot_;
-  rec.start = slot_start_;
-  rec.end = slot_end;
-  rec.gap_after = sim::Duration::zero();
-  rec.master = master_;
-  rec.next_master = kInvalidNode;
-  rec.granted = current_granted_;
-  rec.deliveries.clear();
-  rec.corrupt_deliveries.clear();
-  rec.acks = NodeSet{};
-  rec.nacks = NodeSet{};
-  rec.token_lost = false;
-  rec.heard = NodeSet{};
+  while (max_slots > 0 && slot_start_ < horizon) {
+    const std::int64_t skipped = skip_quiet_slots(max_slots, horizon);
+    if (skipped > 0) {
+      max_slots -= skipped;
+      continue;
+    }
+    --max_slots;
 
-  // Phase 1: the data of this slot (granted during slot k-1).
-  execute_grants(rec, slot_end);
-  stats_.time_in_slots += t_slot;
-  if (cfg_.with_acks) {
-    // Receivers acknowledge last slot's completed transfers in this
-    // slot's distribution packet (ref [11]); lost with the packet on a
-    // token loss.
-    rec.acks = pending_acks_;
-    pending_acks_ = NodeSet{};
-    for (const auto& d : rec.deliveries) pending_acks_.insert(d.source);
-  }
-  const bool nack_wire = cfg_.with_acks && cfg_.with_payload_crc;
-  if (nack_wire) {
-    // Receivers NACK last slot's CRC-rejected payloads the same way the
-    // acks travel: on the next distribution packet.
-    rec.nacks = pending_nacks_;
-    pending_nacks_ = NodeSet{};
-    for (const auto& d : rec.corrupt_deliveries) {
-      pending_nacks_.insert(d.source);
-    }
-  }
+    // Phase 1 -- events and releases up to the slot start.
+    sim_.run_until(slot_start_);
+    plan_release_due(slot_start_);
+    const sim::TimePoint slot_end = slot_start_ + t_slot;
 
-  // Phase 2: collection for slot k+1 rides the control channel now --
-  // unless an engaged hypercycle plan already knows the outcome, in
-  // which case the wire stays silent (no sampling, no request records,
-  // no arbitration).  The branch is latched here: divergence signalled
-  // later in this slot takes effect at the next slot boundary, exactly
-  // as on the try_plan_forward path.
-  const bool planned = plan_engaged();
-  if (planned) {
-    for (const NodeId j : requesters_) rec.requests[j] = core::Request{};
-    requesters_ = NodeSet{};
-    soa_.bound = NodeSet{};
-    // No failure can have survived engagement (fail_node diverges the
-    // plan), so every node evidences itself on a planned slot.
-    rec.heard = topo_.all_nodes() & ~soa_.failed;
-  } else {
-    collect_requests(rec.requests);
-  }
-  const std::vector<core::Request>& requests = rec.requests;
-
-  // Phase 3: arbitration at the master; the distribution packet ends with
-  // the slot.  A token loss (fault injection, or the master dying at any
-  // point before the packet's last bit) means no node learns the outcome
-  // -- so drain events through slot end before judging.
-  sim_.run_until(slot_end);
-  bool token_lost = false;
-  if (!planned && fault_hook_ != nullptr &&
-      fault_hook_->drop_distribution(slot_)) {
-    token_lost = true;
-    ++stats_.faults.token_losses;
-  }
-  if (nodes_[master_].failed()) {
-    token_lost = true;
-    // The heartbeat evidence lived in the collection packet the master
-    // was accumulating; a dead master takes it down with the slot.  (A
-    // distribution-packet loss above does NOT clear it: the master
-    // heard everyone before the outbound packet died.)
-    rec.heard = NodeSet{};
-  }
-  SlotPlan plan;
-  if (!token_lost && planned) {
-    plan = plan_next_from_cursor();
-  } else if (!token_lost) {
-    plan = protocol_->plan_next_slot(requests, master_, slot_, requesters_);
-    // Priority-inversion accounting: the globally most urgent requester
-    // must be among the granted (always true for CCR-EDF; the simple
-    // clocking strategy of CC-FPR violates it -- paper §1).  requesters_
-    // covers every non-idle entry (mask order = index order, so ties
-    // resolve exactly as the full scan did).
-    NodeId hp = kInvalidNode;
-    core::Priority best = 0;
-    for (const NodeId i : requesters_) {
-      if (requests[i].priority > best) {
-        best = requests[i].priority;
-        hp = i;
-      }
-    }
-    if (hp != kInvalidNode && !plan.granted.contains(hp)) {
-      ++stats_.priority_inversions;
-    }
-  }
-  if (!token_lost && !planned && fault_hook_ != nullptr) {
-    // The distribution packet crosses every link; bit errors on it are
-    // the most dangerous fault axis because ALL nodes act on the result.
-    core::DistributionPacket pkt;
-    pkt.granted = plan.granted;
-    pkt.hp_node = plan.next_master;
-    pkt.has_acks = cfg_.with_acks;
-    pkt.acks = rec.acks;
-    pkt.has_nacks = nack_wire;
-    pkt.nacks = rec.nacks;
-    using DF = FaultHook::DistributionFault;
-    switch (fault_hook_->filter_distribution(slot_, pkt)) {
-      case DF::kNone:
-        break;
-      case DF::kDetected:
-        // Receivers reject the frame (CRC / start bit / hp range): no
-        // node learns the next master, which is exactly the token-loss
-        // condition, so the designated-restarter timeout recovers
-        // (PROTOCOL.md §7).  Rejecting is the SAFE outcome -- the
-        // alternative is acting on a corrupted grant view.
-        ++stats_.faults.distribution_corruptions;
-        ++stats_.faults.distribution_detected;
-        token_lost = true;
-        break;
-      case DF::kGrantView: {
-        // The frame passed the guards but its grant/ack bits mutated.
-        // Each node cross-checks the view against what it knows
-        // locally: a grant bit on a node that sent priority 0 is
-        // impossible (that node knows it), so the ring can void the
-        // slot and re-arbitrate instead of breaking the clock.
-        ++stats_.faults.distribution_corruptions;
-        bool impossible = false;  // grant bit on a non-requester
-        bool collision = false;   // grant bit on an ungranted requester
-        for (const NodeId g : pkt.granted) {
-          if (plan.granted.contains(g)) continue;
-          if (!requests[g].wants_slot()) {
-            impossible = true;
-          } else {
-            collision = true;
-          }
-        }
-        if (impossible) {
-          ++stats_.faults.distribution_detected;
-          ++stats_.faults.rearbitration_slots;
-          plan.granted = NodeSet{};
-          rec.acks = NodeSet{};
-          rec.nacks = NodeSet{};
-          soa_.bound = NodeSet{};
-        } else if (collision) {
-          // Undetectable: the extra node believes its request was
-          // granted and transmits into links arbitration gave to
-          // others.  Model the collision as the whole slot's transfers
-          // garbled -- this is the residual hazard the CRC exists to
-          // shrink.
-          ++stats_.faults.silent_misarbitrations;
-          plan.granted = NodeSet{};
-          soa_.bound = NodeSet{};
-        } else {
-          // Only cleared bits: granted nodes stay silent, capacity is
-          // lost but nothing collides -- harmless degradation.
-          plan.granted = pkt.granted;
-          rec.acks = pkt.acks;
-          rec.nacks = pkt.nacks;
-        }
-        break;
-      }
-      case DF::kSilentMaster:
-        // The hp-node index mutated to another in-range value.  Nodes
-        // upstream of the corrupted link saw the true master, nodes
-        // downstream the wrong one: two nodes start slot k+1 -- the
-        // clock-break hazard.  The collision is detected only by the
-        // restarter's silence timeout, so model it as a stalled clock.
-        ++stats_.faults.distribution_corruptions;
-        ++stats_.faults.silent_misarbitrations;
-        token_lost = true;
-        break;
-    }
-  }
-
-  sim::Duration gap;
-  if (token_lost) {
-    // Recovery (paper §8): the designated node times out and restarts the
-    // clock; the planned grants died with the distribution packet.
-    rec.token_lost = true;
-    mark_plan_diverged();
-    gap = (t_slot + protocol_->max_gap()) * cfg_.recovery_timeout_slots;
-    // The designated restarter takes over; if it is itself down, the
-    // first live node downstream of it assumes the role.
-    NodeId restarter = cfg_.designated_restarter;
-    NodeId tried = 0;
-    while (tried < nodes() && nodes_[restarter].failed()) {
-      restarter = topo_.downstream(restarter);
-      ++tried;
-    }
-    if (tried == nodes()) {
-      // EVERY node is failed: no deputy exists, so nothing restarts the
-      // clock -- the ring is dark until a node is restored.  Counting a
-      // recovery here would be a phantom restart; the clock is parked at
-      // the designated restarter so recovery resumes the moment it (or
-      // any upstream deputy) comes back.
-      ++stats_.faults.ring_dark;
-      plan.next_master = cfg_.designated_restarter;
-    } else {
-      ++recoveries_;
-      ++stats_.faults.recoveries;
-      recovery_time_ += gap;
-      stats_.faults.recovery_gap.add(gap);
-      stats_.faults.recovery_gap_quantiles.add(gap.ps());
-      plan.next_master = restarter;
-    }
-    plan.granted = NodeSet{};
-    // The acks and NACKs died with the distribution packet.
+    // Phase 2 -- deliver: the data of this slot (granted during slot k-1).
+    const NodeSet granted = current_granted_;
+    rec.deliveries.clear();
+    rec.corrupt_deliveries.clear();
+    execute_grants(rec, slot_end);
+    stats_.time_in_slots += t_slot;
     rec.acks = NodeSet{};
     rec.nacks = NodeSet{};
-    soa_.bound = NodeSet{};
-  } else {
-    gap = protocol_->gap(master_, plan.next_master);
-  }
-  if (!severed_.empty()) {
-    if (severed_.size() >= 2) {
-      // Two or more cuts partition the ring: no single surviving
-      // orientation exists, so the ring parks dark exactly like the
-      // all-failed token-loss case -- grants voided, clock parked at the
-      // designated restarter, resuming the moment splices bring the cut
-      // count back to one or zero.
-      ++stats_.faults.ring_dark;
-      plan.granted = NodeSet{};
-      soa_.bound = NodeSet{};
-      if (!token_lost) {
-        plan.next_master = cfg_.designated_restarter;
-        gap = protocol_->gap(master_, plan.next_master);
-      }
-    } else {
-      // Single cut: master succession re-anchors at the cut's downstream
-      // endpoint so the collection path never traverses the severed
-      // segment (the break link coincides with the cut).
-      const NodeId anchor = degraded_anchor();
-      if (anchor != kInvalidNode && plan.next_master != anchor &&
-          !token_lost) {
-        plan.next_master = anchor;
-        gap = protocol_->gap(master_, anchor);
+    if (cfg_.with_acks) {
+      // Receivers acknowledge last slot's completed transfers in this
+      // slot's distribution packet (ref [11]); lost with the packet on a
+      // token loss.
+      rec.acks = pending_acks_;
+      pending_acks_ = NodeSet{};
+      for (const auto& d : rec.deliveries) pending_acks_.insert(d.source);
+      if (cfg_.with_payload_crc) {
+        // Receivers NACK last slot's CRC-rejected payloads the same way
+        // the acks travel: on the next distribution packet.
+        rec.nacks = pending_nacks_;
+        pending_nacks_ = NodeSet{};
+        for (const auto& d : rec.corrupt_deliveries) {
+          pending_nacks_.insert(d.source);
+        }
       }
     }
+
+    // Phase 3 -- collect, or consult the plan: collection for slot k+1
+    // rides the control channel now, unless an engaged hypercycle plan
+    // already knows the outcome -- then the wire stays silent (no
+    // sampling, no request records, no arbitration).  The decision
+    // source is latched here: a divergence signalled later in this slot
+    // takes effect at the next slot boundary.
+    const bool planned = plan_engaged();
+    if (planned) {
+      for (const NodeId j : requesters_) rec.requests[j] = core::Request{};
+      requesters_ = NodeSet{};
+      soa_.bound = NodeSet{};
+      // No failure can have survived engagement (fail_node diverges the
+      // plan), so every node evidences itself on a planned slot.
+      rec.heard = topo_.all_nodes() & ~soa_.failed;
+    } else {
+      collect_requests(rec.requests);
+    }
+    // The distribution packet ends with the slot.  A token loss (fault
+    // injection, or the master dying at any point before the packet's
+    // last bit) means no node learns the outcome -- so drain events
+    // through slot end before judging.
+    sim_.run_until(slot_end);
+
+    // Phase 4 -- decide slot k+1: the plan cursor or the protocol.
+    bool token_lost = false;
+    if (!planned && fault_hook_ != nullptr &&
+        fault_hook_->drop_distribution(slot_)) {
+      token_lost = true;
+      ++stats_.faults.token_losses;
+    }
+    if (soa_.failed.contains(master_)) {
+      token_lost = true;
+      // The heartbeat evidence lived in the collection packet the master
+      // was accumulating; a dead master takes it down with the slot.  (A
+      // distribution-packet loss above does NOT clear it: the master
+      // heard everyone before the outbound packet died.)
+      rec.heard = NodeSet{};
+    }
+    SlotPlan plan;
+    if (!token_lost && planned) {
+      plan = plan_next_from_cursor();
+    } else if (!token_lost) {
+      const std::vector<core::Request>& requests = rec.requests;
+      plan = protocol_->plan_next_slot(requests, master_, slot_, requesters_);
+      // Priority-inversion accounting: the globally most urgent requester
+      // must be among the granted (always true for CCR-EDF; the simple
+      // clocking strategy of CC-FPR violates it -- paper §1).
+      // requesters_ covers every non-idle entry (mask order = index
+      // order, so ties resolve exactly as the full scan did).
+      NodeId hp = kInvalidNode;
+      core::Priority best = 0;
+      for (const NodeId i : requesters_) {
+        if (requests[i].priority > best) {
+          best = requests[i].priority;
+          hp = i;
+        }
+      }
+      if (hp != kInvalidNode && !plan.granted.contains(hp)) {
+        ++stats_.priority_inversions;
+      }
+    }
+
+    // Phase 5 -- fault and cut overrides.
+    if (!token_lost && !planned && fault_hook_ != nullptr) {
+      token_lost = apply_distribution_fault(plan, rec);
+    }
+    sim::Duration gap;
+    if (token_lost) {
+      gap = recover_token_loss(plan);
+      // The acks and NACKs died with the distribution packet.
+      rec.acks = NodeSet{};
+      rec.nacks = NodeSet{};
+    } else {
+      gap = protocol_->gap(master_, plan.next_master);
+    }
+    if (!severed_.empty()) gap = apply_cuts(plan, gap, token_lost);
+    if (!rec.nacks.empty()) stats_.faults.payload_nacks += rec.nacks.size();
+
+    // Phase 6 -- hand-over.
+    stats_.time_in_gaps += gap;
+    stats_.gap.add(gap);
+    stats_.handover_hops.add(
+        static_cast<std::int64_t>(topo_.hops(master_, plan.next_master)));
+    ++stats_.slots;
+    trace_.emit(slot_start_, sim::TraceCategory::kSlot, [&] {
+      std::ostringstream os;
+      os << "slot " << slot_ << " master=" << master_ << " granted="
+         << granted.size() << " next=" << plan.next_master
+         << " gap=" << gap.ns() << "ns";
+      return os.str();
+    });
+    const SlotIndex index = slot_;
+    const sim::TimePoint start = slot_start_;
+    const NodeId master = master_;
+    current_granted_ = plan.granted;
+    master_ = plan.next_master;
+    slot_start_ = slot_end + gap;
+    ++slot_;
+
+    // Phase 7 -- notify.
+    if (observers_.empty() && resilience_ == nullptr) continue;
+    rec.index = index;
+    rec.start = start;
+    rec.end = slot_end;
+    rec.gap_after = gap;
+    rec.master = master;
+    rec.next_master = plan.next_master;
+    rec.granted = granted;
+    rec.token_lost = token_lost;
+    for (const auto& obs : observers_) obs(rec);
+    // The resilience hook runs LAST: it may mutate the network
+    // (quarantine closes, staged re-opens), and the observers above must
+    // see the slot as it actually ran.
+    if (resilience_ != nullptr) resilience_->on_slot_end(rec);
   }
-  stats_.faults.payload_nacks += rec.nacks.size();
-
-  rec.gap_after = gap;
-  rec.next_master = plan.next_master;
-
-  stats_.time_in_gaps += gap;
-  stats_.gap.add(gap);
-  stats_.handover_hops.add(
-      static_cast<std::int64_t>(topo_.hops(master_, plan.next_master)));
-  ++stats_.slots;
-
-  trace_.emit(slot_start_, sim::TraceCategory::kSlot, [&] {
-    std::ostringstream os;
-    os << "slot " << slot_ << " master=" << master_ << " granted="
-       << rec.granted.size() << " next=" << plan.next_master
-       << " gap=" << gap.ns() << "ns";
-    return os.str();
-  });
-
-  current_granted_ = plan.granted;
-  master_ = plan.next_master;
-  slot_start_ = slot_end + gap;
-  ++slot_;
-
-  for (const auto& obs : observers_) obs(rec);
-  // The resilience hook runs LAST: it may mutate the network (quarantine
-  // closes, staged re-opens), and the observers above must see the slot
-  // as it actually ran.
-  if (resilience_ != nullptr) resilience_->on_slot_end(rec);
 }
 
-std::int64_t Network::try_fast_forward(std::int64_t max_slots) {
-  if (!cfg_.fast_forward || max_slots <= 0) return 0;
-  // A slot is skippable only when it is provably the idle fixed point:
-  // nothing transmits (no live node has a queued message, no grants or
-  // ack/NACK bits are in flight), the protocol keeps the master on an
-  // all-idle slot, the master is alive (a dead master is the token-loss
-  // path), and nobody observes per-slot artefacts.
-  if (!protocol_->idle_keeps_master()) return 0;
+sim::Duration Network::apply_cuts(SlotPlan& plan, sim::Duration gap,
+                                  bool token_lost) {
+  if (severed_.size() >= 2) {
+    // Two or more cuts partition the ring: no single surviving
+    // orientation exists, so the ring parks dark exactly like the
+    // all-failed token-loss case -- grants voided, clock parked at the
+    // designated restarter, resuming the moment splices bring the cut
+    // count back to one or zero.
+    ++stats_.faults.ring_dark;
+    plan.granted = NodeSet{};
+    soa_.bound = NodeSet{};
+    if (token_lost) return gap;
+    plan.next_master = cfg_.designated_restarter;
+    return protocol_->gap(master_, plan.next_master);
+  }
+  // Single cut: master succession re-anchors at the cut's downstream
+  // endpoint so the collection path never traverses the severed segment
+  // (the break link coincides with the cut).
+  const NodeId anchor = degraded_anchor();
+  if (anchor == kInvalidNode || plan.next_master == anchor || token_lost) {
+    return gap;
+  }
+  plan.next_master = anchor;
+  return protocol_->gap(master_, anchor);
+}
+
+bool Network::apply_distribution_fault(SlotPlan& plan, SlotRecord& rec) {
+  // The distribution packet crosses every link; bit errors on it are the
+  // most dangerous fault axis because ALL nodes act on the result.
+  core::DistributionPacket pkt;
+  pkt.granted = plan.granted;
+  pkt.hp_node = plan.next_master;
+  pkt.has_acks = cfg_.with_acks;
+  pkt.acks = rec.acks;
+  pkt.has_nacks = cfg_.with_acks && cfg_.with_payload_crc;
+  pkt.nacks = rec.nacks;
+  using DF = FaultHook::DistributionFault;
+  switch (fault_hook_->filter_distribution(slot_, pkt)) {
+    case DF::kNone:
+      break;
+    case DF::kDetected:
+      // Receivers reject the frame (CRC / start bit / hp range): no node
+      // learns the next master, which is exactly the token-loss
+      // condition, so the designated-restarter timeout recovers
+      // (PROTOCOL.md §7).  Rejecting is the SAFE outcome -- the
+      // alternative is acting on a corrupted grant view.
+      ++stats_.faults.distribution_corruptions;
+      ++stats_.faults.distribution_detected;
+      return true;
+    case DF::kGrantView: {
+      // The frame passed the guards but its grant/ack bits mutated.
+      // Each node cross-checks the view against what it knows locally: a
+      // grant bit on a node that sent priority 0 is impossible (that node
+      // knows it), so the ring can void the slot and re-arbitrate
+      // instead of breaking the clock.
+      ++stats_.faults.distribution_corruptions;
+      bool impossible = false;  // grant bit on a non-requester
+      bool collision = false;   // grant bit on an ungranted requester
+      for (const NodeId g : pkt.granted) {
+        if (plan.granted.contains(g)) continue;
+        if (!rec.requests[g].wants_slot()) {
+          impossible = true;
+        } else {
+          collision = true;
+        }
+      }
+      if (impossible) {
+        ++stats_.faults.distribution_detected;
+        ++stats_.faults.rearbitration_slots;
+        plan.granted = NodeSet{};
+        rec.acks = NodeSet{};
+        rec.nacks = NodeSet{};
+        soa_.bound = NodeSet{};
+      } else if (collision) {
+        // Undetectable: the extra node believes its request was granted
+        // and transmits into links arbitration gave to others.  Model
+        // the collision as the whole slot's transfers garbled -- this is
+        // the residual hazard the CRC exists to shrink.
+        ++stats_.faults.silent_misarbitrations;
+        plan.granted = NodeSet{};
+        soa_.bound = NodeSet{};
+      } else {
+        // Only cleared bits: granted nodes stay silent, capacity is lost
+        // but nothing collides -- harmless degradation.
+        plan.granted = pkt.granted;
+        rec.acks = pkt.acks;
+        rec.nacks = pkt.nacks;
+      }
+      break;
+    }
+    case DF::kSilentMaster:
+      // The hp-node index mutated to another in-range value.  Nodes
+      // upstream of the corrupted link saw the true master, nodes
+      // downstream the wrong one: two nodes start slot k+1 -- the
+      // clock-break hazard.  The collision is detected only by the
+      // restarter's silence timeout, so model it as a stalled clock.
+      ++stats_.faults.distribution_corruptions;
+      ++stats_.faults.silent_misarbitrations;
+      return true;
+  }
+  return false;
+}
+
+sim::Duration Network::recover_token_loss(SlotPlan& plan) {
+  mark_plan_diverged();
+  const sim::Duration gap =
+      (timing_->slot() + protocol_->max_gap()) * cfg_.recovery_timeout_slots;
+  // The designated restarter takes over; if it is itself down, the first
+  // live node downstream of it assumes the role.
+  NodeId restarter = cfg_.designated_restarter;
+  NodeId tried = 0;
+  while (tried < nodes() && nodes_[restarter].failed()) {
+    restarter = topo_.downstream(restarter);
+    ++tried;
+  }
+  if (tried == nodes()) {
+    // EVERY node is failed: no deputy exists, so nothing restarts the
+    // clock -- the ring is dark until a node is restored.  Counting a
+    // recovery here would be a phantom restart; the clock is parked at
+    // the designated restarter so recovery resumes the moment it (or any
+    // upstream deputy) comes back.
+    ++stats_.faults.ring_dark;
+    plan.next_master = cfg_.designated_restarter;
+  } else {
+    ++recoveries_;
+    ++stats_.faults.recoveries;
+    recovery_time_ += gap;
+    stats_.faults.recovery_gap.add(gap);
+    stats_.faults.recovery_gap_quantiles.add(gap.ps());
+    plan.next_master = restarter;
+  }
+  // The planned grants died with the distribution packet.
+  plan.granted = NodeSet{};
+  soa_.bound = NodeSet{};
+  return gap;
+}
+
+std::int64_t Network::skip_quiet_slots(std::int64_t max_slots,
+                                       sim::TimePoint horizon) {
+  // A slot is quiet when nothing moves on it and its decision provably
+  // grants nobody and keeps the master: no grant or ack/NACK bit is in
+  // flight, nobody observes per-slot artefacts, and the protocol keeps
+  // the master on a slot that grants nobody.
+  if (!cfg_.fast_forward || !current_granted_.empty()) return 0;
+  if (!pending_acks_.empty() || !pending_nacks_.empty()) return 0;
   if (!observers_.empty() || trace_.enabled(sim::TraceCategory::kSlot)) {
     return 0;
   }
-  if (!(soa_.queued & ~soa_.failed).empty()) return 0;
-  if (!current_granted_.empty()) return 0;
-  if (!pending_acks_.empty() || !pending_nacks_.empty()) return 0;
-  if (soa_.failed.contains(master_)) return 0;
-  // A severed ring is skippable only once it has settled into the stable
-  // degraded orbit: exactly one cut with the master parked at the cut's
-  // downstream anchor (the break link coincides with the cut, so an idle
-  // slot keeps the master and hears everyone -- the same fixed point as
-  // the intact ring).  Multi-cut dark slots and un-anchored slots mutate
-  // state (ring_dark, succession) and must be simulated.
-  if (!severed_.empty() &&
-      (severed_.size() != 1 || master_ != degraded_anchor())) {
-    return 0;
-  }
-  // The first collection under a fresh cut books the detection latency;
-  // that slot must run for real.
-  if (cut_detect_pending_) return 0;
-
-  const sim::Duration t_slot = timing_->slot();
-  const sim::Duration g = protocol_->gap(master_, master_);
-  const sim::Duration step = t_slot + g;
-
   // Only slots ending STRICTLY before the next event are skippable: an
   // event landing inside (or exactly at the end of) a slot could release
   // a message a later collection sample of that slot would see, so that
-  // slot is simulated normally.
-  std::int64_t k = max_slots;
-  // With the release events suppressed by an adopted plan, the table
-  // cursor is the release "event" the skip window must not cross.
-  const sim::TimePoint t_next =
-      std::min(sim_.next_event_time(), plan_next_release_time());
-  if (t_next < sim::TimePoint::infinity()) {
-    const sim::Duration avail = t_next - slot_start_ - t_slot;
-    if (avail <= sim::Duration::zero()) return 0;
-    // Count of i >= 0 with i*step < avail, i.e. ceil(avail / step).
-    const std::int64_t fit = (avail.ps() + step.ps() - 1) / step.ps();
-    k = std::min(k, fit);
+  // slot is simulated normally.  With the release events suppressed by
+  // an adopted plan, the table cursor is the release "event".  A slot
+  // ends before that instant exactly when it starts before start_bound.
+  const sim::Duration t_slot = timing_->slot();
+  const sim::TimePoint start_bound =
+      std::min(sim_.next_event_time(), plan_release_at_) - t_slot;
+  if (start_bound <= slot_start_) return 0;
+  const bool planned = plan_engaged();
+  // First instant the decision can differ from a wait: never for the
+  // idle fixed point, the next bundle's release instant under a plan.
+  sim::TimePoint eligible = sim::TimePoint::infinity();
+  if (planned) {
+    // Decision source "plan": the cursor waits (master kept, nobody
+    // granted) on every slot starting before the next bundle's release
+    // instant, whatever is queued.
+    eligible = plan_next_eligible_time();
+    if (eligible <= slot_start_) return 0;
+  } else {
+    // Decision source "idle": the fixed point needs no live node with a
+    // queued message and a live master (a dead master is the token-loss
+    // path).  A severed ring qualifies only once it has settled into the
+    // stable degraded orbit: exactly one cut with the master parked at
+    // the cut's downstream anchor (the break link coincides with the
+    // cut, so an idle slot keeps the master and hears everyone).  The
+    // first collection under a fresh cut books the detection latency, so
+    // that slot must run for real.
+    if (!(soa_.queued & ~soa_.failed).empty()) return 0;
+    if (soa_.failed.contains(master_) || cut_detect_pending_) return 0;
+    if (!severed_.empty() &&
+        (severed_.size() != 1 || master_ != degraded_anchor())) {
+      return 0;
+    }
   }
+  if (!protocol_->idle_keeps_master()) return 0;
+
+  const sim::Duration g = protocol_->gap(master_, master_);
+  const sim::Duration step = t_slot + g;
+  // Number of window slots i >= 0 starting strictly before `t`.
+  const auto starts_before = [&](sim::TimePoint t) -> std::int64_t {
+    const std::int64_t room = (t - slot_start_).ps();
+    return room <= 0 ? 0 : (room + step.ps() - 1) / step.ps();
+  };
+  std::int64_t k = std::min({max_slots, starts_before(start_bound),
+                             starts_before(eligible), starts_before(horizon)});
+  if (k <= 0) return 0;
   if (fault_hook_ != nullptr) {
     // With fault axes armed, fall back to batched keyed probes: the hook
     // reports the first slot in range that could fire.  The draws stay
@@ -1107,18 +1141,12 @@ std::int64_t Network::try_fast_forward(std::int64_t max_slots) {
 
   // Advance every aggregate arithmetically.  ExactStats::add_n is
   // bitwise identical to k sequential adds, and per-node idle accounting
-  // is derived (slots grow, node_requests do not), so the fast-forward
-  // and slot-by-slot paths produce byte-identical statistics.
+  // is derived (slots grow, node_requests do not), so skipped and
+  // simulated slots produce byte-identical statistics.
   stats_.slots += k;
   stats_.ff_slots_skipped += k;
   ++stats_.ff_windows;
-  if (plan_valid_ && !plan_diverged_) {
-    // Under an engaged plan an idle slot IS a planned wait (the queue
-    // being empty proves the next bundle's releases have not fired), so
-    // the idle fast path must mirror the cursor's wait accounting for
-    // the planned-vs-unplanned and ff-vs-slot-by-slot parity gates.
-    stats_.plan_wait_slots += k;
-  }
+  if (planned) stats_.plan_wait_slots += k;
   stats_.time_in_slots += t_slot * k;
   stats_.time_in_gaps += g * k;
   stats_.gap.add_n(g.ps(), k);
@@ -1163,7 +1191,8 @@ void Network::rebuild_plan() {
   const sim::Duration t_slot = timing_->slot();
   planner_->clear();
   bool any = false;
-  for (const auto& [id, st] : releases_) {
+  for (ConnectionId id = 0; id < releases_.size(); ++id) {
+    const ReleaseState& st = releases_[id];
     if (!st.open) continue;
     if (st.released != 0) return;  // mid-stream: stay on TCMA
     const sim::Duration off = st.base - sim::TimePoint::origin();
@@ -1194,13 +1223,16 @@ void Network::plan_adopt_releases() {
   const std::int64_t h = planner_->hyperperiod_slots();
   const sim::Duration t_slot = timing_->slot();
   std::size_t entries = 0;
-  for (const auto& [id, st] : releases_) {
-    if (st.open) entries += static_cast<std::size_t>(h / st.params.period_slots);
+  for (const ReleaseState& st : releases_) {
+    if (st.open) {
+      entries += static_cast<std::size_t>(h / st.params.period_slots);
+    }
   }
   if (entries > kMaxPlanReleaseEntries) return;  // keep the events
   plan_releases_.clear();
   plan_releases_.reserve(entries);
-  for (auto& [id, st] : releases_) {
+  for (ConnectionId id = 0; id < releases_.size(); ++id) {
+    const ReleaseState& st = releases_[id];
     if (!st.open) continue;
     sim_.cancel(st.next_event);
     const std::int64_t base =
@@ -1208,7 +1240,7 @@ void Network::plan_adopt_releases() {
     const std::int64_t period = st.params.period_slots;
     for (std::int64_t k = 0; k < h / period; ++k) {
       const std::int64_t first = base + k * period;
-      plan_releases_.push_back(PlanRelease{first % h, first, id, &st});
+      plan_releases_.push_back(PlanRelease{first % h, first, id});
     }
   }
   std::sort(plan_releases_.begin(), plan_releases_.end(),
@@ -1233,6 +1265,9 @@ void Network::plan_adopt_releases() {
     plan_release_idx_ = 0;
     ++plan_release_cycle_;
   }
+  const std::int64_t next =
+      plan_releases_[plan_release_idx_].rel + plan_release_cycle_ * h;
+  plan_release_at_ = sim::TimePoint::origin() + t_slot * next;
 }
 
 void Network::plan_restore_releases() {
@@ -1243,9 +1278,14 @@ void Network::plan_restore_releases() {
   // fire_release stamps the nominal release instant either way, so the
   // message is bit-identical to the one the event path would have made.
   // Nothing fires inline: a release due exactly at now stays pending,
-  // just as its original event would have been.
+  // just as its original event would have been.  Events are scheduled in
+  // connection-id order, so simultaneous releases enqueue in opening
+  // order, as on a ring that never planned (same-instant events fire
+  // FIFO).
   plan_releases_.clear();
-  for (auto& [id, st] : releases_) {
+  plan_release_at_ = sim::TimePoint::infinity();
+  for (ConnectionId id = 0; id < releases_.size(); ++id) {
+    ReleaseState& st = releases_[id];
     if (!st.open) continue;
     // A connection opened this very call still has its admission-time
     // event pending (adoption never saw it) -- cancel before
@@ -1253,38 +1293,28 @@ void Network::plan_restore_releases() {
     sim_.cancel(st.next_event);
     const sim::TimePoint next =
         st.base + timing_->slot() * (st.params.period_slots * st.released);
-    const ConnectionId cid = id;
     st.next_event = sim_.schedule_at(std::max(next, sim_.now()),
-                                     [this, cid] { release_message(cid); });
+                                     [this, id] { release_message(id); });
   }
 }
 
 void Network::plan_release_due_slow(sim::TimePoint upto) {
   const std::int64_t h = planner_->hyperperiod_slots();
-  const sim::Duration t_slot = timing_->slot();
-  const sim::TimePoint origin = sim::TimePoint::origin();
   for (;;) {
     const PlanRelease& r = plan_releases_[plan_release_idx_];
     const std::int64_t abs = r.rel + plan_release_cycle_ * h;
-    if (origin + t_slot * abs > upto) return;
+    plan_release_at_ = sim::TimePoint::origin() + timing_->slot() * abs;
+    if (plan_release_at_ > upto) return;
     // Visits below first_abs are the start-up transient of an offset
     // connection (its k-th entry exists in every cycle but only fires
     // from cycle (first_abs - rel) / H on).
-    if (abs >= r.first_abs && r.st->open) fire_release(r.conn, *r.st);
+    if (abs >= r.first_abs && releases_[r.conn].open) fire_release(r.conn);
     if (plan_releases_.empty()) return;  // a divergence tore the table down
     if (++plan_release_idx_ == plan_releases_.size()) {
       plan_release_idx_ = 0;
       ++plan_release_cycle_;
     }
   }
-}
-
-sim::TimePoint Network::plan_next_release_time() const {
-  if (plan_releases_.empty()) return sim::TimePoint::infinity();
-  const PlanRelease& r = plan_releases_[plan_release_idx_];
-  return sim::TimePoint::origin() +
-         timing_->slot() *
-             (r.rel + plan_release_cycle_ * planner_->hyperperiod_slots());
 }
 
 sim::TimePoint Network::plan_next_eligible_time() const {
@@ -1302,45 +1332,38 @@ sim::TimePoint Network::plan_next_eligible_time() const {
 SlotPlan Network::plan_next_from_cursor() {
   SlotPlan plan;
   plan.next_master = master_;
-  const bool from_prefix = plan_prefix_pos_ < planner_->prefix().size();
-  std::int64_t rel_base = 0;
-  const core::HypercyclePlanner::Bundle* b;
-  if (from_prefix) {
-    b = &planner_->prefix()[plan_prefix_pos_];
-  } else {
-    b = &planner_->cycle()[plan_cycle_pos_];
-    rel_base = planner_->cycle_origin_slot() +
-               plan_cycle_no_ * planner_->hyperperiod_slots();
-  }
-  const sim::TimePoint eligible =
-      sim::TimePoint::origin() + timing_->slot() * (b->release_slot + rel_base);
-  if (eligible > slot_start_) {
+  if (plan_next_eligible_time() > slot_start_) {
     ++stats_.plan_wait_slots;
     return plan;  // wait: master keeps the clock, nobody granted
   }
+  const bool from_prefix = plan_prefix_pos_ < planner_->prefix().size();
+  const core::HypercyclePlanner::Bundle* b =
+      from_prefix ? &planner_->prefix()[plan_prefix_pos_]
+                  : &planner_->cycle()[plan_cycle_pos_];
   const core::HypercyclePlanner::Grant* gs = planner_->grants(*b);
-  // Validate every pending front BEFORE binding, so a divergence (queue
-  // drift) leaves no partial bindings behind.
+  // Bind each grant's pending front, but mark the sources bound only once
+  // every front validated, so a divergence (queue drift) leaves no
+  // partial binding behind.  (The bind_* entries always describe the
+  // message in bind_msg, so collect_requests' geometry memo stays sound.)
+  NodeSet bound;
   for (std::uint32_t i = 0; i < b->grant_count; ++i) {
-    const std::int32_t pi = planner_->planned_index(gs[i].conn);
+    const auto& g = gs[i];
+    const std::int32_t pi = planner_->planned_index(g.conn);
     if (pi < 0 || plan_pending_[static_cast<std::size_t>(pi)].empty() ||
-        !nodes_[gs[i].source].queues().contains(
+        !nodes_[g.source].queues().contains(
             plan_pending_[static_cast<std::size_t>(pi)].front())) {
       mark_plan_diverged();
       return plan;  // idle decision; TCMA resumes next slot
     }
-  }
-  for (std::uint32_t i = 0; i < b->grant_count; ++i) {
-    const auto& g = gs[i];
     const NodeId s = g.source;
-    const auto pi = static_cast<std::size_t>(planner_->planned_index(g.conn));
-    soa_.bound.insert(s);
-    soa_.bind_msg[s] = plan_pending_[pi].front();
+    bound.insert(s);
+    soa_.bind_msg[s] = plan_pending_[static_cast<std::size_t>(pi)].front();
     soa_.bind_hops[s] = g.hops;
     soa_.bind_links[s] = g.links;
     soa_.bind_dests[s] = g.dests;
     soa_.bind_conn[s] = g.conn;
   }
+  soa_.bound |= bound;
   plan.next_master = b->master;
   plan.granted = b->granted;
   if (from_prefix) {
@@ -1353,200 +1376,13 @@ SlotPlan Network::plan_next_from_cursor() {
   return plan;
 }
 
-void Network::execute_plan_grants(sim::TimePoint slot_end) {
-  int executed = 0;
-  for (const NodeId g : current_granted_) {
-    Node& src = nodes_[g];
-    if (!soa_.bound.contains(g) || src.failed() ||
-        !src.queues().contains(soa_.bind_msg[g])) {
-      ++stats_.wasted_grants;
-      continue;
-    }
-    ++executed;
-    ++stats_.total_grants;
-    ++stats_.node_grants[g];
-    auto done = src.queues().consume_slot(soa_.bind_msg[g]);
-    if (!done) continue;
-    refresh_queued_bit(g);
-    if (plan_valid_ && !plan_diverged_) {
-      plan_note_completion(done->connection, done->id);
-    }
-    core::Delivery d;
-    d.id = done->id;
-    d.source = done->source;
-    d.dests = done->dests;
-    d.traffic_class = done->traffic_class;
-    d.connection = done->connection;
-    d.arrival = done->arrival;
-    d.completed = slot_end + phy_->path_delay(g, soa_.bind_hops[g]);
-    d.deadline = done->deadline;
-    d.size_slots = done->size_slots;
-    for (const NodeId dst : soa_.bind_dests[g]) {
-      if (!nodes_[dst].failed()) nodes_[dst].deliver(d);
-    }
-    auto& cs = stats_.cls(done->traffic_class);
-    ++cs.delivered;
-    cs.bytes += done->payload_bytes;
-    cs.latency.add(d.latency());
-    const bool sched_miss = !d.met_deadline();
-    const bool user_miss =
-        sched_miss && d.completed > d.deadline + timing_->worst_case_latency();
-    if (sched_miss) ++cs.scheduling_misses;
-    if (user_miss) ++cs.user_misses;
-    if (done->connection != kNoConnection) {
-      auto& conn = conn_stats_slot(done->connection);
-      ++conn.delivered;
-      conn.bytes += done->payload_bytes;
-      conn.latency.add(d.latency());
-      if (sched_miss) ++conn.scheduling_misses;
-      if (user_miss) ++conn.user_misses;
-    }
-  }
-  if (executed > 0) {
-    ++stats_.busy_slots;
-    if (executed > 1) ++stats_.reuse_slots;
-  }
-}
-
-std::int64_t Network::try_plan_forward(std::int64_t max_slots) {
-  if (!cfg_.fast_forward || max_slots <= 0) return 0;
-  if (!plan_valid_ || plan_diverged_) return 0;
-  if (cfg_.with_acks) return 0;  // ack bookkeeping needs the full path
-  const sim::Duration t_slot = timing_->slot();
-  std::int64_t done = 0;
-  while (done < max_slots) {
-    if (!observers_.empty() || trace_.enabled(sim::TraceCategory::kSlot)) {
-      break;
-    }
-    sim_.run_until(slot_start_);
-    plan_release_due(slot_start_);
-    if (!plan_valid_ || plan_diverged_) break;  // an event broke the plan
-    if (current_granted_.empty()) {
-      // Wait stretch: batched exactly like try_fast_forward's idle skip.
-      const sim::TimePoint need = plan_next_eligible_time();
-      if (need > slot_start_) {
-        const sim::Duration g = protocol_->gap(master_, master_);
-        const sim::Duration step = t_slot + g;
-        std::int64_t k = max_slots - done;
-        k = std::min(k,
-                     ((need - slot_start_).ps() + step.ps() - 1) / step.ps());
-        const sim::TimePoint t_next = sim_.next_event_time();
-        if (t_next < sim::TimePoint::infinity()) {
-          const sim::Duration avail = t_next - slot_start_ - t_slot;
-          if (avail <= sim::Duration::zero()) {
-            k = 0;
-          } else {
-            k = std::min(k, (avail.ps() + step.ps() - 1) / step.ps());
-          }
-        }
-        if (k > 0) {
-          stats_.slots += k;
-          stats_.plan_wait_slots += k;
-          stats_.time_in_slots += t_slot * k;
-          stats_.time_in_gaps += g * k;
-          stats_.gap.add_n(g.ps(), k);
-          stats_.handover_hops.add_n(0, k);
-          const sim::TimePoint last_end = slot_start_ + step * (k - 1) + t_slot;
-          sim_.advance_to(last_end);
-          slot_ += k;
-          slot_start_ = last_end + g;
-          done += k;
-          continue;
-        }
-        // An event lands inside the next slot: run it on the full path
-        // below (the decision is still the same wait).
-      }
-    }
-    // One full planned slot on the lean path.
-    const sim::TimePoint slot_end = slot_start_ + t_slot;
-    execute_plan_grants(slot_end);
-    stats_.time_in_slots += t_slot;
-    soa_.bound = NodeSet{};
-    sim_.run_until(slot_end);
-    if (nodes_[master_].failed()) {
-      // Token loss: accounting identical to step_slot's recovery path.
-      mark_plan_diverged();
-      const sim::Duration gap =
-          (t_slot + protocol_->max_gap()) * cfg_.recovery_timeout_slots;
-      NodeId restarter = cfg_.designated_restarter;
-      NodeId tried = 0;
-      while (tried < nodes() && nodes_[restarter].failed()) {
-        restarter = topo_.downstream(restarter);
-        ++tried;
-      }
-      if (tried == nodes()) {
-        ++stats_.faults.ring_dark;
-        restarter = cfg_.designated_restarter;
-      } else {
-        ++recoveries_;
-        ++stats_.faults.recoveries;
-        recovery_time_ += gap;
-        stats_.faults.recovery_gap.add(gap);
-        stats_.faults.recovery_gap_quantiles.add(gap.ps());
-      }
-      soa_.bound = NodeSet{};
-      stats_.time_in_gaps += gap;
-      stats_.gap.add(gap);
-      stats_.handover_hops.add(
-          static_cast<std::int64_t>(topo_.hops(master_, restarter)));
-      ++stats_.slots;
-      current_granted_ = NodeSet{};
-      master_ = restarter;
-      slot_start_ = slot_end + gap;
-      ++slot_;
-      ++done;
-      break;
-    }
-    const SlotPlan plan = plan_next_from_cursor();
-    const sim::Duration gap = protocol_->gap(master_, plan.next_master);
-    stats_.time_in_gaps += gap;
-    stats_.gap.add(gap);
-    stats_.handover_hops.add(
-        static_cast<std::int64_t>(topo_.hops(master_, plan.next_master)));
-    ++stats_.slots;
-    current_granted_ = plan.granted;
-    master_ = plan.next_master;
-    slot_start_ = slot_end + gap;
-    ++slot_;
-    ++done;
-  }
-  return done;
-}
-
 void Network::run_slots(std::int64_t n) {
-  std::int64_t done = 0;
-  while (done < n) {
-    done += try_fast_forward(n - done);
-    if (done >= n) break;
-    const std::int64_t p = try_plan_forward(n - done);
-    if (p > 0) {
-      done += p;
-      continue;
-    }
-    step_slot();
-    ++done;
-  }
+  advance(n, sim::TimePoint::infinity());
 }
 
 void Network::run_for(sim::Duration d) {
-  const sim::TimePoint horizon = sim_.now() + d;
-  // gap(m, m) is only meaningful for protocols with the idle fixed point
-  // (CC-FPR asserts on non-adjacent hand-overs), so gate up front.
-  const bool can_ff = cfg_.fast_forward && protocol_->idle_keeps_master();
-  while (slot_start_ < horizon) {
-    if (can_ff) {
-      // Mirror the slot-by-slot loop: only slots STARTING before the
-      // horizon run, so bound the skip by the same condition.  The gap
-      // of an idle slot is fixed, so the bound is exact arithmetic.
-      const sim::Duration step =
-          timing_->slot() + protocol_->gap(master_, master_);
-      const sim::Duration room = horizon - slot_start_;
-      const std::int64_t starts =
-          (room.ps() + step.ps() - 1) / step.ps();  // ceil: starts < horizon
-      if (try_fast_forward(starts) > 0) continue;
-    }
-    step_slot();
-  }
+  // Only slots STARTING before the horizon run.
+  advance(std::numeric_limits<std::int64_t>::max(), sim_.now() + d);
 }
 
 }  // namespace ccredf::net

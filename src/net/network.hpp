@@ -1,23 +1,36 @@
 // The slot-stepped network engine binding phy + ring + MAC + EDF.
 //
-// Per slot k (master m_k, start T_k, fixed data time t_slot):
-//   1. fire queued events up to T_k (message releases, user actions);
-//   2. execute the grants decided during slot k-1: move one slot of each
+// Every slot k (master m_k, start T_k, fixed data time t_slot) runs one
+// pipeline of fixed phases:
+//   1. events and releases: queued events up to T_k fire (message
+//      releases, user actions), and so do plan-table releases due by T_k;
+//   2. deliver: the grants decided during slot k-1 move one slot of each
 //      granted message; completed messages are delivered with timestamp
 //      T_k + t_slot + propagation to the furthest destination;
-//   3. collection phase: the control packet leaves the master and visits
-//      node j at T_k + prop(m_k -> j) + j_passthroughs; each node's head
-//      eligible message (arrival <= its sampling time) becomes its
-//      request, with laxity mapped to the priority field;
-//   4. the protocol plans slot k+1 (grants + next master m_{k+1});
-//   5. the slot ends at T_k + t_slot; the clock hand-over gap to m_{k+1}
-//      follows (Eq. 1), so T_{k+1} = T_k + t_slot + gap.
+//   3. collect or consult the plan: the control packet leaves the master
+//      and visits node j at T_k + prop(m_k -> j) + j_passthroughs; each
+//      node's head eligible message (arrival <= its sampling time) becomes
+//      its request, with laxity mapped to the priority field -- unless an
+//      engaged hypercycle plan already knows the outcome;
+//   4. decide slot k+1 (grants + next master m_{k+1}): the plan cursor,
+//      or MacProtocol::plan_next_slot on the collected requests;
+//   5. fault and cut overrides: token loss, a corrupted distribution
+//      packet, severed links;
+//   6. hand-over: the slot ends at T_k + t_slot; the clock hand-over gap
+//      to m_{k+1} follows (Eq. 1), so T_{k+1} = T_k + t_slot + gap;
+//   7. notify slot observers and the resilience hook.
 // This realises the paper's pipeline: arbitration for slot k+1 rides the
 // control channel while slot k's data flows (Fig. 3).
+//
+// "Idle" and "planned" are decision sources inside that pipeline, not
+// separate engines.  run_slots and run_for share one advance loop, which
+// steps slot by slot except where the next decisions are provably "grant
+// nobody, keep the master" -- the idle fixed point, or the plan waiting
+// for its next bundle's release -- and then accounts the whole window
+// arithmetically (NetworkConfig::fast_forward).
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -408,7 +421,7 @@ class Network {
     sim::TimePoint base;  // time of release 0
     sim::EventId next_event = 0;
     std::int64_t released = 0;
-    bool open = true;
+    bool open = false;  // ids never opened as RT connections stay closed
   };
   /// A live CBS: the pure core::CbsServer plus the engine-side backlog
   /// tracking that feeds the wake-up rule.
@@ -418,23 +431,35 @@ class Network {
     std::int64_t sent = 0;     // accepted jobs (release_index numbering)
   };
 
-  void step_slot();
+  /// The one loop behind run_slots and run_for: runs up to `max_slots`
+  /// slots, each starting before `horizon`.  Every slot it does not skip
+  /// runs the fixed phases of the header comment inline in the loop.
+  void advance(std::int64_t max_slots, sim::TimePoint horizon);
+  /// The one skip rule.  When nothing is in flight, nobody observes
+  /// per-slot artefacts and the next decisions are provably "grant
+  /// nobody, keep the master" -- the idle fixed point, or a plan wait
+  /// before the next bundle's release instant -- accounts that window in
+  /// O(1).  The window ends before the next event (or plan-table
+  /// release), the resilience hook's deadline, the plan's next eligible
+  /// bundle and the fault probe's first possible fault, and covers at
+  /// most `max_slots` slots starting before `horizon`.  Returns the
+  /// number skipped (0 = the next slot must be simulated).
+  std::int64_t skip_quiet_slots(std::int64_t max_slots,
+                                sim::TimePoint horizon);
   void execute_grants(SlotRecord& rec, sim::TimePoint slot_end);
   void collect_requests(std::vector<core::Request>& reqs);
-  /// Skips up to `max_slots` provably idle slots in O(1) (plus O(live
-  /// nodes) of keyed fault probes per slot when a hook is armed);
-  /// returns the number skipped (0 = the next slot must be simulated).
-  std::int64_t try_fast_forward(std::int64_t max_slots);
-  /// Plan-driven engine: while the plan is engaged and nobody observes
-  /// per-slot artefacts, busy planned slots run on a lean path (no
-  /// collection phase, no SlotRecord bookkeeping) and wait stretches
-  /// advance arithmetically; returns the number of slots processed.
-  /// Statistics stay byte-identical to step_slot's planned branch.
-  std::int64_t try_plan_forward(std::int64_t max_slots);
-  /// Lean phase-1 clone of execute_grants for try_plan_forward: no
-  /// fault hook, no CBS, no SlotRecord -- all provably absent or unread
-  /// while the plan is engaged and unobserved.
-  void execute_plan_grants(sim::TimePoint slot_end);
+  /// Passes the distribution packet ending this slot through the fault
+  /// hook and applies the receivers' reaction to `plan` and `rec`;
+  /// returns true when the outcome is a token loss.
+  bool apply_distribution_fault(SlotPlan& plan, SlotRecord& rec);
+  /// Token-loss recovery (paper §8): the designated restarter (or its
+  /// first live downstream deputy) restarts the clock after the timeout;
+  /// grants are voided.  Sets plan's next master, returns the gap.
+  sim::Duration recover_token_loss(SlotPlan& plan);
+  /// Severed-link override of the decision (PROTOCOL.md §7.5): two or
+  /// more cuts park the ring dark, a single cut re-anchors the master at
+  /// its downstream endpoint.  Returns the hand-over gap that results.
+  sim::Duration apply_cuts(SlotPlan& plan, sim::Duration gap, bool token_lost);
   /// Consults the plan cursor for the decision phase of the current
   /// slot (start slot_start_, master master_): on an eligible bundle it
   /// writes the soa_ bindings, advances the cursor and returns the
@@ -471,34 +496,31 @@ class Network {
         plan_pending_[static_cast<std::size_t>(pi)].front() != id) {
       mark_plan_diverged();
     } else {
-      plan_pending_[static_cast<std::size_t>(pi)].pop_front();
+      auto& pending = plan_pending_[static_cast<std::size_t>(pi)];
+      pending.erase(pending.begin());
     }
   }
   /// Notifies the dirty-node tracking that `src`'s queue may have
   /// drained (after a consume/drop/clear).
   void refresh_queued_bit(NodeId src);
   void release_message(ConnectionId id);
-  /// Releases connection `st`'s next periodic message (shared by the
-  /// event path and the plan-driven release table).
-  void fire_release(ConnectionId id, ReleaseState& st);
+  /// Releases open connection `id`'s next periodic message (shared by
+  /// the event path and the plan-driven release table).
+  void fire_release(ConnectionId id);
   /// Plan adoption: cancels every connection's self-rescheduling release
   /// event and replaces it with the precomputed cyclic release table --
   /// the plan knows the whole periodic schedule, so the per-message heap
   /// round trip (schedule + sift + pop + callback dispatch) vanishes
   /// from the planned hot path.
   void plan_adopt_releases();
-  /// Fires everything the release table owes up to now, then hands each
-  /// open connection back to its event (divergence / plan teardown).
+  /// Hands each open connection back to its release event, in id order,
+  /// and tears the table down (divergence / plan teardown).
   void plan_restore_releases();
   /// Fires every table release due at or before `upto`, in grid order.
   void plan_release_due(sim::TimePoint upto) {
-    if (!plan_releases_.empty()) plan_release_due_slow(upto);
+    if (upto >= plan_release_at_) plan_release_due_slow(upto);
   }
   void plan_release_due_slow(sim::TimePoint upto);
-  /// Grid instant of the table cursor's next candidate (infinity when
-  /// the table is inactive); bounds the idle fast-forward exactly like
-  /// a pending release event would.
-  [[nodiscard]] sim::TimePoint plan_next_release_time() const;
   /// Charges one granted data slot to the CBS server owning the message
   /// bound at node `g` (no-op for non-CBS traffic); on budget exhaustion
   /// the server postpones and its queued backlog is re-keyed.
@@ -580,8 +602,10 @@ class Network {
   /// Per planned connection (dense planner index): released message ids
   /// not yet fully delivered, in release order.  The cursor binds the
   /// front; execute_grants pops it on completion (plan order is FIFO
-  /// per connection by construction).
-  std::vector<std::deque<MessageId>> plan_pending_;
+  /// per connection by construction).  A plan keeps deadlines within
+  /// periods, so a queue holds one or two ids: popping the front is a
+  /// tiny move, and once warm the storage never allocates again.
+  std::vector<std::vector<MessageId>> plan_pending_;
   /// One cyclic-release-table entry: connection `conn` releases a
   /// message at grid slots first_abs, first_abs + H, first_abs + 2H, ...
   /// (rel = first_abs mod H keys the sorted table; visits of the entry
@@ -589,8 +613,7 @@ class Network {
   struct PlanRelease {
     std::int64_t rel = 0;
     std::int64_t first_abs = 0;
-    ConnectionId conn = kNoConnection;
-    ReleaseState* st = nullptr;  // node-stable unordered_map entry
+    ConnectionId conn = kNoConnection;  // index into releases_
   };
   /// The plan-driven release schedule for one hypercycle, sorted by rel
   /// (non-empty exactly while release events are suppressed).  Bounded:
@@ -600,8 +623,14 @@ class Network {
   std::vector<PlanRelease> plan_releases_;
   std::size_t plan_release_idx_ = 0;
   std::int64_t plan_release_cycle_ = 0;
+  /// Grid instant of the table cursor's next candidate (infinity while
+  /// the table is inactive); bounds a skip window exactly like a pending
+  /// release event would.
+  sim::TimePoint plan_release_at_ = sim::TimePoint::infinity();
 
-  std::unordered_map<ConnectionId, ReleaseState> releases_;
+  /// Release state of every RT connection ever opened, indexed by its
+  /// (dense, never reused) ConnectionId, so every walk runs in id order.
+  std::vector<ReleaseState> releases_;
   /// Open constant-bandwidth servers (empty on RT-only runs: every CBS
   /// hook in the slot path is gated on `!cbs_.empty()`).
   std::unordered_map<ConnectionId, CbsState> cbs_;

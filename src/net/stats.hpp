@@ -184,10 +184,11 @@ struct NetworkStats {
   sim::Duration time_in_slots = sim::Duration::zero();
   sim::Duration time_in_gaps = sim::Duration::zero();
 
-  /// Slots the engine fast-forwarded over (idle stretches computed
-  /// arithmetically instead of simulated; NetworkConfig::fast_forward).
-  /// Every skipped slot is also counted in `slots` -- the two paths
-  /// produce identical aggregate statistics.
+  /// Slots the engine fast-forwarded over (idle stretches and plan-wait
+  /// stretches computed arithmetically instead of simulated;
+  /// NetworkConfig::fast_forward).  Every skipped slot is also counted in
+  /// `slots` -- skipping and stepping produce identical aggregate
+  /// statistics; these two counters alone record which was taken.
   std::int64_t ff_slots_skipped = 0;
   /// Number of contiguous fast-forward windows taken.
   std::int64_t ff_windows = 0;
@@ -197,7 +198,7 @@ struct NetworkStats {
   /// decision either GRANTS a planned bundle (planned_slots) or WAITS
   /// for the next bundle's release instant (plan_wait_slots, including
   /// wait stretches batched arithmetically) -- both counters identical
-  /// between the plan-driven fast-forward and slot-by-slot paths.
+  /// with fast-forward on and off.
   std::int64_t planned_slots = 0;
   std::int64_t plan_wait_slots = 0;
   /// Successful plan builds (admit/close-time relayouts).

@@ -4,7 +4,8 @@
 // the reused per-slot scratch is that a warmed-up simulation runs without
 // touching the heap.  This binary replaces global operator new/delete
 // with counting versions and asserts that running thousands of slots of
-// an admitted periodic CCR-EDF load performs zero allocations.
+// an admitted periodic CCR-EDF load performs zero allocations, with the
+// hypercycle planner off and on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -59,41 +60,49 @@ namespace ccredf {
 namespace {
 
 TEST(Allocation, SteadyStateSlotsAreAllocationFree) {
-  net::NetworkConfig cfg;
-  cfg.nodes = 16;
-  cfg.record_inboxes = false;  // inboxes grow forever by design
-  net::Network n(cfg);
+  // Planner off runs every slot through collection and arbitration;
+  // planner on runs the plan cursor and the release table instead.
+  for (const bool planner : {false, true}) {
+    SCOPED_TRACE(planner ? "planner on" : "planner off");
+    net::NetworkConfig cfg;
+    cfg.nodes = 16;
+    cfg.record_inboxes = false;  // inboxes grow forever by design
+    cfg.planner = planner;
+    net::Network n(cfg);
 
-  // A strictly periodic admitted load: one connection per node at a
-  // common period, so the queue population cycles through its full range
-  // well inside the warm-up window.
-  workload::PeriodicSetParams wp;
-  wp.nodes = cfg.nodes;
-  wp.connections = static_cast<int>(cfg.nodes);
-  wp.total_utilisation = 0.5 * n.admission().u_max();
-  wp.min_period_slots = 100;
-  wp.max_period_slots = 100;
-  wp.seed = 7;
-  int admitted = 0;
-  for (const auto& c : workload::make_periodic_set(wp)) {
-    if (n.open_connection(c).admitted) ++admitted;
+    // A strictly periodic admitted load: one connection per node at a
+    // common period, so the queue population cycles through its full
+    // range well inside the warm-up window.
+    workload::PeriodicSetParams wp;
+    wp.nodes = cfg.nodes;
+    wp.connections = static_cast<int>(cfg.nodes);
+    wp.total_utilisation = 0.5 * n.admission().u_max();
+    wp.min_period_slots = 100;
+    wp.max_period_slots = 100;
+    wp.seed = 7;
+    int admitted = 0;
+    for (const auto& c : workload::make_periodic_set(wp)) {
+      if (n.open_connection(c).admitted) ++admitted;
+    }
+    ASSERT_GT(admitted, 0);
+
+    // Warm-up: every pool, slab, vector and hash table reaches its
+    // high-water capacity (50 full release periods).
+    n.run_slots(5'000);
+
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    n.run_slots(20'000);
+    const std::uint64_t during =
+        g_allocations.load(std::memory_order_relaxed) - before;
+
+    EXPECT_EQ(during, 0u)
+        << during << " heap allocations in 20000 steady-state slots -- "
+           "something on the slot path is allocating again";
+    // Sanity: the run actually simulated work on the intended path.
+    EXPECT_GT(n.stats().cls(core::TrafficClass::kRealTime).delivered, 0);
+    EXPECT_EQ(n.stats().planned_slots > 0, planner);
   }
-  ASSERT_GT(admitted, 0);
-
-  // Warm-up: every pool, slab, vector and hash table reaches its
-  // high-water capacity (50 full release periods).
-  n.run_slots(5'000);
-
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  n.run_slots(2'000);
-  const std::uint64_t during =
-      g_allocations.load(std::memory_order_relaxed) - before;
-
-  EXPECT_EQ(during, 0u)
-      << during << " heap allocations in 2000 steady-state slots -- "
-         "something on the slot path is allocating again";
-  // Sanity: the run actually simulated work.
-  EXPECT_GT(n.stats().cls(core::TrafficClass::kRealTime).delivered, 0);
 }
 
 }  // namespace

@@ -258,28 +258,42 @@ TEST(FastForward, ArmedFaultAxesStayByteIdentical) {
 }
 
 /// run_for (duration-bounded stepping) takes the same skips as
-/// run_slots and lands on the same final state.
+/// run_slots and lands on the same final state -- on the idle skip with
+/// the planner off, and on the plan cursor and its wait skip with it on.
 TEST(FastForward, RunForMatchesSlotBySlot) {
-  auto run = [](bool fast_forward) {
+  auto run = [](bool fast_forward, bool planner) {
     net::NetworkConfig cfg;
     cfg.nodes = 8;
     cfg.fast_forward = fast_forward;
+    cfg.planner = planner;
     net::Network n(cfg);
     workload::PeriodicSetParams wp;
     wp.nodes = 8;
     wp.connections = 8;
     wp.total_utilisation = 0.2 * n.timing().u_max();
     wp.seed = 7;
+    if (planner) {
+      // One shared period keeps the hyperperiod within the planner's cap.
+      wp.min_period_slots = 64;
+      wp.max_period_slots = 64;
+    }
     for (const auto& c : workload::make_periodic_set(wp)) {
       (void)n.open_connection(c);
     }
     n.run_for(sim::Duration::microseconds(5'000));
-    return RunResult{fingerprint(n), n.stats().ff_slots_skipped};
+    EXPECT_EQ(n.stats().planned_slots > 0, planner);
+    std::ostringstream os;
+    os << fingerprint(n) << "planned_slots=" << n.stats().planned_slots
+       << "\nplan_wait_slots=" << n.stats().plan_wait_slots << '\n';
+    return RunResult{os.str(), n.stats().ff_slots_skipped};
   };
-  const RunResult ff = run(true);
-  const RunResult slow = run(false);
-  EXPECT_EQ(ff.fingerprint, slow.fingerprint);
-  EXPECT_GT(ff.skipped, 0);
+  for (const bool planner : {false, true}) {
+    SCOPED_TRACE(planner ? "planner on" : "planner off");
+    const RunResult ff = run(true, planner);
+    const RunResult slow = run(false, planner);
+    EXPECT_EQ(ff.fingerprint, slow.fingerprint);
+    EXPECT_GT(ff.skipped, 0);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // event outside the plan's model, and byte-identical statistics between
 // the plan-driven fast-forward and slot-by-slot execution paths.
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -255,6 +256,54 @@ TEST(Planner, DivergenceMidRunStaysByteIdentical) {
     return fingerprint(n);
   };
   EXPECT_EQ(run(true), run(false));
+}
+
+TEST(Planner, DivergenceRestoresReleasesInOpeningOrder) {
+  // Two identical streams tie on every deadline.  A ring that never
+  // planned serves the earlier-opened one first: its release event was
+  // scheduled first, and same-instant events fire FIFO.  When a
+  // divergence hands the releases back to the event heap, the planned
+  // ring must keep that order whatever else is open.
+  for (const bool planner : {false, true}) {
+    for (const int others : {0, 1, 3, 12}) {
+      SCOPED_TRACE(std::string(planner ? "planner on, " : "planner off, ") +
+                   std::to_string(others) + " other connections");
+      Network n(cfg8(planner));
+      const ConnectionId a = n.open_connection(conn(0, 1, 1, 16)).id;
+      const ConnectionId b = n.open_connection(conn(0, 1, 1, 16)).id;
+      for (int i = 0; i < others; ++i) {
+        // Unrelated streams: own sources, distinct phases per source.
+        const auto src = static_cast<NodeId>(2 + i % 6);
+        const auto dst = static_cast<NodeId>((src + 1) % 8);
+        EXPECT_TRUE(n.open_connection(conn(src, dst, 1, 64, (i / 6) * 8))
+                        .admitted);
+      }
+      n.run_slots(800);
+      EXPECT_EQ(n.plan_engaged(), planner);
+      (void)n.send_best_effort(4, NodeSet::single(5), 1,
+                               sim::Duration::infinity());
+      EXPECT_FALSE(n.plan_engaged());
+      // Completion instant of each tied job after the divergence, keyed
+      // by its deadline.
+      std::map<std::int64_t, std::int64_t> done_a;
+      std::map<std::int64_t, std::int64_t> done_b;
+      n.add_slot_observer([&](const SlotRecord& rec) {
+        for (const auto& d : rec.deliveries) {
+          if (d.connection == a) done_a[d.deadline.ps()] = d.completed.ps();
+          if (d.connection == b) done_b[d.deadline.ps()] = d.completed.ps();
+        }
+      });
+      n.run_slots(800);
+      int ties = 0;
+      for (const auto& [deadline, completed] : done_a) {
+        const auto it = done_b.find(deadline);
+        if (it == done_b.end()) continue;
+        ++ties;
+        EXPECT_LT(completed, it->second) << "deadline " << deadline;
+      }
+      EXPECT_GT(ties, 40);
+    }
+  }
 }
 
 TEST(Planner, OnVsOffByteIdenticalWhenNeverEngaged) {
