@@ -52,17 +52,28 @@ std::int64_t FrameCodec::distribution_bits() const {
   return bits;
 }
 
-namespace {
-void write_request_fields(BitWriter& w, const Request& rq,
-                          const PriorityLayout& layout, NodeId n,
-                          bool with_crc) {
-  CCREDF_EXPECT(rq.priority <= layout.max_level(),
+void FrameCodec::check_request(const Request& rq) const {
+  CCREDF_EXPECT(rq.priority <= layout_.max_level(),
                 "Request: priority exceeds field width");
   // A node with nothing to send must zero the other fields (paper §3).
   if (!rq.wants_slot()) {
     CCREDF_EXPECT(rq.links.empty() && rq.dests.empty(),
                   "Request: idle request must carry zero fields");
   }
+}
+
+void FrameCodec::check_distribution(const DistributionPacket& p) const {
+  CCREDF_EXPECT(p.hp_node < n_, "DistributionPacket: invalid hp-node index");
+  CCREDF_EXPECT(p.has_acks == with_acks_,
+                "DistributionPacket: ack field presence mismatch");
+  CCREDF_EXPECT(p.has_nacks == with_nacks_,
+                "DistributionPacket: NACK field presence mismatch");
+}
+
+namespace {
+void write_request_fields(BitWriter& w, const Request& rq,
+                          const PriorityLayout& layout, NodeId n,
+                          bool with_crc) {
   const std::size_t first = w.bit_count();
   w.write(rq.priority, layout.field_bits);
   write_mask(w, rq.links.mask(), n);
@@ -88,23 +99,21 @@ FrameCodec::Encoded FrameCodec::encode(const CollectionPacket& p) const {
   BitWriter w;
   w.push_bit(true);  // start bit
   for (const Request& rq : p.requests) {
+    check_request(rq);
     write_request_fields(w, rq, layout_, n_, with_crc_);
   }
   return Encoded{w.bytes(), w.bit_count()};
 }
 
 FrameCodec::Encoded FrameCodec::encode_request(const Request& rq) const {
+  check_request(rq);
   BitWriter w;
   write_request_fields(w, rq, layout_, n_, with_crc_);
   return Encoded{w.bytes(), w.bit_count()};
 }
 
 FrameCodec::Encoded FrameCodec::encode(const DistributionPacket& p) const {
-  CCREDF_EXPECT(p.hp_node < n_, "DistributionPacket: invalid hp-node index");
-  CCREDF_EXPECT(p.has_acks == with_acks_,
-                "DistributionPacket: ack field presence mismatch");
-  CCREDF_EXPECT(p.has_nacks == with_nacks_,
-                "DistributionPacket: NACK field presence mismatch");
+  check_distribution(p);
   BitWriter w;
   w.push_bit(true);  // start bit
   write_mask(w, p.granted.mask(), n_);

@@ -94,6 +94,14 @@ class FrameCodec {
     std::size_t bit_count = 0;
   };
 
+  /// The field checks every encoder applies (ConfigError on failure): a
+  /// request's priority fits its field and an idle request carries zero
+  /// fields (paper §3); a distribution packet's hp-node index is in range
+  /// and its ack/NACK fields match this codec.  The fault path calls them
+  /// on the frames it does not encode.
+  void check_request(const Request& rq) const;
+  void check_distribution(const DistributionPacket& p) const;
+
   [[nodiscard]] Encoded encode(const CollectionPacket& p) const;
   [[nodiscard]] Encoded encode(const DistributionPacket& p) const;
   /// Wire image of a single request record (no start bit).

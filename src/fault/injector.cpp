@@ -196,7 +196,6 @@ SlotIndex FaultInjector::first_idle_fault_slot(SlotIndex from,
                              !net_.node(babbler_).failed();
   if (!ber_active && !babble_active && random_loss_p_ <= 0.0) return lim;
 
-  const NodeId n = net_.nodes();
   const NodeId master = net_.current_master();
   std::array<double, kMaxNodes> collection_p{};
   std::size_t live = 0;
@@ -208,15 +207,12 @@ SlotIndex FaultInjector::first_idle_fault_slot(SlotIndex from,
     const core::FrameCodec& codec = net_.codec();
     request_bits = static_cast<std::size_t>(codec.request_bits());
     distribution_bits = static_cast<std::size_t>(codec.distribution_bits());
-    distribution_p = ber_->path_error_probability(master, n - 1);
-    for (NodeId h = 0; h < n; ++h) {
+    distribution_p = distribution_exposure();
+    for (NodeId h = 0; h < net_.nodes(); ++h) {
       const NodeId j = net_.topology().downstream(master, h);
       if (net_.node(j).failed()) continue;
-      // Mirror filter_request: node j's record rides N-h links back to
-      // the master (the master's own record rides the whole loop).
-      const NodeId hops = h == 0 ? n : n - h;
       live_node[live] = j;
-      collection_p[live] = ber_->path_error_probability(j, hops);
+      collection_p[live] = request_exposure(h, j);
       ++live;
     }
   }
@@ -277,6 +273,22 @@ void FaultInjector::flip_bits(core::FrameCodec::Encoded& e, int bits,
   }
 }
 
+double FaultInjector::request_exposure(NodeId hop, NodeId node) const {
+  // The node writes its record `hop` links downstream of the master and
+  // the record rides the rest of the ring back to the master; the
+  // master's own record (hop 0) rides the whole loop.  Its first exposed
+  // link is the writer's own.
+  const NodeId n = net_.nodes();
+  return ber_->path_error_probability(node, hop == 0 ? n : n - hop);
+}
+
+double FaultInjector::distribution_exposure() const {
+  // Worst-case receiver: the node N-1 links downstream of the master
+  // sees the packet after its full exposure.
+  return ber_->path_error_probability(net_.current_master(),
+                                      net_.nodes() - 1);
+}
+
 net::FaultHook::RequestFault FaultInjector::filter_request(
     SlotIndex slot, NodeId hop, NodeId node, core::Request& rq) {
   if (take(collection_drops_, slot, node)) return RequestFault::kDropped;
@@ -302,23 +314,28 @@ net::FaultHook::RequestFault FaultInjector::filter_request(
     }
   }
 
-  // Wire-image corruption: scheduled flips, else link bit errors.
+  // Wire-image corruption: scheduled flips, else link bit errors.  The
+  // keyed flip count decides first; a record the draw misses is only
+  // field-checked, and a wire image is built for a hit alone.
   const bool ber_active = ber_.has_value() && ber_->enabled();
   if (!targeted && !ber_active) return RequestFault::kNone;
+  const std::uint64_t channel = kChanCollection + node;
+  const auto nbits = static_cast<std::size_t>(codec.request_bits());
+  double p = 0.0;
+  if (!targeted) {
+    p = request_exposure(hop, node);
+    if (ber_->count_flips(slot, channel, p, nbits) == 0) {
+      codec.check_request(rq);
+      return RequestFault::kNone;
+    }
+  }
   core::FrameCodec::Encoded enc = codec.encode_request(rq);
-  const std::int64_t before = bits_flipped_;
   if (targeted) {
     flip_bits(enc, targeted->bits, slot, kChanTargeted + node);
   } else {
-    // Node j writes its record at hop h and the record rides the rest
-    // of the ring back to the master; the master's own record (hop 0)
-    // rides the whole loop.  Its first exposed link is link j.
-    const NodeId hops = hop == 0 ? net_.nodes() : net_.nodes() - hop;
-    const double p = ber_->path_error_probability(node, hops);
-    bits_flipped_ += ber_->corrupt(slot, kChanCollection + node, p,
-                                   enc.bytes.data(), enc.bit_count);
+    // Same stream and length as the count: the same bits flip.
+    bits_flipped_ += ber_->corrupt(slot, channel, p, enc.bytes.data(), nbits);
   }
-  if (bits_flipped_ == before) return RequestFault::kNone;
   const auto checked = codec.decode_request_checked(enc, node);
   if (!checked.ok) return RequestFault::kDetected;
   if (checked.request == rq) return RequestFault::kNone;
@@ -332,21 +349,24 @@ net::FaultHook::DistributionFault FaultInjector::filter_distribution(
   const bool ber_active = ber_.has_value() && ber_->enabled();
   if (!targeted && !ber_active) return DistributionFault::kNone;
 
+  // Draw first, as for the request records.
   const core::FrameCodec& codec = net_.codec();
+  double pb = 0.0;
+  if (!targeted) {
+    pb = distribution_exposure();
+    const auto nbits = static_cast<std::size_t>(codec.distribution_bits());
+    if (ber_->count_flips(slot, kChanDistribution, pb, nbits) == 0) {
+      codec.check_distribution(p);
+      return DistributionFault::kNone;
+    }
+  }
   core::FrameCodec::Encoded enc = codec.encode(p);
-  const std::int64_t before = bits_flipped_;
   if (targeted) {
     flip_bits(enc, targeted->bits, slot, kChanDistribution);
   } else {
-    // Worst-case receiver: the node N-1 links downstream of the master
-    // sees the packet after its full exposure.
-    const NodeId master = net_.current_master();
-    const double pb =
-        ber_->path_error_probability(master, net_.nodes() - 1);
     bits_flipped_ += ber_->corrupt(slot, kChanDistribution, pb,
                                    enc.bytes.data(), enc.bit_count);
   }
-  if (bits_flipped_ == before) return DistributionFault::kNone;
   const auto checked = codec.decode_distribution_checked(enc);
   if (!checked.ok) return DistributionFault::kDetected;
   if (checked.packet.hp_node != p.hp_node) {

@@ -13,10 +13,12 @@
 //     path kicks in;
 //   * control-channel bit errors -- every control-frame bit is flipped
 //     independently per traversed link with the configured BER
-//     (phy::BitErrorModel); the injector encodes the in-flight frame,
-//     flips bits on the wire image, and classifies the outcome with the
-//     integrity-checked decoders, so detection depends on the actual
-//     guard strength (with/without the CRC extension);
+//     (phy::BitErrorModel); the keyed flip count decides first, and a
+//     frame it misses is only field-checked.  On a hit the injector
+//     encodes the in-flight frame, flips the same bits on the wire
+//     image, and classifies the outcome with the integrity-checked
+//     decoders, so detection depends on the actual guard strength
+//     (with/without the CRC extension);
 //   * data-channel bit errors -- every payload bit of a completed
 //     transfer is flipped independently per traversed link (source to
 //     furthest destination) with the configured data BER; detection
@@ -175,6 +177,12 @@ class FaultInjector final : public net::FaultHook {
 
   /// Keyed generator for this slot and logical channel.
   [[nodiscard]] sim::Rng rng_at(SlotIndex slot, std::uint64_t channel) const;
+  /// Per-bit control-BER exposure of node `node`'s request record,
+  /// written `hop` links downstream of the master (armed BER only).
+  [[nodiscard]] double request_exposure(NodeId hop, NodeId node) const;
+  /// Per-bit control-BER exposure of the distribution packet at its
+  /// worst-case receiver (armed BER only).
+  [[nodiscard]] double distribution_exposure() const;
   /// Pops the entry for (slot, node) from a sorted fault list, if any.
   static std::optional<TargetedFault> take(std::vector<TargetedFault>& v,
                                            SlotIndex slot, NodeId node);

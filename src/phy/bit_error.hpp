@@ -8,9 +8,9 @@
 // Rng::stream_seed -- no generator state is carried between calls, so
 // fault streams are independent of workload streams and byte-identical
 // across sweep thread counts (the same determinism contract as the
-// sweep runner itself).  One instance models the control fibre; a
-// second, independently seeded instance models the data fibres (the
-// injector keeps the two on disjoint channel namespaces).
+// sweep runner itself).  One instance models the control fibre and a
+// second models the data fibres; both share the injector's seed, and
+// their disjoint channel namespaces keep their streams independent.
 //
 // The model is deliberately ignorant of frame layout: it flips bits in
 // a raw MSB-first packed buffer.  Layout knowledge (which field a flip
@@ -57,11 +57,12 @@ class BitErrorModel {
               std::uint8_t* bytes, std::size_t nbits) const;
 
   /// Counts the flips an `nbits`-bit frame would suffer at probability
-  /// `p`, without materialising any buffer -- data-channel payloads are
-  /// orders of magnitude larger than control frames and the reliability
-  /// model only needs to know whether (and how badly) a packet was hit.
-  /// Keyed identically to corrupt(): the same (slot, channel, p, nbits)
-  /// always yields the same count.
+  /// `p`, without materialising any buffer -- the data-channel
+  /// reliability model only needs to know whether (and how badly) a
+  /// packet was hit, and the control-frame fault path builds a wire
+  /// image only when the count is non-zero.  Keyed identically to
+  /// corrupt(): the same (slot, channel, p, nbits) always yields the
+  /// same count, and corrupt() then flips exactly that many bits.
   [[nodiscard]] int count_flips(SlotIndex slot, std::uint64_t channel,
                                 double p, std::size_t nbits) const;
 

@@ -451,6 +451,45 @@ TEST(Fault, IdleInjectorLeavesTheNetworkUntouched) {
   EXPECT_EQ(hooked.stats().busy_slots, clean.stats().busy_slots);
 }
 
+TEST(Fault, FramesMissedByTheBerStillGetTheEncoderFieldChecks) {
+  // At a BER whose keyed draws flip nothing, the filters never build a
+  // wire image, yet a record or packet the encoder would refuse must be
+  // refused all the same.
+  net::Network n(cfg6());
+  FaultInjector inj(n);
+  inj.set_control_ber(1e-15);
+  using RF = net::FaultHook::RequestFault;
+  using DF = net::FaultHook::DistributionFault;
+
+  core::Request live;
+  live.priority = n.codec().layout().max_level();
+  live.dests = NodeSet::single(3);
+  live.links = LinkSet::from_mask(0b0110);  // links 1..2: node 1 -> 3
+  core::Request wide = live;
+  wide.priority = static_cast<core::Priority>(live.priority + 1);
+  EXPECT_THROW((void)inj.filter_request(0, 1, 1, wide), ConfigError);
+  core::Request idle;
+  idle.dests = NodeSet::single(3);  // priority 0 with a non-zero field
+  EXPECT_THROW((void)inj.filter_request(0, 1, 1, idle), ConfigError);
+  EXPECT_EQ(inj.filter_request(0, 1, 1, live), RF::kNone);
+
+  core::DistributionPacket p;
+  p.granted = NodeSet::single(1);
+  p.hp_node = 1;
+  EXPECT_EQ(inj.filter_distribution(0, p), DF::kNone);
+  core::DistributionPacket bad_hp = p;
+  bad_hp.hp_node = 6;
+  EXPECT_THROW((void)inj.filter_distribution(0, bad_hp), ConfigError);
+  core::DistributionPacket stray_acks = p;
+  stray_acks.has_acks = true;  // this network carries no ack field
+  EXPECT_THROW((void)inj.filter_distribution(0, stray_acks), ConfigError);
+  core::DistributionPacket stray_nacks = p;
+  stray_nacks.has_nacks = true;
+  EXPECT_THROW((void)inj.filter_distribution(0, stray_nacks), ConfigError);
+
+  EXPECT_EQ(inj.bits_flipped(), 0);  // every frame above took the miss
+}
+
 // -- data-channel (payload) faults ---------------------------------------
 
 net::NetworkConfig cfg6_payload_crc() {

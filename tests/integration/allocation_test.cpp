@@ -5,13 +5,17 @@
 // touching the heap.  This binary replaces global operator new/delete
 // with counting versions and asserts that running thousands of slots of
 // an admitted periodic CCR-EDF load performs zero allocations, with the
-// hypercycle planner off and on.
+// hypercycle planner off and on, and with a control-BER fault hook that
+// draws no flip (every slot consults it for every frame).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <vector>
 
+#include "fault/injector.hpp"
 #include "net/network.hpp"
 #include "workload/periodic.hpp"
 
@@ -61,14 +65,32 @@ namespace {
 
 TEST(Allocation, SteadyStateSlotsAreAllocationFree) {
   // Planner off runs every slot through collection and arbitration;
-  // planner on runs the plan cursor and the release table instead.
-  for (const bool planner : {false, true}) {
-    SCOPED_TRACE(planner ? "planner on" : "planner off");
+  // planner on runs the plan cursor and the release table instead.  The
+  // fault leg runs planner off with a FaultInjector filtering every
+  // request record and distribution packet at a control BER whose keyed
+  // draws flip no bit in the window.
+  struct Leg {
+    const char* name;
+    bool planner;
+    bool fault_hook;
+  };
+  const std::vector<Leg> legs = {
+      {"planner off", false, false},
+      {"planner on", true, false},
+      {"control BER, no flip drawn", false, true},
+  };
+  for (const Leg& leg : legs) {
+    SCOPED_TRACE(leg.name);
     net::NetworkConfig cfg;
     cfg.nodes = 16;
     cfg.record_inboxes = false;  // inboxes grow forever by design
-    cfg.planner = planner;
+    cfg.planner = leg.planner;
     net::Network n(cfg);
+    std::optional<fault::FaultInjector> inj;
+    if (leg.fault_hook) {
+      inj.emplace(n, /*seed=*/1);
+      inj->set_control_ber(1e-9);
+    }
 
     // A strictly periodic admitted load: one connection per node at a
     // common period, so the queue population cycles through its full
@@ -90,18 +112,24 @@ TEST(Allocation, SteadyStateSlotsAreAllocationFree) {
     // high-water capacity (50 full release periods).
     n.run_slots(5'000);
 
+    const std::int64_t flipped = inj ? inj->bits_flipped() : 0;
     const std::uint64_t before =
         g_allocations.load(std::memory_order_relaxed);
     n.run_slots(20'000);
     const std::uint64_t during =
         g_allocations.load(std::memory_order_relaxed) - before;
 
+    // Precondition of the fault leg: no frame was hit, so every filter
+    // call took the path a clean frame takes.
+    if (inj) {
+      ASSERT_EQ(inj->bits_flipped(), flipped);
+    }
     EXPECT_EQ(during, 0u)
         << during << " heap allocations in 20000 steady-state slots -- "
            "something on the slot path is allocating again";
     // Sanity: the run actually simulated work on the intended path.
     EXPECT_GT(n.stats().cls(core::TrafficClass::kRealTime).delivered, 0);
-    EXPECT_EQ(n.stats().planned_slots > 0, planner);
+    EXPECT_EQ(n.stats().planned_slots > 0, leg.planner);
   }
 }
 

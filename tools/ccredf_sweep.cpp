@@ -51,7 +51,12 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
+    if ((arg == "--threads" || arg == "--out") &&
+        (i + 1 >= argc || argv[i + 1][0] == '\0')) {
+      std::cerr << "ccredf_sweep: " << arg << " needs a value\n";
+      return usage(argv[0]);
+    }
+    if (arg == "--threads") {
       char* end = nullptr;
       const long v = std::strtol(argv[++i], &end, 10);
       if (end == nullptr || *end != '\0' || v < 0 || v > 4096) {
@@ -59,7 +64,7 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
       threads = static_cast<int>(v);
-    } else if (arg == "--out" && i + 1 < argc) {
+    } else if (arg == "--out") {
       out_path = argv[++i];
     } else if (arg == "--table") {
       table = true;
