@@ -5,7 +5,6 @@
 // prediction vs measurement.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -14,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/json_writer.hpp"
 #include "analysis/report.hpp"
 #include "baseline/ccfpr.hpp"
 #include "baseline/tdma.hpp"
@@ -142,19 +142,11 @@ class JsonDoc {
 
   [[nodiscard]] std::string str() const {
     std::ostringstream os;
-    os.precision(12);
-    os << "{\"bench\": \"" << name_ << "\", \"metrics\": {";
-    for (std::size_t i = 0; i < metrics_.size(); ++i) {
-      if (i != 0) os << ", ";
-      os << '"' << metrics_[i].first << "\": ";
-      // JSON has no NaN/inf literals.
-      if (std::isfinite(metrics_[i].second)) {
-        os << metrics_[i].second;
-      } else {
-        os << "null";
-      }
-    }
-    os << "}}\n";
+    analysis::JsonWriter w(os);
+    w.begin_object().key("bench").value(name_).key("metrics").begin_object();
+    for (const auto& [key, value] : metrics_) w.key(key).value(value);
+    w.end_object().end_object();
+    os << '\n';
     return os.str();
   }
 

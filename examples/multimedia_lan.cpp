@@ -1,11 +1,12 @@
 // Distributed-multimedia LAN: video + audio streams as guaranteed
-// connections, bursty best-effort file transfer over the reliable
-// channel with credit flow control underneath (paper §1 services).
+// connections, background best-effort traffic, and a file transfer over
+// the reliable channel on noisy data fibres (paper §1 services).
 //
 //   $ ./examples/multimedia_lan
 #include <iostream>
 
 #include "analysis/report.hpp"
+#include "fault/injector.hpp"
 #include "net/network.hpp"
 #include "services/reliable.hpp"
 #include "workload/multimedia.hpp"
@@ -22,6 +23,10 @@ int main() {
 
   net::NetworkConfig cfg;
   cfg.nodes = mm.nodes;
+  // Receivers check each payload's CRC-32 and NACK a corrupted transfer
+  // on the next distribution packet; the reliable channel retransmits.
+  cfg.with_acks = true;
+  cfg.with_payload_crc = true;
   net::Network network(cfg);
 
   int admitted = 0;
@@ -38,11 +43,11 @@ int main() {
       network, scenario.background,
       sim::TimePoint::origin() + network.timing().slot() * 8000);
 
-  // A 256 KiB reliable file transfer with a noisy receiver.
-  services::ReliableChannel::Params rp;
-  rp.loss_probability = 0.1;
-  rp.timeout_slots = 6;
-  services::ReliableChannel reliable(network, rp);
+  // A 256 KiB reliable file transfer over data fibres with bit errors.
+  fault::FaultInjector noise(network, /*seed=*/1);
+  noise.set_data_ber(2e-7);
+  services::ReliableChannel reliable(network,
+                                     services::ReliableChannel::Params{});
   const std::int64_t file_slots =
       (256 * 1024) / network.timing().payload_bytes() + 1;
   bool file_done = false;

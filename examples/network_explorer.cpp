@@ -4,13 +4,20 @@
 //   $ ./examples/network_explorer --nodes 16 --protocol ccfpr
 //         --load 0.7 --slots 5000 --link-m 25 --seed 9  (one line)
 //   $ ./examples/network_explorer --help
+//
+// Exit status: 0 after a run or --help, 2 on a usage or configuration
+// error (reported on stderr).
+#include <charconv>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <system_error>
 
 #include "analysis/report.hpp"
 #include "baseline/ccfpr.hpp"
 #include "baseline/tdma.hpp"
+#include "common/error.hpp"
 #include "net/network.hpp"
 #include "workload/periodic.hpp"
 #include "workload/poisson.hpp"
@@ -32,85 +39,89 @@ struct Options {
   bool trace = false;
 };
 
-void usage() {
-  std::cout <<
-      "network_explorer -- run a CCR-EDF ring from the command line\n"
-      "  --nodes N        ring size (2..64)            [8]\n"
-      "  --protocol P     ccredf | ccfpr | tdma        [ccredf]\n"
-      "  --load F         RT load as fraction of U_max [0.5]\n"
-      "  --be-rate R      best-effort msgs/slot/node   [0.1]\n"
-      "  --slots S        slots to simulate            [5000]\n"
-      "  --link-m L       link length in metres        [10]\n"
-      "  --payload B      slot payload bytes (0=auto)  [0]\n"
-      "  --seed X         workload seed                [1]\n"
-      "  --no-reuse       disable spatial reuse\n"
-      "  --trace          print per-slot trace\n";
+void usage(std::ostream& os) {
+  os << "network_explorer -- run a CCR-EDF ring from the command line\n"
+        "  --nodes N        ring size, 2..64                    [8]\n"
+        "  --protocol P     ccredf | ccfpr | tdma               [ccredf]\n"
+        "  --load F         RT load / U_max, 0..10              [0.5]\n"
+        "  --be-rate R      best-effort msgs/slot/node, 0..64   [0.1]\n"
+        "  --slots S        slots to simulate, 1..1e9           [5000]\n"
+        "  --link-m L       link length in metres, 0..1e4       [10]\n"
+        "  --payload B      slot payload bytes, 0..1e6 (0=auto) [0]\n"
+        "  --seed X         workload seed                       [1]\n"
+        "  --no-reuse       disable spatial reuse\n"
+        "  --trace          print per-slot trace\n";
 }
 
-bool parse(int argc, char** argv, Options& o) {
+/// Parses all of `text` as a number in [lo, hi] -- no sign wrap, no
+/// trailing characters, no NaN -- and reports a bad value on stderr.
+template <typename T>
+bool parse_number(const std::string& flag, const char* text, T lo, T hi,
+                  T& out) {
+  const char* end = text + std::strlen(text);
+  T v{};
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || !(v >= lo && v <= hi)) {
+    std::cerr << "network_explorer: " << flag << " wants a value in [" << lo
+              << ", " << hi << "], got '" << text << "'\n";
+    return false;
+  }
+  out = v;
+  return true;
+}
+
+enum class Parsed { kRun, kHelp, kError };
+
+Parsed parse(int argc, char** argv, Options& o) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
+    auto next = [&]() -> const char* {
+      if (i + 1 < argc) return argv[++i];
+      std::cerr << "network_explorer: " << a << " needs a value\n";
+      return nullptr;
     };
+    auto number = [&](auto lo, auto hi, auto& out) {
+      const char* v = next();
+      return v != nullptr && parse_number(a, v, lo, hi, out);
+    };
+    bool ok = true;
     if (a == "--help" || a == "-h") {
-      usage();
-      return false;
+      usage(std::cout);
+      return Parsed::kHelp;
     } else if (a == "--nodes") {
-      const char* v = next("--nodes");
-      if (!v) return false;
-      o.nodes = static_cast<NodeId>(std::stoul(v));
+      ok = number(NodeId{2}, kMaxNodes, o.nodes);
     } else if (a == "--protocol") {
-      const char* v = next("--protocol");
-      if (!v) return false;
-      o.protocol = v;
+      const char* v = next();
+      ok = v != nullptr;
+      if (ok) o.protocol = v;
     } else if (a == "--load") {
-      const char* v = next("--load");
-      if (!v) return false;
-      o.load = std::stod(v);
+      ok = number(0.0, 10.0, o.load);
     } else if (a == "--be-rate") {
-      const char* v = next("--be-rate");
-      if (!v) return false;
-      o.be_rate = std::stod(v);
+      ok = number(0.0, 64.0, o.be_rate);
     } else if (a == "--slots") {
-      const char* v = next("--slots");
-      if (!v) return false;
-      o.slots = std::stoll(v);
+      ok = number(std::int64_t{1}, std::int64_t{1'000'000'000}, o.slots);
     } else if (a == "--link-m") {
-      const char* v = next("--link-m");
-      if (!v) return false;
-      o.link_m = std::stod(v);
+      ok = number(0.0, 1e4, o.link_m);
     } else if (a == "--payload") {
-      const char* v = next("--payload");
-      if (!v) return false;
-      o.payload = std::stoll(v);
+      ok = number(std::int64_t{0}, std::int64_t{1'000'000}, o.payload);
     } else if (a == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return false;
-      o.seed = std::stoull(v);
+      ok = number(std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max(),
+                  o.seed);
     } else if (a == "--no-reuse") {
       o.reuse = false;
     } else if (a == "--trace") {
       o.trace = true;
     } else {
-      std::cerr << "unknown flag: " << a << "\n";
-      usage();
-      return false;
+      std::cerr << "network_explorer: unknown flag: " << a << "\n";
+      usage(std::cerr);
+      ok = false;
     }
+    if (!ok) return Parsed::kError;
   }
-  return true;
+  return Parsed::kRun;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options o;
-  if (!parse(argc, argv, o)) return 1;
-
+int run(const Options& o) {
   net::NetworkConfig cfg;
   cfg.nodes = o.nodes;
   cfg.link_length_m = o.link_m;
@@ -121,14 +132,19 @@ int main(int argc, char** argv) {
   } else if (o.protocol == "tdma") {
     cfg.protocol_factory = baseline::tdma_factory();
   } else if (o.protocol != "ccredf") {
-    std::cerr << "unknown protocol: " << o.protocol << "\n";
-    return 1;
+    std::cerr << "network_explorer: unknown protocol: " << o.protocol << "\n";
+    return 2;
   }
 
   net::Network n(cfg);
   if (o.trace) {
-    n.trace().enable(sim::TraceCategory::kSlot);
-    n.trace().set_stream(&std::cout);
+    n.add_slot_observer([](const net::SlotRecord& rec) {
+      std::cout << rec.start << " [slot] slot " << rec.index
+                << " master=" << rec.master
+                << " granted=" << rec.granted.size()
+                << " next=" << rec.next_master
+                << " gap=" << rec.gap_after.ns() << "ns\n";
+    });
   }
 
   std::cout << "protocol " << n.protocol().name() << ", " << o.nodes
@@ -182,4 +198,18 @@ int main(int argc, char** argv) {
   t.row().cell("mean handover hops").cell(s.handover_hops.mean(), 2);
   t.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options o;
+  const Parsed parsed = parse(argc, argv, o);
+  if (parsed != Parsed::kRun) return parsed == Parsed::kHelp ? 0 : 2;
+  try {
+    return run(o);
+  } catch (const ConfigError& e) {
+    std::cerr << "network_explorer: " << e.what() << "\n";
+    return 2;
+  }
 }

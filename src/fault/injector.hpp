@@ -64,7 +64,7 @@ class FaultInjector final : public net::FaultHook {
   // Idempotence contract: fail/restore events carry NO precondition.
   // `Network::fail_node` on an already-failed node and
   // `Network::restore_node` on a healthy node are no-ops (no queue
-  // clearing, no CBS backlog reset, no trace, no state change) -- so
+  // clearing, no CBS backlog reset, no state change) -- so
   // double-fail, double-restore and restore-of-healthy sequences, which
   // overlapping churn schedules produce naturally, are safe in any
   // order.  Events scheduled at the SAME timestamp fire in scheduling

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 
 #include "net/ccredf_protocol.hpp"
 #include "ring/segment.hpp"
@@ -208,13 +207,6 @@ Network::OpenResult Network::open_connection(
   CCREDF_EXPECT(params.service == core::ServiceClass::kHardRealTime,
                 "connection: CBS records go through open_cbs_server");
   auto decision = admission_.request(params, sim_.now());
-  trace_.emit(sim_.now(), sim::TraceCategory::kAdmission, [&] {
-    std::ostringstream os;
-    os << (decision.admitted ? "admitted" : "rejected") << " connection from "
-       << params.source << " u=" << params.utilisation()
-       << " total=" << decision.utilisation_after << "/" << admission_.u_max();
-    return os.str();
-  });
   bool planner_admit = false;
   if (!decision.admitted) {
     if (!can_plan_admit()) return OpenResult{false, kNoConnection};
@@ -236,15 +228,6 @@ Network::OpenResult Network::open_connection(
       sim_.schedule_at(st.base, [this, id] { release_message(id); });
   rebuild_plan();
   if (planner_admit) {
-    trace_.emit(sim_.now(), sim::TraceCategory::kAdmission, [&] {
-      std::ostringstream os;
-      os << (plan_valid_ ? "planner admitted" : "planner rejected")
-         << " connection from " << params.source << " ("
-         << (plan_valid_ ? "feasible hypercycle layout"
-                         : planner_->invalid_reason())
-         << ")";
-      return os.str();
-    });
     if (!plan_valid_) {
       // The layout/feasibility proof failed: the Eq. 5 rejection stands.
       sim_.cancel(st.next_event);
@@ -315,14 +298,6 @@ Network::OpenResult Network::open_cbs_server(const core::CbsParams& params) {
   CCREDF_EXPECT(params.source < nodes_.size(), "cbs: bad source");
   const auto decision =
       admission_.request(params.admission_params(), sim_.now());
-  trace_.emit(sim_.now(), sim::TraceCategory::kAdmission, [&] {
-    std::ostringstream os;
-    os << (decision.admitted ? "admitted" : "rejected") << " cbs server from "
-       << params.source << " Q=" << params.budget_slots
-       << " T=" << params.period_slots
-       << " total=" << decision.utilisation_after << "/" << admission_.u_max();
-    return os.str();
-  });
   if (!decision.admitted) return OpenResult{false, kNoConnection};
   cbs_.emplace(decision.id,
                CbsState{core::CbsServer(params, timing_->slot())});
@@ -395,7 +370,7 @@ bool Network::fail_node(NodeId id) {
   Node& n = node(id);
   // Idempotence contract (fault/injector.hpp): a double-fail -- which
   // overlapping churn schedules produce naturally -- must not re-clear
-  // queues, re-zero CBS backlogs or emit a second transition trace.
+  // queues or re-zero CBS backlogs.
   if (n.failed()) return false;
   mark_plan_diverged();  // the plan's outcomes assumed a healthy ring
   n.set_failed(true);
@@ -407,8 +382,6 @@ bool Network::fail_node(NodeId id) {
     // backlog any more (the next job after restore recharges afresh).
     if (st.server.params().source == id) st.backlog = 0;
   }
-  trace_.emit(sim_.now(), sim::TraceCategory::kFault,
-              [id] { return "node " + std::to_string(id) + " failed"; });
   return true;
 }
 
@@ -418,8 +391,6 @@ bool Network::restore_node(NodeId id) {
   mark_plan_diverged();  // churn: the planned future no longer holds
   n.set_failed(false);
   soa_.failed.erase(id);
-  trace_.emit(sim_.now(), sim::TraceCategory::kFault,
-              [id] { return "node " + std::to_string(id) + " restored"; });
   return true;
 }
 
@@ -439,9 +410,6 @@ bool Network::cut_link(LinkId l) {
     cut_detect_pending_ = true;
     cut_detect_from_ = slot_;
   }
-  trace_.emit(sim_.now(), sim::TraceCategory::kFault, [l] {
-    return "link " + std::to_string(l) + " severed";
-  });
   return true;
 }
 
@@ -449,9 +417,6 @@ bool Network::splice_link(LinkId l) {
   if (!severed_.contains(l)) return false;  // splice-of-intact: no-op
   mark_plan_diverged();  // healing changes the feasible grant set too
   severed_.erase(l);
-  trace_.emit(sim_.now(), sim::TraceCategory::kFault, [l] {
-    return "link " + std::to_string(l) + " spliced";
-  });
   return true;
 }
 
@@ -892,13 +857,6 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
     stats_.handover_hops.add(
         static_cast<std::int64_t>(topo_.hops(master_, plan.next_master)));
     ++stats_.slots;
-    trace_.emit(slot_start_, sim::TraceCategory::kSlot, [&] {
-      std::ostringstream os;
-      os << "slot " << slot_ << " master=" << master_ << " granted="
-         << granted.size() << " next=" << plan.next_master
-         << " gap=" << gap.ns() << "ns";
-      return os.str();
-    });
     const SlotIndex index = slot_;
     const sim::TimePoint start = slot_start_;
     const NodeId master = master_;
@@ -1070,9 +1028,7 @@ std::int64_t Network::skip_quiet_slots(std::int64_t max_slots,
   // the master on a slot that grants nobody.
   if (!cfg_.fast_forward || !current_granted_.empty()) return 0;
   if (!pending_acks_.empty() || !pending_nacks_.empty()) return 0;
-  if (!observers_.empty() || trace_.enabled(sim::TraceCategory::kSlot)) {
-    return 0;
-  }
+  if (!observers_.empty()) return 0;
   // Only slots ending STRICTLY before the next event are skippable: an
   // event landing inside (or exactly at the end of) a slot could release
   // a message a later collection sample of that slot would see, so that

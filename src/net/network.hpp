@@ -55,7 +55,6 @@
 #include "phy/ring_phy.hpp"
 #include "ring/topology.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace ccredf::net {
 
@@ -224,7 +223,6 @@ class Network {
   [[nodiscard]] MacProtocol& protocol() { return *protocol_; }
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] const sim::Simulator& sim() const { return sim_; }
-  [[nodiscard]] sim::Trace& trace() { return trace_; }
   [[nodiscard]] core::AdmissionController& admission() { return admission_; }
   [[nodiscard]] const core::AdmissionController& admission() const {
     return admission_;
@@ -312,7 +310,7 @@ class Network {
 
   /// Fail-silent node (fault experiments); queued messages are dropped.
   /// Idempotent: failing an already-failed node is a no-op (no queue
-  /// clearing, no trace, no CBS backlog reset) and returns false.
+  /// clearing, no CBS backlog reset) and returns false.
   bool fail_node(NodeId id);
   /// Idempotent: restoring a healthy node is a no-op, returns false.
   bool restore_node(NodeId id);
@@ -559,7 +557,6 @@ class Network {
   std::unique_ptr<MacProtocol> protocol_;
   core::AdmissionController admission_;
   sim::Simulator sim_;
-  sim::Trace trace_;
   std::vector<Node> nodes_;
   std::vector<SlotObserver> observers_;
   FaultHook* fault_hook_ = nullptr;

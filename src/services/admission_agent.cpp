@@ -1,7 +1,5 @@
 #include "services/admission_agent.hpp"
 
-#include <sstream>
-
 #include "common/error.hpp"
 
 namespace ccredf::services {
@@ -125,13 +123,6 @@ void AdmissionAgent::close_window() {
   ++renegotiations_;
   ++net_.mutable_stats().faults.admission_renegotiations;
   net_.admission().set_capacity_factor(factor_);
-  net_.trace().emit(net_.sim().now(), sim::TraceCategory::kAdmission, [&] {
-    std::ostringstream os;
-    os << "health monitor: corruption rate " << last_rate_
-       << " -> capacity factor " << factor_ << " (effective U_max "
-       << net_.admission().effective_u_max() << ")";
-    return os.str();
-  });
 }
 
 double AdmissionAgent::link_corruption_rate(NodeId node) const {

@@ -1,6 +1,5 @@
 #include "services/reliable.hpp"
 
-#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -8,27 +7,11 @@
 namespace ccredf::services {
 
 ReliableChannel::ReliableChannel(net::Network& net, Params params)
-    : net_(net), params_(params), rng_(params.seed) {
-  CCREDF_EXPECT(params_.loss_probability >= 0.0 &&
-                    params_.loss_probability < 1.0,
-                "ReliableChannel: loss probability out of [0,1)");
-  CCREDF_EXPECT(params_.timeout_slots >= 1,
-                "ReliableChannel: timeout must be at least one slot");
+    : net_(net), params_(params) {
   CCREDF_EXPECT(params_.ack_margin_slots >= 0,
                 "ReliableChannel: ack margin cannot be negative");
-  if (params_.loss_probability > 0.0) {
-    net_.trace().emit(net_.sim().now(), sim::TraceCategory::kService, [] {
-      return std::string(
-          "ReliableChannel: loss_probability is deprecated -- prefer "
-          "FaultInjector::set_data_ber with with_payload_crc");
-    });
-  }
   net_.add_slot_observer(
       [this](const net::SlotRecord& rec) { on_slot(rec); });
-}
-
-sim::Duration ReliableChannel::timeout() const {
-  return net_.timing().slot_plus_max_gap() * params_.timeout_slots;
 }
 
 bool ReliableChannel::budget_covers_attempt(const Transfer& t) const {
@@ -60,9 +43,6 @@ MessageId ReliableChannel::send(NodeId src, NodeId dst,
                    : net_.sim().now() + relative_deadline;
   t.cb = std::move(cb);
   ++started_;
-  // The ack timeout starts only when the sender observes its own
-  // transmission complete (it clocked the data out itself), so queueing
-  // delay can never trigger a spurious retransmission.
   t.current_attempt = net_.send_best_effort(src, NodeSet::single(dst),
                                             size_slots, relative_deadline);
   t.transfer_id = t.current_attempt;
@@ -119,35 +99,22 @@ void ReliableChannel::on_slot(const net::SlotRecord& rec) {
   for (const core::Delivery& d : rec.deliveries) {
     Transfer* tp = claim_attempt(d.id);
     if (tp == nullptr) continue;
-    Transfer& t = *tp;
-
-    if (params_.loss_probability > 0.0 &&
-        rng_.bernoulli(params_.loss_probability)) {
-      // Legacy synthetic corruption: the destination stays silent.  The
-      // sender saw its transmission complete; with no ack after the
-      // timeout it decides between retransmission and giving up.
-      const MessageId transfer_id = t.transfer_id;
-      t.timeout_event = net_.sim().schedule_in(
-          timeout(), [this, transfer_id] { on_resolve(transfer_id); });
-      continue;
-    }
     // Ack rides the next distribution packet; the sender knows at the
     // following slot end, approximately one slot extent after delivery.
-    finish(t, true, false, d.completed + net_.timing().slot_plus_max_gap());
+    finish(*tp, true, false,
+           d.completed + net_.timing().slot_plus_max_gap());
   }
 
-  // Physical path: the receivers' payload CRC rejected the transfer and
-  // the source is NACKed on the NEXT distribution packet -- the sender
-  // decides one slot extent after the corrupted delivery would have
-  // landed, no timeout involved.
+  // The receivers' payload CRC rejected the transfer and the source is
+  // NACKed on the NEXT distribution packet -- the sender decides one
+  // slot extent after the corrupted delivery would have landed.
   for (const core::Delivery& d : rec.corrupt_deliveries) {
     Transfer* tp = claim_attempt(d.id);
     if (tp == nullptr) continue;
     ++nacks_;
     const MessageId transfer_id = tp->transfer_id;
-    tp->timeout_event = net_.sim().schedule_in(
-        net_.timing().slot_plus_max_gap(),
-        [this, transfer_id] { on_resolve(transfer_id); });
+    net_.sim().schedule_in(net_.timing().slot_plus_max_gap(),
+                           [this, transfer_id] { on_resolve(transfer_id); });
   }
 }
 

@@ -12,9 +12,6 @@
 // original -- so repair work competes at the urgency it actually has.
 // A transfer whose budget no longer covers an attempt is abandoned
 // early, releasing its slots to messages that can still make it.
-//
-// The legacy synthetic-loss mode (Params::loss_probability, for runs
-// without a physical fault model) is kept but deprecated.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +21,6 @@
 #include "common/nodeset.hpp"
 #include "common/types.hpp"
 #include "net/network.hpp"
-#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace ccredf::services {
@@ -32,18 +28,6 @@ namespace ccredf::services {
 class ReliableChannel {
  public:
   struct Params {
-    /// DEPRECATED: probability a transfer is synthetically corrupted
-    /// (pre-dates the physical data-channel fault model; prefer
-    /// fault::FaultInjector::set_data_ber with with_payload_crc, which
-    /// exercises the real NACK wire).  Still honoured; a one-time trace
-    /// warning is emitted when non-zero.
-    double loss_probability = 0.0;
-    /// Ack timeout (as a multiple of the worst-case slot extent), counted
-    /// from the moment the sender observes its own transmission complete
-    /// -- queueing delay never triggers a spurious retransmission.  Used
-    /// by the legacy synthetic-loss path only; NACKed transfers need no
-    /// timeout (the NACK rides the very next distribution packet).
-    std::int64_t timeout_slots = 8;
     /// Give up after this many attempts (0 = never).
     int max_attempts = 16;
     /// Budget retransmissions against the transfer deadline: retransmit
@@ -56,7 +40,6 @@ class ReliableChannel {
     /// sender learning its fate (the ack/NACK rides the next
     /// distribution packet); part of the per-attempt budget.
     std::int64_t ack_margin_slots = 1;
-    std::uint64_t seed = 42;
   };
 
   struct TransferResult {
@@ -104,14 +87,13 @@ class ReliableChannel {
     sim::TimePoint deadline;
     int attempts = 0;
     MessageId current_attempt = 0;
-    sim::EventId timeout_event = 0;
     CompletionCallback cb;
   };
 
   void on_slot(const net::SlotRecord& rec);
   void attempt(Transfer& t);
-  /// Fires when the sender learns an attempt failed (ack timeout or
-  /// NACK arrival): retransmit, or abandon if the budget ran out.
+  /// Fires when the sender learns an attempt failed (NACK arrival):
+  /// retransmit, or abandon if the budget ran out.
   void on_resolve(MessageId transfer_id);
   void finish(Transfer& t, bool delivered, bool abandoned,
               sim::TimePoint completed);
@@ -120,11 +102,9 @@ class ReliableChannel {
   Transfer* claim_attempt(MessageId id);
   /// True while the remaining laxity covers one more worst-case attempt.
   [[nodiscard]] bool budget_covers_attempt(const Transfer& t) const;
-  [[nodiscard]] sim::Duration timeout() const;
 
   net::Network& net_;
   Params params_;
-  sim::Rng rng_;
   /// Keyed by transfer id; `by_attempt_` maps in-flight message ids back.
   std::unordered_map<MessageId, Transfer> live_;
   std::unordered_map<MessageId, MessageId> by_attempt_;

@@ -233,9 +233,10 @@ std::uint64_t workload_key(const GridPoint& p) {
   // the "churn"-tagged stream family.  The link_cuts axis is excluded
   // for the same reason: the E24 containment gate compares cut-disjoint
   // connections between cut and cut-free cells of the SAME workload,
-  // and the cut/splice instants are deterministic scalars, not draws.  The planner axis is excluded
-  // too: planner-on and planner-off cells must offer the identical
-  // traffic so the E23 gates compare engines, not workloads.
+  // and the cut/splice instants are deterministic scalars, not draws.
+  // The planner axis is excluded too: planner-on and planner-off cells
+  // must offer the identical traffic so the E23 gates compare engines,
+  // not workloads.
   std::uint64_t k = sim::Rng::stream_seed(p.set_seed, p.nodes,
                                           std::bit_cast<std::uint64_t>(
                                               p.utilisation));

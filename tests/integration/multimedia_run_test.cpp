@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
-#include "services/flow.hpp"
-#include "services/messaging.hpp"
 #include "workload/multimedia.hpp"
 #include "workload/poisson.hpp"
 
@@ -34,45 +32,6 @@ TEST(MultimediaRun, StreamsMeetDeadlinesUnderBackgroundLoad) {
   const auto& rt = n.stats().cls(TrafficClass::kRealTime);
   EXPECT_GT(rt.delivered, 100);
   EXPECT_EQ(rt.user_misses, 0);
-}
-
-TEST(MultimediaRun, MessengerAndFlowComposeOnALoadedRing) {
-  // Integration of two services on one network: windowed byte transfers
-  // complete with intact payloads while RT streams run.
-  net::NetworkConfig cfg;
-  cfg.nodes = 8;
-  net::Network n(cfg);
-  const auto scenario =
-      workload::make_multimedia_scenario(workload::MultimediaParams{});
-  for (const auto& c : scenario.connections) {
-    (void)n.open_connection(c);
-  }
-
-  services::Messenger msn(n);
-  services::CreditFlowControl flow(n, /*window=*/2);
-  int received = 0;
-  msn.set_handler(6, [&](NodeId, const services::Messenger::Received& r) {
-    EXPECT_FALSE(r.payload.empty());
-    ++received;
-  });
-  // Ten windowed one-slot transfers 1 -> 6: the flow controller must
-  // block beyond the window and drain as credits return.
-  const std::vector<std::uint8_t> blob(64, 0x5A);
-  for (int k = 0; k < 10; ++k) {
-    // Messenger and flow are independent services; emulate a flow-
-    // controlled byte channel by gating sends through the flow window.
-    if (!flow.send(1, 6, 1, sim::Duration::milliseconds(50))) {
-      // Blocked sends drain automatically; also push the payload variant
-      // so the messenger path is exercised.
-    }
-    msn.send_bytes(1, 6, blob, core::TrafficClass::kBestEffort,
-                   sim::Duration::milliseconds(50));
-  }
-  n.run_slots(3000);
-  EXPECT_EQ(received, 10);
-  EXPECT_EQ(flow.blocked(1, 6), 0u);
-  EXPECT_GT(flow.sends_blocked_total(), 0);
-  EXPECT_EQ(n.stats().cls(TrafficClass::kRealTime).user_misses, 0);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "common/error.hpp"
 #include "fault/injector.hpp"
 
@@ -43,78 +41,35 @@ TEST(Reliable, LosslessTransferCompletesFirstAttempt) {
   EXPECT_EQ(ch.transfers_delivered(), 1);
 }
 
-TEST(Reliable, LossTriggersRetransmission) {
-  net::Network n(cfg6());
-  ReliableChannel::Params p;
-  p.loss_probability = 0.5;
-  p.seed = 3;
-  p.timeout_slots = 4;
-  ReliableChannel ch(n, p);
-  int completed = 0;
-  for (int i = 0; i < 20; ++i) {
-    ch.send(0, 3, 1, Duration::milliseconds(50),
-            [&](const ReliableChannel::TransferResult& r) {
-              EXPECT_TRUE(r.delivered);
-              ++completed;
-            });
-  }
-  n.run_slots(1500);
-  EXPECT_EQ(completed, 20);
-  EXPECT_GT(ch.retransmissions(), 0);
-  EXPECT_EQ(ch.transfers_failed(), 0);
-}
-
 TEST(Reliable, RetriedTransferTakesLonger) {
-  net::Network lossless(cfg6());
-  net::Network lossy(cfg6());
-  ReliableChannel ok(lossless, ReliableChannel::Params{});
-  ReliableChannel::Params p;
-  p.loss_probability = 0.9;
-  p.seed = 5;
-  p.timeout_slots = 4;
-  ReliableChannel bad(lossy, p);
+  net::Network clean(cfg6_payload_crc());
+  net::Network noisy(cfg6_payload_crc());
+  // Every transfer node 0 completes in the first 20 slots is corrupted,
+  // so the noisy transfer needs retransmissions to land.
+  fault::FaultInjector inj(noisy);
+  for (SlotIndex s = 0; s < 20; ++s) inj.schedule_payload_corruption(s, 0);
+  ReliableChannel ok(clean, ReliableChannel::Params{});
+  ReliableChannel bad(noisy, ReliableChannel::Params{});
 
-  sim::TimePoint t_ok, t_bad;
+  ReliableChannel::TransferResult r_ok, r_bad;
   ok.send(0, 3, 1, Duration::milliseconds(100),
-          [&](const ReliableChannel::TransferResult& r) {
-            t_ok = r.completed;
-          });
+          [&](const ReliableChannel::TransferResult& r) { r_ok = r; });
   bad.send(0, 3, 1, Duration::milliseconds(100),
-           [&](const ReliableChannel::TransferResult& r) {
-             t_bad = r.completed;
-           });
-  lossless.run_slots(800);
-  lossy.run_slots(800);
-  EXPECT_GT(t_bad, t_ok);
-}
-
-TEST(Reliable, GivesUpAfterMaxAttempts) {
-  net::Network n(cfg6());
-  ReliableChannel::Params p;
-  p.loss_probability = 0.999999;  // effectively always lost
-  p.max_attempts = 3;
-  p.timeout_slots = 2;
-  ReliableChannel ch(n, p);
-  ReliableChannel::TransferResult result;
-  bool done = false;
-  ch.send(0, 3, 1, Duration::milliseconds(50),
-          [&](const ReliableChannel::TransferResult& r) {
-            result = r;
-            done = true;
-          });
-  n.run_slots(400);
-  ASSERT_TRUE(done);
-  EXPECT_FALSE(result.delivered);
-  EXPECT_EQ(result.attempts, 3);
-  EXPECT_EQ(ch.transfers_failed(), 1);
+           [&](const ReliableChannel::TransferResult& r) { r_bad = r; });
+  clean.run_slots(800);
+  noisy.run_slots(800);
+  ASSERT_TRUE(r_ok.delivered);
+  ASSERT_TRUE(r_bad.delivered);
+  EXPECT_EQ(r_ok.attempts, 1);
+  EXPECT_GT(r_bad.attempts, 1);
+  EXPECT_GT(r_bad.completed, r_ok.completed);
 }
 
 TEST(Reliable, ManyConcurrentTransfers) {
-  net::Network n(cfg6());
-  ReliableChannel::Params p;
-  p.loss_probability = 0.2;
-  p.seed = 11;
-  ReliableChannel ch(n, p);
+  net::Network n(cfg6_payload_crc());
+  fault::FaultInjector inj(n, /*seed=*/11);
+  inj.set_data_ber(5e-5);
+  ReliableChannel ch(n, ReliableChannel::Params{});
   int completed = 0;
   for (NodeId src = 0; src < 6; ++src) {
     for (int k = 0; k < 5; ++k) {
@@ -128,15 +83,13 @@ TEST(Reliable, ManyConcurrentTransfers) {
   }
   n.run_slots(3000);
   EXPECT_EQ(completed, 30);
+  EXPECT_GT(ch.retransmissions(), 0);
 }
 
 TEST(Reliable, RejectsBadParams) {
   net::Network n(cfg6());
   ReliableChannel::Params p;
-  p.loss_probability = 1.0;
-  EXPECT_THROW(ReliableChannel(n, p), ConfigError);
-  p = ReliableChannel::Params{};
-  p.timeout_slots = 0;
+  p.ack_margin_slots = -1;
   EXPECT_THROW(ReliableChannel(n, p), ConfigError);
 }
 
@@ -147,12 +100,10 @@ TEST(Reliable, RejectsSelfSend) {
                ConfigError);
 }
 
-// -- physical NACK path (payload CRC + data-channel faults) --------------
-
 TEST(Reliable, NackFromPayloadCrcTriggersRetransmission) {
-  // No synthetic loss at all: corruption comes from the data fibres, is
-  // caught by the receivers' CRC-32, and the NACK on the distribution
-  // packet drives the retransmission.
+  // Corruption comes from the data fibres, is caught by the receivers'
+  // CRC-32, and the NACK on the distribution packet drives the
+  // retransmission.
   net::Network n(cfg6_payload_crc());
   fault::FaultInjector inj(n, /*seed=*/17);
   inj.set_data_ber(5e-5);
@@ -251,32 +202,6 @@ TEST(Reliable, InfiniteDeadlineIsNeverAbandoned) {
   EXPECT_FALSE(result.abandoned);
   EXPECT_EQ(result.attempts, 4);  // the cap, not the budget, ended it
   EXPECT_EQ(ch.transfers_abandoned(), 0);
-}
-
-// -- deprecated synthetic-loss mode --------------------------------------
-
-TEST(Reliable, DeprecatedLossProbabilityWarnsOnce) {
-  net::Network n(cfg6());
-  n.trace().enable(sim::TraceCategory::kService);
-  n.trace().set_capture(true);
-  ReliableChannel::Params p;
-  p.loss_probability = 0.25;
-  ReliableChannel ch(n, p);
-  int warnings = 0;
-  for (const auto& rec : n.trace().records()) {
-    if (rec.text.find("deprecated") != std::string::npos) ++warnings;
-  }
-  EXPECT_EQ(warnings, 1);
-}
-
-TEST(Reliable, CleanParamsEmitNoDeprecationWarning) {
-  net::Network n(cfg6());
-  n.trace().enable(sim::TraceCategory::kService);
-  n.trace().set_capture(true);
-  ReliableChannel ch(n, ReliableChannel::Params{});
-  for (const auto& rec : n.trace().records()) {
-    EXPECT_EQ(rec.text.find("deprecated"), std::string::npos);
-  }
 }
 
 }  // namespace
