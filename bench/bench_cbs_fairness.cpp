@@ -21,8 +21,7 @@
 //       8 worker threads (exit 1 otherwise).
 //
 // Flags: --quick (short horizon), --json <path>
-// (BENCH_cbs_fairness.json).  bench/cbs_floors.json pins the Jain floor
-// for scripts/perf_floor_check.py.
+// (BENCH_cbs_fairness.json).
 #include "bench_common.hpp"
 
 #include <string>
@@ -150,8 +149,7 @@ IsolationRun run_case(bool with_cbs, std::int64_t horizon_slots) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = extract_json_path(argc, argv);
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const Flags flags = parse_flags(argc, argv);
   JsonDoc doc("cbs_fairness");
   bool ok = true;
 
@@ -159,7 +157,7 @@ int main(int argc, char** argv) {
                 "fairness under saturation",
          "Section 3 (service classes) + CBS isolation theorem");
 
-  const std::int64_t horizon = quick ? 6'000 : 20'000;
+  const std::int64_t horizon = flags.quick ? 6'000 : 20'000;
   const IsolationRun alone = run_case(false, horizon);
   const IsolationRun shared = run_case(true, horizon);
 
@@ -259,7 +257,7 @@ int main(int argc, char** argv) {
   spec.services = {sweep::ServiceMix::kRtOnly,
                    sweep::ServiceMix::kCbsSaturated};
   spec.repetitions = 2;
-  spec.slots = quick ? 400 : 1200;
+  spec.slots = flags.quick ? 400 : 1200;
   spec.min_period_slots = 10;
   spec.max_period_slots = 120;
   spec.base_seed = 21;
@@ -280,9 +278,10 @@ int main(int argc, char** argv) {
   doc.set("hardware_threads",
           static_cast<double>(std::thread::hardware_concurrency()));
 
-  if (!json_path.empty()) {
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_cbs_fairness: cannot write " << json_path << "\n";
+  if (!flags.json_path.empty()) {
+    if (!doc.write(flags.json_path)) {
+      std::cerr << "bench_cbs_fairness: cannot write " << flags.json_path
+                << "\n";
       return 1;
     }
   }

@@ -1,22 +1,24 @@
-// Shared helpers for the experiment harness (bench_* binaries).
+// Shared helpers for the gated experiment benches (bench_* binaries).
 //
-// Each binary reproduces one experiment from DESIGN.md §6 and prints the
-// paper-style table/series through analysis::Table; EXPERIMENTS.md records
-// prediction vs measurement.
+// Each binary runs one experiment from DESIGN.md §6, prints its tables
+// through analysis::Table and exits 1 when one of its gates fails;
+// EXPERIMENTS.md records prediction vs measurement.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "analysis/json_writer.hpp"
 #include "analysis/report.hpp"
-#include "baseline/ccfpr.hpp"
-#include "baseline/tdma.hpp"
 #include "net/network.hpp"
 #include "sweep/grid.hpp"
 #include "workload/periodic.hpp"
@@ -78,58 +80,61 @@ inline workload::PeriodicSetParams fault_workload(const net::Network& n,
   return wp;
 }
 
-/// Result digest used by several experiments.
-struct RunDigest {
-  std::int64_t rt_delivered = 0;
-  double rt_sched_miss = 0.0;
-  double rt_user_miss = 0.0;
-  std::int64_t inversions = 0;
-  double mean_latency_us = 0.0;
-  double slot_fraction = 0.0;
-  double goodput_bps = 0.0;
-  double grants_per_busy_slot = 0.0;
-};
-
-inline RunDigest digest(const net::Network& n) {
-  RunDigest d;
-  const auto& rt = n.stats().cls(core::TrafficClass::kRealTime);
-  d.rt_delivered = rt.delivered;
-  d.rt_sched_miss = rt.scheduling_miss_ratio();
-  d.rt_user_miss = rt.user_miss_ratio();
-  d.inversions = n.stats().priority_inversions;
-  d.mean_latency_us = rt.latency.mean() / 1e6;
-  d.slot_fraction = n.stats().slot_time_fraction();
-  d.goodput_bps = n.stats().goodput_bps();
-  d.grants_per_busy_slot = n.stats().mean_grants_per_busy_slot();
-  return d;
-}
-
 inline void header(const std::string& id, const std::string& title,
                    const std::string& paper_ref) {
   std::cout << "\n######## " << id << ": " << title << "\n"
             << "# paper artefact: " << paper_ref << "\n\n";
 }
 
+// ---- command line ------------------------------------------------------
+
+/// The flags every bench takes: `--quick` (short windows) and
+/// `--json <path>` (write the metric document), plus any bench-specific
+/// switches named in `extra` (see Flags::has).  An unknown flag, or a
+/// `--json` without a path, prints the usage line and exits 2.
+struct Flags {
+  bool quick = false;
+  std::string json_path;  ///< "" when --json is absent
+  std::vector<std::string_view> switches;  ///< the `extra` ones given
+
+  [[nodiscard]] bool has(std::string_view flag) const {
+    return std::find(switches.begin(), switches.end(), flag) !=
+           switches.end();
+  }
+};
+
+inline Flags parse_flags(int argc, char** argv,
+                         std::initializer_list<std::string_view> extra = {}) {
+  const auto usage_error = [&](const std::string& problem) {
+    std::cerr << argv[0] << ": " << problem << "\nusage: " << argv[0]
+              << " [--quick] [--json <path>]";
+    for (const std::string_view e : extra) std::cerr << " [" << e << "]";
+    std::cerr << "\n";
+    std::exit(2);
+  };
+  Flags flags;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--quick") {
+      flags.quick = true;
+    } else if (arg == "--json") {
+      if (i + 1 == argc || argv[i + 1][0] == '\0') {
+        usage_error("--json needs a value");
+      }
+      flags.json_path = argv[++i];
+    } else if (std::find(extra.begin(), extra.end(), arg) != extra.end()) {
+      flags.switches.push_back(arg);
+    } else {
+      usage_error("unknown flag: " + std::string(arg));
+    }
+  }
+  return flags;
+}
+
 // ---- machine-readable output (--json <path>) ---------------------------
 //
-// Benches that support it write `{"bench": <name>, "metrics": {...}}` so
-// CI and later PRs can diff performance numbers run over run.
-
-/// Consumes a `--json <path>` argument pair from argv (compacting it) and
-/// returns the path, or "" when the flag is absent.
-inline std::string extract_json_path(int& argc, char** argv) {
-  std::string path;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json" && i + 1 < argc) {
-      path = argv[++i];
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  return path;
-}
+// `{"bench": <name>, "metrics": {...}}`, so CI and later changes can diff
+// the numbers run over run.
 
 /// Flat metric document; insertion order is preserved in the output.
 class JsonDoc {

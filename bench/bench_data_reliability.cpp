@@ -125,8 +125,7 @@ StrategyResult run_strategy(bool payload_crc, bool laxity_budgeted,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = extract_json_path(argc, argv);
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const Flags flags = parse_flags(argc, argv);
   JsonDoc doc("data_reliability");
   bool ok = true;
 
@@ -139,7 +138,7 @@ int main(int argc, char** argv) {
   // three -- enough retransmission pressure to separate the strategies
   // without collapsing the ring.
   const double kBer = 3e-5;
-  const std::int64_t per_node = quick ? 60 : 200;
+  const std::int64_t per_node = flags.quick ? 60 : 200;
   const StrategyResult arq = run_strategy(true, true, kBer, per_node);
   const StrategyResult fixed = run_strategy(true, false, kBer, per_node);
   const StrategyResult nocrc = run_strategy(false, true, kBer, per_node);
@@ -186,7 +185,7 @@ int main(int argc, char** argv) {
 
   // -- E19b: no undetected corruption at realistic BER --------------------
   const StrategyResult low =
-      run_strategy(true, true, 1e-6, quick ? 60 : 200);
+      run_strategy(true, true, 1e-6, flags.quick ? 60 : 200);
   std::cout << "E19b: BER 1e-6 with payload CRC: "
             << low.garbage << " undetected corruptions ("
             << low.nacks << " detected+NACKed)\n\n";
@@ -198,7 +197,7 @@ int main(int argc, char** argv) {
   }
 
   // -- E19c: graceful degradation of the admission bound ------------------
-  const std::int64_t e19c_slots = quick ? 3'000 : 8'000;
+  const std::int64_t e19c_slots = flags.quick ? 3'000 : 8'000;
   analysis::Table c(
       "E19c: health-monitor derating vs data-channel BER (8 nodes, "
       "admitted load 0.5 U_max, payload CRC on)");
@@ -257,7 +256,7 @@ int main(int argc, char** argv) {
   spec.payload_crc = true;
   spec.mixes = {sweep::WorkloadMix::kPeriodic};
   spec.repetitions = 2;
-  spec.slots = quick ? 400 : 1200;
+  spec.slots = flags.quick ? 400 : 1200;
   spec.min_period_slots = 10;
   spec.max_period_slots = 120;
   spec.base_seed = 19;
@@ -274,9 +273,9 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  if (!json_path.empty()) {
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_data_reliability: cannot write " << json_path
+  if (!flags.json_path.empty()) {
+    if (!doc.write(flags.json_path)) {
+      std::cerr << "bench_data_reliability: cannot write " << flags.json_path
                 << "\n";
       return 1;
     }

@@ -132,8 +132,7 @@ ChurnRun run_case(std::int64_t horizon_slots) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = extract_json_path(argc, argv);
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const Flags flags = parse_flags(argc, argv);
   JsonDoc doc("fault_churn");
   bool ok = true;
 
@@ -142,7 +141,7 @@ int main(int argc, char** argv) {
          "re-admission under continuous node churn",
          "Section 8 (failure handling) grown into a closed loop");
 
-  const std::int64_t horizon = quick ? 200'000 : 10'000'000;
+  const std::int64_t horizon = flags.quick ? 200'000 : 10'000'000;
   const ChurnRun r = run_case(horizon);
 
   // -- E22a: containment + detection/reclamation invariants ---------------
@@ -254,7 +253,7 @@ int main(int argc, char** argv) {
   spec.churn_down_slots = 100.0;
   spec.churn_detect_slots = kDetectWindow;
   spec.repetitions = 2;
-  spec.slots = quick ? 600 : 2000;
+  spec.slots = flags.quick ? 600 : 2000;
   spec.min_period_slots = 10;
   spec.max_period_slots = 120;
   spec.base_seed = 22;
@@ -288,9 +287,10 @@ int main(int argc, char** argv) {
   doc.set("hardware_threads",
           static_cast<double>(std::thread::hardware_concurrency()));
 
-  if (!json_path.empty()) {
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_fault_churn: cannot write " << json_path << "\n";
+  if (!flags.json_path.empty()) {
+    if (!doc.write(flags.json_path)) {
+      std::cerr << "bench_fault_churn: cannot write " << flags.json_path
+                << "\n";
       return 1;
     }
   }

@@ -18,14 +18,13 @@ using namespace ccredf;
 using namespace ccredf::bench;
 
 int main(int argc, char** argv) {
-  const std::string json_path = extract_json_path(argc, argv);
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const Flags flags = parse_flags(argc, argv);
   JsonDoc doc("fault_recovery");
 
   header("E11/E18", "token-loss recovery and control-channel bit errors",
          "Section 8 (future work)");
 
-  const std::int64_t e11a_slots = quick ? 800 : 2500;
+  const std::int64_t e11a_slots = flags.quick ? 800 : 2500;
   analysis::Table t("E11a: recovery cost vs timeout setting (8 nodes)");
   t.columns({"timeout (slots)", "recoveries", "wall time lost (us)",
              "us / recovery"});
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
          "network; the knob is exposed per Section 8's sketch");
   t.print(std::cout);
 
-  const std::int64_t e11b_slots = quick ? 2'000 : 10'000;
+  const std::int64_t e11b_slots = flags.quick ? 2'000 : 10'000;
   analysis::Table m(
       "E11b: RT guarantee degradation vs token-loss rate (admitted load "
       "0.5 U_max, tight deadlines, fixed wall-clock horizon)");
@@ -99,7 +98,7 @@ int main(int argc, char** argv) {
   // to per-link flips; the CRC extension converts would-be silent
   // misarbitrations into detected rejections, which the engine resolves
   // through the bounded re-arbitration / restarter-timeout paths.
-  const std::int64_t e18_slots = quick ? 1'500 : 6'000;
+  const std::int64_t e18_slots = flags.quick ? 1'500 : 6'000;
   analysis::Table e(
       "E18: RT degradation vs control-channel BER, frame CRC on "
       "(8 nodes, admitted load 0.5 U_max, tight deadlines)");
@@ -144,9 +143,9 @@ int main(int argc, char** argv) {
          "remove -- multi-bit patterns that forge a plausible frame");
   e.print(std::cout);
 
-  if (!json_path.empty()) {
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_fault_recovery: cannot write " << json_path
+  if (!flags.json_path.empty()) {
+    if (!doc.write(flags.json_path)) {
+      std::cerr << "bench_fault_recovery: cannot write " << flags.json_path
                 << "\n";
       return 1;
     }

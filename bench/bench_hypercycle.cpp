@@ -16,8 +16,8 @@
 // alternating repetitions on two warmed networks so host noise cannot
 // decide the ratio.  The median per-repetition ratio must show the
 // plan-driven engine >= 2x the slot-by-slot TCMA engine (the acceptance
-// claim; re-asserted by validate_bench_json.py); each engine's best
-// slots/s is reported against the absolute floors in perf_floors.json.
+// claim); each engine's best slots/s is reported against the absolute
+// floors in perf_floors.json.
 //
 // E23c re-runs the planner-axis sweep determinism gates: the report is
 // byte-identical across 1-vs-8 worker threads and fast-forward vs
@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -142,14 +141,11 @@ std::string point_fingerprint(const sweep::PointResult& pr) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = bench::extract_json_path(argc, argv);
-  if (json_path.empty()) json_path = "BENCH_hypercycle.json";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const std::int64_t run_slots = quick ? 6'000 : 20'000;
-  const double min_seconds = quick ? 0.01 : 0.1;
+  const bench::Flags flags = bench::parse_flags(argc, argv);
+  const std::string json_path =
+      flags.json_path.empty() ? "BENCH_hypercycle.json" : flags.json_path;
+  const std::int64_t run_slots = flags.quick ? 6'000 : 20'000;
+  const double min_seconds = flags.quick ? 0.01 : 0.1;
 
   bench::header("E23", "hypercycle reservation planner",
                 "admission past Eq. 6 via spatial reuse (paper section 2)");
@@ -179,7 +175,7 @@ int main(int argc, char** argv) {
     u_max = n.admission().u_max();
     const int admitted = bench::open_all(n, past_umax);
     n.run_slots(run_slots);
-    const bench::RunDigest d = bench::digest(n);
+    const auto& rt = n.stats().cls(core::TrafficClass::kRealTime);
     const double admitted_u = n.admission().utilisation();
     const double planned = n.stats().planned_slot_fraction();
     const double reqs = requests_per_slot(n);
@@ -189,15 +185,15 @@ int main(int argc, char** argv) {
         .cell(static_cast<std::int64_t>(past_umax.size()))
         .cell(admitted_u, 3)
         .cell(u_max, 3)
-        .cell(d.rt_sched_miss, 4)
-        .cell(d.rt_user_miss, 4)
+        .cell(rt.scheduling_miss_ratio(), 4)
+        .cell(rt.user_miss_ratio(), 4)
         .cell(planned, 3)
         .cell(reqs, 3);
     const std::string k(cell.key);
     doc.set(k + ",admitted_conns", admitted);
     doc.set(k + ",admitted_u", admitted_u);
-    doc.set(k + ",sched_miss_ratio", d.rt_sched_miss);
-    doc.set(k + ",user_miss_ratio", d.rt_user_miss);
+    doc.set(k + ",sched_miss_ratio", rt.scheduling_miss_ratio());
+    doc.set(k + ",user_miss_ratio", rt.user_miss_ratio());
     doc.set(k + ",planned_slot_fraction", planned);
     doc.set(k + ",control_requests_per_slot", reqs);
 
@@ -209,7 +205,7 @@ int main(int argc, char** argv) {
                   << ", U_max=" << u_max << ")\n";
         ok = false;
       }
-      if (d.rt_sched_miss != 0.0 || d.rt_user_miss != 0.0) {
+      if (rt.scheduling_miss_ratio() != 0.0 || rt.user_miss_ratio() != 0.0) {
         std::cerr << "E23a FAIL: planned past-U_max run missed deadlines\n";
         ok = false;
       }
@@ -269,8 +265,8 @@ int main(int argc, char** argv) {
   const double speedup = ratios[ratios.size() / 2];
   const double planned_on = on.stats().planned_slot_fraction();
   for (net::Network* n : {&on, &off}) {
-    const bench::RunDigest d = bench::digest(*n);
-    if (d.rt_sched_miss != 0.0 || d.rt_user_miss != 0.0) {
+    const auto& rt = n->stats().cls(core::TrafficClass::kRealTime);
+    if (rt.scheduling_miss_ratio() != 0.0 || rt.user_miss_ratio() != 0.0) {
       std::cerr << "E23b FAIL: busy cell missed deadlines (planner "
                 << (n == &on ? "on" : "off") << ")\n";
       ok = false;
@@ -309,7 +305,7 @@ int main(int argc, char** argv) {
   spec.utilisations = {0.35};
   spec.planners = {false, true};
   spec.repetitions = 2;
-  spec.slots = quick ? 600 : 2000;
+  spec.slots = flags.quick ? 600 : 2000;
   spec.min_period_slots = 32;
   spec.max_period_slots = 32;
   spec.base_seed = 23;

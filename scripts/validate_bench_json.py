@@ -8,7 +8,8 @@ Every bench that supports --json writes
 and ccredf_sweep writes a richer {"report": "ccredf-sweep", ...}
 document.  CI and scripts/check.sh run this validator after each bench so
 a silently truncated or malformed write fails the pipeline instead of
-poisoning the performance-trajectory archive.
+poisoning the performance-trajectory archive.  It checks document shape
+only: each bench gates its own numbers and exits 1 when a gate fails.
 
 Usage: validate_bench_json.py FILE [FILE...]
 Exit codes: 0 all valid, 1 validation failure, 2 usage error.
@@ -42,333 +43,6 @@ def validate_metrics(path, metrics):
         return fail(
             path,
             "reports a speedup metric without numeric `hardware_threads`",
-        )
-    return True
-
-
-def validate_data_reliability(path, metrics):
-    """E19 acceptance gates, re-checked at validation time.
-
-    The bench itself exits non-zero when a gate fails, but the validator
-    re-asserts them so a stale or hand-edited JSON cannot sneak a
-    regression past CI: the CRC + laxity-budgeted ARQ must strictly beat
-    both baselines, low-BER runs must show zero undetected corruption,
-    admission derating must be monotone, and the data-BER sweep must be
-    thread-count deterministic.
-    """
-    required = (
-        "arq_miss_ratio",
-        "fixed_miss_ratio",
-        "nocrc_miss_ratio",
-        "low_ber_undetected",
-        "derate_monotone",
-        "threads_json_identical",
-    )
-    for key in required:
-        value = metrics.get(key)
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            return fail(path, f"data_reliability needs numeric `{key}`")
-    arq = metrics["arq_miss_ratio"]
-    if not (arq < metrics["fixed_miss_ratio"] and arq < metrics["nocrc_miss_ratio"]):
-        return fail(
-            path,
-            "laxity ARQ miss ratio not strictly below both baselines "
-            f"(arq={arq}, fixed={metrics['fixed_miss_ratio']}, "
-            f"nocrc={metrics['nocrc_miss_ratio']})",
-        )
-    if metrics["low_ber_undetected"] != 0:
-        return fail(
-            path,
-            f"{metrics['low_ber_undetected']} undetected payload "
-            "corruptions at low BER with the CRC on",
-        )
-    if metrics["derate_monotone"] != 1:
-        return fail(path, "admission derating not monotone in the BER")
-    if metrics["threads_json_identical"] != 1:
-        return fail(path, "data-BER sweep not thread-count deterministic")
-    return True
-
-
-def validate_cbs_fairness(path, metrics):
-    """E21 acceptance gates, re-checked at validation time.
-
-    Mirrors the data_reliability precedent: the bench exits non-zero on
-    its own, but a stale or hand-edited JSON must not green past CI.
-    The hard-RT per-connection digest must be byte-identical with the
-    CBS population saturating the ring, no RT deadline may be missed,
-    at least 8 best-effort flows must share with Jain >= 0.9, budget
-    postponements must actually have fired, and the services-axis sweep
-    must be thread-count deterministic.
-    """
-    required = (
-        "rt_digest_identical",
-        "rt_sched_misses_alone",
-        "rt_sched_misses_shared",
-        "rt_user_misses_alone",
-        "rt_user_misses_shared",
-        "be_flows",
-        "flows=8,jain_index",
-        "cbs_postponements",
-        "threads_json_identical",
-    )
-    for key in required:
-        value = metrics.get(key)
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            return fail(path, f"cbs_fairness needs numeric `{key}`")
-    if metrics["rt_digest_identical"] != 1:
-        return fail(
-            path,
-            "hard-RT digest changed when the CBS population saturated",
-        )
-    misses = (
-        metrics["rt_sched_misses_alone"],
-        metrics["rt_sched_misses_shared"],
-        metrics["rt_user_misses_alone"],
-        metrics["rt_user_misses_shared"],
-    )
-    if any(m != 0 for m in misses):
-        return fail(path, f"hard-RT set missed deadlines: {misses}")
-    if metrics["be_flows"] < 8:
-        return fail(
-            path, f"only {metrics['be_flows']:.0f} CBS flows admitted (< 8)"
-        )
-    if metrics["flows=8,jain_index"] < 0.9:
-        return fail(
-            path,
-            f"Jain index {metrics['flows=8,jain_index']} below the 0.9 "
-            "fairness floor",
-        )
-    if metrics["cbs_postponements"] <= 0:
-        return fail(path, "saturation run fired no budget postponements")
-    if metrics["threads_json_identical"] != 1:
-        return fail(path, "services-axis sweep not thread-count deterministic")
-    return True
-
-
-def validate_fault_churn(path, metrics):
-    """E22 acceptance gates, re-checked at validation time.
-
-    Same rationale as the data_reliability/cbs_fairness validators: the
-    bench exits non-zero on a failed gate, but a stale or hand-edited
-    JSON must not green past CI.  The containment invariant (connections
-    disjoint from every churned node miss nothing), the detection bound
-    (latency <= window + 1), reclamation exactness, a loop that actually
-    cycled, exact recovery-gap quantile ordering, and both determinism
-    gates are re-asserted here.
-    """
-    required = (
-        "disjoint_connections",
-        "disjoint_user_misses",
-        "downs",
-        "readmissions",
-        "detection_window_slots",
-        "detection_latency_max_slots",
-        "reclaim_error",
-        "recoveries",
-        "recovery_gap_p50_us",
-        "recovery_gap_p99_us",
-        "threads_json_identical",
-        "ff_json_identical",
-    )
-    for key in required:
-        value = metrics.get(key)
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            return fail(path, f"fault_churn needs numeric `{key}`")
-    if metrics["disjoint_connections"] <= 0:
-        return fail(path, "no churn-disjoint connections: gate tested nothing")
-    if metrics["disjoint_user_misses"] != 0:
-        return fail(
-            path,
-            f"{metrics['disjoint_user_misses']:.0f} user misses on "
-            "connections disjoint from every churned node",
-        )
-    if metrics["downs"] <= 0 or metrics["readmissions"] <= 0:
-        return fail(path, "the churn loop never cycled")
-    if (
-        metrics["detection_latency_max_slots"]
-        > metrics["detection_window_slots"] + 1
-    ):
-        return fail(
-            path,
-            f"detection latency {metrics['detection_latency_max_slots']} "
-            "slots exceeds the configured window + 1",
-        )
-    if metrics["reclaim_error"] > 1e-9:
-        return fail(
-            path,
-            "quarantine released weight diverges from the utilisation "
-            f"drop by {metrics['reclaim_error']}",
-        )
-    if metrics["recovery_gap_p50_us"] > metrics["recovery_gap_p99_us"]:
-        return fail(path, "recovery-gap p50 exceeds p99")
-    if metrics["recoveries"] > 0 and metrics["recovery_gap_p50_us"] <= 0:
-        return fail(path, "recoveries happened but the gap distribution is empty")
-    if metrics["threads_json_identical"] != 1:
-        return fail(path, "churn-axis sweep not thread-count deterministic")
-    if metrics["ff_json_identical"] != 1:
-        return fail(path, "churn-axis sweep not fast-forward invariant")
-    return True
-
-
-def validate_link_fault(path, metrics):
-    """E24 acceptance gates, re-checked at validation time.
-
-    Same rationale as the other per-bench validators: the bench exits
-    non-zero on a failed gate, but a stale or hand-edited JSON must not
-    green past CI.  Re-asserted: the containment invariant (connections
-    whose segments avoid the severed link miss nothing across the full
-    cut -> detect -> quarantine -> splice -> re-admit cycle), the
-    in-protocol detection bound (at most 2 slots per cut: the absorbing
-    collection plus at most one mid-slot carry), reclamation exactness,
-    the ordered-pair capacity derate and its restoration on splice, a
-    quarantine cycle that actually staged re-admissions, ring-dark
-    parking under a double cut that healed and delivered, and all three
-    determinism gates (thread count, fast-forward, planner no-op).
-    """
-    required = (
-        "disjoint_connections",
-        "disjoint_user_misses",
-        "link_cuts",
-        "cut_detect_slots",
-        "segment_downs",
-        "segment_quarantines",
-        "reclaim_error",
-        "capacity_while_severed",
-        "capacity_after_splice",
-        "readmissions",
-        "ring_dark_slots",
-        "delivered_after_heal",
-        "threads_json_identical",
-        "ff_json_identical",
-        "planner_json_identical",
-    )
-    for key in required:
-        value = metrics.get(key)
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            return fail(path, f"link_fault needs numeric `{key}`")
-    if metrics["disjoint_connections"] <= 0:
-        return fail(path, "no cut-disjoint connections: gate tested nothing")
-    if metrics["disjoint_user_misses"] != 0:
-        return fail(
-            path,
-            f"{metrics['disjoint_user_misses']:.0f} user misses on "
-            "connections whose segments avoid the severed link",
-        )
-    if metrics["link_cuts"] <= 0:
-        return fail(path, "the severed-segment cycle never cut a link")
-    if not (
-        1 <= metrics["cut_detect_slots"] <= 2 * metrics["link_cuts"]
-    ):
-        return fail(
-            path,
-            f"detection took {metrics['cut_detect_slots']:.0f} slots for "
-            f"{metrics['link_cuts']:.0f} cut(s): outside the in-protocol "
-            "1..2-per-cut bound",
-        )
-    if metrics["segment_downs"] <= 0 or metrics["segment_quarantines"] <= 0:
-        return fail(path, "the cut never triggered a segment quarantine")
-    if metrics["reclaim_error"] > 1e-9:
-        return fail(
-            path,
-            "segment-quarantine released weight diverges from the "
-            f"utilisation drop by {metrics['reclaim_error']}",
-        )
-    if metrics["capacity_while_severed"] >= metrics["capacity_after_splice"]:
-        return fail(
-            path,
-            "capacity factor did not derate under the cut "
-            f"({metrics['capacity_while_severed']} vs "
-            f"{metrics['capacity_after_splice']} after splice)",
-        )
-    if metrics["capacity_after_splice"] != 1:
-        return fail(path, "splice did not restore the full capacity factor")
-    if metrics["readmissions"] <= 0:
-        return fail(path, "splice staged no re-admissions")
-    if metrics["ring_dark_slots"] <= 0:
-        return fail(path, "the double cut never parked the ring dark")
-    if metrics["delivered_after_heal"] <= 0:
-        return fail(path, "nothing delivered after the ring-dark heal")
-    if metrics["threads_json_identical"] != 1:
-        return fail(path, "link-cut sweep not thread-count deterministic")
-    if metrics["ff_json_identical"] != 1:
-        return fail(path, "link-cut sweep not fast-forward invariant")
-    if metrics["planner_json_identical"] != 1:
-        return fail(
-            path, "planner divergence fallback not thread-count deterministic"
-        )
-    return True
-
-
-def validate_hypercycle(path, metrics):
-    """E23 acceptance gates, re-checked at validation time.
-
-    Same rationale as the other per-bench validators: the bench exits
-    non-zero on a failed gate, but a stale or hand-edited JSON must not
-    green past CI.  Re-asserted: the planner admits a utilisation
-    strictly past the Eq. 6 bound with zero misses (the paper artefact),
-    the per-slot baselines stay at or below that bound, the plan-driven
-    engine clears the 2x throughput gate on the busy cell, and all three
-    determinism gates (thread count, fast-forward, planner no-op on
-    fault cells) held.
-    """
-    required = (
-        "u_max",
-        "planner,admitted_u",
-        "planner,sched_miss_ratio",
-        "planner,user_miss_ratio",
-        "planner,plan_driven_fraction",
-        "planner,plan_divergences",
-        "tcma,admitted_u",
-        "ccfpr,admitted_u",
-        "engine_speedup",
-        "planner32,planned_slot_fraction",
-        "threads_json_identical",
-        "ff_json_identical",
-        "planner_noop_identical",
-    )
-    for key in required:
-        value = metrics.get(key)
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            return fail(path, f"hypercycle needs numeric `{key}`")
-    u_max = metrics["u_max"]
-    if metrics["planner,admitted_u"] <= u_max:
-        return fail(
-            path,
-            f"planner admitted_u {metrics['planner,admitted_u']} not past "
-            f"the Eq. 6 bound U_max={u_max}: the paper artefact is gone",
-        )
-    if metrics["planner,sched_miss_ratio"] != 0:
-        return fail(path, "planner admission past U_max missed deadlines")
-    if metrics["planner,user_miss_ratio"] != 0:
-        return fail(path, "planner admission past U_max missed user deadlines")
-    for engine in ("tcma", "ccfpr"):
-        if metrics[f"{engine},admitted_u"] > u_max:
-            return fail(
-                path,
-                f"{engine} admitted_u {metrics[f'{engine},admitted_u']} "
-                f"above U_max={u_max}: Eq. 5/6 admission broke",
-            )
-    if metrics["planner,plan_driven_fraction"] < 0.95:
-        return fail(
-            path,
-            f"plan drove only {metrics['planner,plan_driven_fraction']} "
-            "of slots on a fully periodic cell (< 0.95)",
-        )
-    if metrics["planner,plan_divergences"] != 0:
-        return fail(path, "plan diverged on a fully periodic cell")
-    if metrics["engine_speedup"] < 2.0:
-        return fail(
-            path,
-            f"plan-driven engine speedup {metrics['engine_speedup']} "
-            "below the 2x gate on the busy cell",
-        )
-    if metrics["threads_json_identical"] != 1:
-        return fail(path, "planner-axis sweep not thread-count deterministic")
-    if metrics["ff_json_identical"] != 1:
-        return fail(path, "planner-axis sweep not fast-forward invariant")
-    if metrics["planner_noop_identical"] != 1:
-        return fail(
-            path, "enabling the planner changed a cell it cannot plan"
         )
     return True
 
@@ -423,19 +97,7 @@ def validate(path):
         return validate_sweep_report(path, doc)
     if not isinstance(doc.get("bench"), str) or not doc["bench"]:
         return fail(path, "missing non-empty string `bench`")
-    if not validate_metrics(path, doc.get("metrics")):
-        return False
-    if doc["bench"] == "data_reliability":
-        return validate_data_reliability(path, doc["metrics"])
-    if doc["bench"] == "cbs_fairness":
-        return validate_cbs_fairness(path, doc["metrics"])
-    if doc["bench"] == "fault_churn":
-        return validate_fault_churn(path, doc["metrics"])
-    if doc["bench"] == "hypercycle":
-        return validate_hypercycle(path, doc["metrics"])
-    if doc["bench"] == "link_fault":
-        return validate_link_fault(path, doc["metrics"])
-    return True
+    return validate_metrics(path, doc.get("metrics"))
 
 
 def main(argv):

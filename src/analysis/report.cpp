@@ -1,10 +1,7 @@
 #include "analysis/report.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -87,53 +84,6 @@ void Table::print(std::ostream& os) const {
     os << "  # " << notes_[note_idx].second << "\n";
     ++note_idx;
   }
-
-  if (const char* dir = std::getenv("CCREDF_RESULTS_DIR")) {
-    std::string slug;
-    for (const char ch : title_) {
-      if (std::isalnum(static_cast<unsigned char>(ch))) {
-        slug += static_cast<char>(
-            std::tolower(static_cast<unsigned char>(ch)));
-      } else if (!slug.empty() && slug.back() != '-') {
-        slug += '-';
-      }
-    }
-    while (!slug.empty() && slug.back() == '-') slug.pop_back();
-    (void)export_csv(std::string(dir) + "/" + slug + ".csv");
-  }
-}
-
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
-std::string Table::csv() const {
-  std::ostringstream os;
-  auto emit = [&os](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c == 0 ? "" : ",") << csv_escape(row[c]);
-    }
-    os << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : cells_) emit(row);
-  return os.str();
-}
-
-bool Table::export_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << csv();
-  return static_cast<bool>(out);
 }
 
 std::string Table::str() const {

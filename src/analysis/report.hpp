@@ -1,8 +1,7 @@
 // ASCII table/series rendering for the experiment harness.
 //
-// Every bench prints its results through Table so the output of
-// `for b in build/bench/*; do $b; done` reads as the paper's tables and
-// figure series, one block per experiment.
+// The benches, the examples and `ccredf_sweep --table` print their
+// results through Table.
 #pragma once
 
 #include <cstdint>
@@ -39,16 +38,9 @@ class Table {
   /// A full-width annotation line under the last row.
   void note(std::string text);
 
-  /// Prints the ASCII rendering.  When the environment variable
-  /// CCREDF_RESULTS_DIR is set, also writes `<dir>/<slug(title)>.csv`
-  /// so every table/series doubles as machine-readable figure data.
+  /// Prints the ASCII rendering.
   void print(std::ostream& os) const;
   [[nodiscard]] std::string str() const;
-
-  /// Comma-separated rendering (RFC-4180-style quoting).
-  [[nodiscard]] std::string csv() const;
-  /// Writes csv() to `path`; returns false on I/O failure.
-  bool export_csv(const std::string& path) const;
 
   [[nodiscard]] std::size_t row_count() const { return cells_.size(); }
 

@@ -38,8 +38,9 @@ struct NetworkConfig {
   double link_length_m = 10.0;
   std::vector<double> link_lengths_m;
 
-  /// Data payload per slot in bytes; 0 selects
-  /// max(Eq. 2 minimum, default_payload_floor).
+  /// Data payload per slot in bytes; 0 selects the Eq. 2 minimum plus
+  /// the control frames' bits, at least default_payload_floor (the rule
+  /// lives in Network's constructor).
   std::int64_t slot_payload_bytes = 0;
   std::int64_t default_payload_floor = 64;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace ccredf::sim {
 
@@ -93,89 +92,6 @@ std::int64_t ExactQuantiles::quantile(double q) const {
 
 void ExactQuantiles::merge(const ExactQuantiles& other) {
   for (const auto& [v, c] : other.entries_) add(v, c);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)) {
-  CCREDF_EXPECT(hi > lo, "Histogram: hi must exceed lo");
-  CCREDF_EXPECT(bins > 0, "Histogram: need at least one bin");
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-  std::size_t bin;
-  if (x < lo_) {
-    bin = 0;
-  } else if (x >= hi_) {
-    bin = counts_.size() - 1;
-  } else {
-    bin = static_cast<std::size_t>((x - lo_) / width_);
-    bin = std::min(bin, counts_.size() - 1);
-  }
-  ++counts_[bin];
-  ++total_;
-  if (samples_valid_) {
-    if (samples_.size() < kSampleCap) {
-      samples_.push_back(x);
-      samples_sorted_ = false;
-    } else {
-      samples_valid_ = false;
-      samples_.clear();
-      samples_.shrink_to_fit();
-    }
-  }
-}
-
-std::int64_t Histogram::bin_count(std::size_t bin) const {
-  CCREDF_EXPECT(bin < counts_.size(), "Histogram: bin out of range");
-  return counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
-double Histogram::quantile(double q) const {
-  CCREDF_EXPECT(q >= 0.0 && q <= 1.0, "Histogram: quantile out of [0,1]");
-  if (total_ == 0) return 0.0;
-  if (samples_valid_) {
-    if (!samples_sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      samples_sorted_ = true;
-    }
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(samples_.size() - 1) + 0.5);
-    return samples_[std::min(idx, samples_.size() - 1)];
-  }
-  // Binned fallback: walk the CDF, report the bin midpoint.
-  const auto target = static_cast<std::int64_t>(
-      q * static_cast<double>(total_ - 1));
-  std::int64_t cum = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    cum += counts_[b];
-    if (cum > target) return (bin_lo(b) + bin_hi(b)) / 2.0;
-  }
-  return hi_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::ostringstream os;
-  std::int64_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    if (counts_[b] == 0) continue;
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[b]) * static_cast<double>(width) /
-        static_cast<double>(peak));
-    os << "[" << bin_lo(b) << ", " << bin_hi(b) << ") "
-       << std::string(std::max<std::size_t>(bar, 1), '#') << " "
-       << counts_[b] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace ccredf::sim

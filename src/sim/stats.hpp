@@ -1,14 +1,13 @@
-// Online statistics used by the experiment harness.
+// Online statistics used by the engine, the sweep and the benches.
 //
-// OnlineStats: numerically stable running mean/variance/min/max (Welford).
-// Histogram:  fixed-width bins with exact-sample quantile support for
-//             moderate sample counts (keeps raw samples up to a cap, then
-//             falls back to binned quantiles).
+// OnlineStats:    numerically stable running mean/variance/min/max
+//                 (Welford).
+// ExactStats:     integer moments, bitwise-exact under k-fold adds.
+// ExactQuantiles: exact nearest-rank quantiles over few distinct values.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -154,49 +153,6 @@ class ExactQuantiles {
  private:
   std::vector<std::pair<std::int64_t, std::int64_t>> entries_;  // sorted
   std::int64_t total_ = 0;
-};
-
-class Histogram {
- public:
-  /// `bins` equal-width bins spanning [lo, hi); out-of-range samples are
-  /// counted in saturating edge bins.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  void add(Duration d) { add(static_cast<double>(d.ps())); }
-
-  [[nodiscard]] std::int64_t count() const { return total_; }
-  [[nodiscard]] std::int64_t bin_count(std::size_t bin) const;
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-
-  /// q in [0,1]; exact while <= sample cap, binned (midpoint) afterwards.
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Multi-line ASCII rendering for reports.
-  [[nodiscard]] std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
-  // Raw samples retained for exact quantiles on small runs.
-  static constexpr std::size_t kSampleCap = 1u << 16;
-  mutable std::vector<double> samples_;
-  mutable bool samples_sorted_ = false;
-  bool samples_valid_ = true;
-};
-
-/// Simple named monotonic counter (protocol event counts).
-class Counter {
- public:
-  void inc(std::int64_t by = 1) { value_ += by; }
-  [[nodiscard]] std::int64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  std::int64_t value_ = 0;
 };
 
 }  // namespace ccredf::sim

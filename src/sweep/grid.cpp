@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "baseline/ccfpr.hpp"
@@ -152,6 +154,23 @@ std::vector<GridPoint> GridSpec::expand() const {
   return points;
 }
 
+namespace {
+
+// Every Poisson/CBS arrival gap and churn dwell is drawn from an
+// exponential whose mean the shard converts to whole picoseconds, and
+// Rng::exponential throws when that mean is 0.  The shortest slot extent
+// a grid can describe is over 10 ns (2 nodes x 2 passthrough bits at
+// 2.5 ns, Eq. 2), so these bounds keep every mean at 10 ps or more.
+constexpr double kMaxRatePerExtent = 1e3;
+constexpr double kMinDwellExtents = 1e-3;
+
+bool valid_rate(double r) { return r > 0.0 && r <= kMaxRatePerExtent; }
+bool valid_dwell(double d) {
+  return d >= kMinDwellExtents && std::isfinite(d);
+}
+
+}  // namespace
+
 std::string GridSpec::validate() const {
   if (protocols.empty()) return "protocols axis is empty";
   if (node_counts.empty()) return "nodes axis is empty";
@@ -177,7 +196,9 @@ std::string GridSpec::validate() const {
   }
   if (churns.empty()) return "churns axis is empty";
   for (const double c : churns) {
-    if (!(c >= 0.0)) return "churn mean up-dwell must be >= 0";
+    if (c != 0.0 && !valid_dwell(c)) {
+      return "churn mean up-dwell must be 0 or in [0.001, inf)";
+    }
   }
   if (link_cuts.empty()) return "link_cuts axis is empty";
   for (const int c : link_cuts) {
@@ -193,7 +214,9 @@ std::string GridSpec::validate() const {
   if (cut_down_slots < 1) return "cut_down_slots must be >= 1";
   if (planners.empty()) return "planners axis is empty";
   if (churn_nodes < 1) return "churn_nodes must be >= 1";
-  if (!(churn_down_slots > 0.0)) return "churn_down_slots must be > 0";
+  if (!valid_dwell(churn_down_slots)) {
+    return "churn_down_slots must be in [0.001, inf)";
+  }
   if (churn_detect_slots < 2) return "churn_detect_slots must be >= 2";
   if (repetitions < 1) return "repetitions must be >= 1";
   if (slots < 1) return "slots must be >= 1";
@@ -201,20 +224,28 @@ std::string GridSpec::validate() const {
   if (min_period_slots < 1 || max_period_slots < min_period_slots) {
     return "period range must satisfy 1 <= min <= max";
   }
-  if (multicast_fraction < 0.0 || multicast_fraction > 1.0) {
+  if (!(multicast_fraction >= 0.0 && multicast_fraction <= 1.0)) {
     return "multicast_fraction out of [0, 1]";
   }
-  if (!(background_rate >= 0.0)) return "background_rate must be >= 0";
-  if (!(saturation_rate > 0.0)) return "saturation_rate must be > 0";
+  if (!valid_rate(background_rate)) {
+    return "background_rate must be in (0, 1000]";
+  }
+  if (!valid_rate(saturation_rate)) {
+    return "saturation_rate must be in (0, 1000]";
+  }
   if (services.empty()) return "services axis is empty";
   if (cbs_flows < 1) return "cbs_flows must be >= 1";
   if (cbs_budget_slots < 1 || cbs_period_slots < cbs_budget_slots) {
     return "cbs budget/period must satisfy 1 <= Q <= T";
   }
-  if (!(cbs_rate > 0.0)) return "cbs_rate must be > 0";
-  if (!(cbs_saturation_rate > 0.0)) return "cbs_saturation_rate must be > 0";
+  if (!valid_rate(cbs_rate)) return "cbs_rate must be in (0, 1000]";
+  if (!valid_rate(cbs_saturation_rate)) {
+    return "cbs_saturation_rate must be in (0, 1000]";
+  }
   if (queue_cap < 0) return "queue_cap must be >= 0";
-  if (!(link_length_m > 0.0)) return "link_length_m must be > 0";
+  if (!(link_length_m > 0.0) || !std::isfinite(link_length_m)) {
+    return "link_length_m must be finite and > 0";
+  }
   if (slot_payload_bytes < 0) return "payload_bytes must be >= 0";
   return "";
 }
@@ -290,15 +321,17 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+/// Splits a comma list; an empty item (",," or a leading or trailing
+/// comma) comes back as "" so the caller can reject it.
 std::vector<std::string> split_list(const std::string& s) {
   std::vector<std::string> items;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = trim(item);
-    if (!item.empty()) items.push_back(item);
+  std::size_t start = 0;
+  while (true) {
+    const auto comma = s.find(',', start);
+    items.push_back(trim(s.substr(start, comma - start)));
+    if (comma == std::string::npos) return items;
+    start = comma + 1;
   }
-  return items;
 }
 
 bool parse_i64(const std::string& s, std::int64_t& out) {
@@ -311,7 +344,22 @@ bool parse_i64(const std::string& s, std::int64_t& out) {
   }
 }
 
+/// An int-typed grid field: the value must fit before it is narrowed.
+bool parse_int(const std::string& s, int& out) {
+  std::int64_t v = 0;
+  if (!parse_i64(s, v) || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  out = static_cast<int>(v);
+  return true;
+}
+
 bool parse_u64(const std::string& s, std::uint64_t& out) {
+  // std::stoull accepts a sign and wraps "-1" to 2^64 - 1.
+  if (s.empty() || std::isdigit(static_cast<unsigned char>(s[0])) == 0) {
+    return false;
+  }
   try {
     std::size_t pos = 0;
     out = std::stoull(s, &pos);
@@ -367,8 +415,11 @@ bool parse_grid(const std::string& text, GridSpec& spec,
     if (eq == std::string::npos) return fail("expected `key = value`");
     const std::string key = lower(trim(line.substr(0, eq)));
     const std::string value = trim(line.substr(eq + 1));
+    if (value.empty()) return fail("empty value for `" + key + "`");
     const std::vector<std::string> items = split_list(value);
-    if (items.empty()) return fail("empty value for `" + key + "`");
+    for (const auto& it : items) {
+      if (it.empty()) return fail("empty item in `" + key + "`");
+    }
 
     if (key == "protocols") {
       out.protocols.clear();
@@ -426,11 +477,11 @@ bool parse_grid(const std::string& text, GridSpec& spec,
     } else if (key == "link_cuts") {
       out.link_cuts.clear();
       for (const auto& it : items) {
-        std::int64_t c;
-        if (!parse_i64(it, c) || c < 0) {
+        int c;
+        if (!parse_int(it, c) || c < 0) {
           return fail("bad link_cuts `" + it + "`");
         }
-        out.link_cuts.push_back(static_cast<int>(c));
+        out.link_cuts.push_back(c);
       }
     } else if (key == "mixes") {
       out.mixes.clear();
@@ -467,18 +518,19 @@ bool parse_grid(const std::string& text, GridSpec& spec,
       if (items.size() != 1) return fail("`" + key + "` takes one value");
       const std::string& it = items[0];
       std::int64_t i = 0;
+      int n = 0;
       double f = 0.0;
       if (key == "repetitions") {
-        if (!parse_i64(it, i) || i < 1) return fail("bad repetitions");
-        out.repetitions = static_cast<int>(i);
+        if (!parse_int(it, n) || n < 1) return fail("bad repetitions");
+        out.repetitions = n;
       } else if (key == "slots") {
         if (!parse_i64(it, i) || i < 1) return fail("bad slots");
         out.slots = i;
       } else if (key == "connections_per_node") {
-        if (!parse_i64(it, i) || i < 1) {
+        if (!parse_int(it, n) || n < 1) {
           return fail("bad connections_per_node");
         }
-        out.connections_per_node = static_cast<int>(i);
+        out.connections_per_node = n;
       } else if (key == "min_period_slots") {
         if (!parse_i64(it, i) || i < 1) return fail("bad min_period_slots");
         out.min_period_slots = i;
@@ -495,8 +547,8 @@ bool parse_grid(const std::string& text, GridSpec& spec,
         if (!parse_f64(it, f)) return fail("bad saturation_rate");
         out.saturation_rate = f;
       } else if (key == "cbs_flows") {
-        if (!parse_i64(it, i) || i < 1) return fail("bad cbs_flows");
-        out.cbs_flows = static_cast<int>(i);
+        if (!parse_int(it, n) || n < 1) return fail("bad cbs_flows");
+        out.cbs_flows = n;
       } else if (key == "cbs_budget_slots") {
         if (!parse_i64(it, i) || i < 1) return fail("bad cbs_budget_slots");
         out.cbs_budget_slots = i;
@@ -510,8 +562,8 @@ bool parse_grid(const std::string& text, GridSpec& spec,
         if (!parse_f64(it, f)) return fail("bad cbs_saturation_rate");
         out.cbs_saturation_rate = f;
       } else if (key == "churn_nodes") {
-        if (!parse_i64(it, i) || i < 1) return fail("bad churn_nodes");
-        out.churn_nodes = static_cast<int>(i);
+        if (!parse_int(it, n) || n < 1) return fail("bad churn_nodes");
+        out.churn_nodes = n;
       } else if (key == "churn_down_slots") {
         if (!parse_f64(it, f) || !(f > 0.0)) {
           return fail("bad churn_down_slots");

@@ -251,7 +251,8 @@ struct GridSpec {
 //   payload_crc   = on
 //
 // Unknown keys and malformed values are hard errors (a silently ignored
-// axis would invalidate an experiment).
+// axis would invalidate an experiment).  Malformed includes an empty list
+// item, a sign on a seed and an integer too large for its field.
 
 /// Parses grid-file text into `spec` (fields not mentioned keep their
 /// defaults).  On error returns false and sets `error`.

@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "common/error.hpp"
 #include "sim/rng.hpp"
 
 namespace ccredf::sim {
@@ -89,81 +88,6 @@ TEST(OnlineStats, DurationOverloads) {
   EXPECT_EQ(s.mean_duration(), Duration::nanoseconds(15));
   EXPECT_EQ(s.max_duration(), Duration::nanoseconds(20));
   EXPECT_EQ(s.min_duration(), Duration::nanoseconds(10));
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), ConfigError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ConfigError);
-}
-
-TEST(Histogram, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bins(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-}
-
-TEST(Histogram, CountsFallInCorrectBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);   // bin 0
-  h.add(3.0);   // bin 1
-  h.add(9.9);   // bin 4
-  EXPECT_EQ(h.bin_count(0), 1);
-  EXPECT_EQ(h.bin_count(1), 1);
-  EXPECT_EQ(h.bin_count(4), 1);
-  EXPECT_EQ(h.count(), 3);
-}
-
-TEST(Histogram, OutOfRangeSaturates) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-5.0);
-  h.add(50.0);
-  EXPECT_EQ(h.bin_count(0), 1);
-  EXPECT_EQ(h.bin_count(4), 1);
-}
-
-TEST(Histogram, ExactQuantilesOnSmallSamples) {
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 1; i <= 100; ++i) h.add(static_cast<double>(i));
-  EXPECT_NEAR(h.quantile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(h.quantile(1.0), 100.0, 1e-9);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.0);
-}
-
-TEST(Histogram, QuantileRejectsOutOfRange) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.5);
-  EXPECT_THROW((void)h.quantile(-0.1), ConfigError);
-  EXPECT_THROW((void)h.quantile(1.1), ConfigError);
-}
-
-TEST(Histogram, BinnedQuantileFallbackAfterCap) {
-  Histogram h(0.0, 1000.0, 100);
-  Rng rng(8);
-  // Exceed the raw-sample cap (2^16) to force the binned path.
-  for (int i = 0; i < 100'000; ++i) h.add(rng.uniform_real(0.0, 1000.0));
-  EXPECT_NEAR(h.quantile(0.5), 500.0, 20.0);
-  EXPECT_NEAR(h.quantile(0.99), 990.0, 20.0);
-}
-
-TEST(Histogram, RenderMentionsNonEmptyBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);
-  h.add(1.5);
-  const std::string out = h.render();
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find("2"), std::string::npos);
-}
-
-TEST(Counter, IncAndReset) {
-  Counter c;
-  c.inc();
-  c.inc(4);
-  EXPECT_EQ(c.value(), 5);
-  c.reset();
-  EXPECT_EQ(c.value(), 0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "sweep/grid.hpp"
+#include "sweep/runner.hpp"
 
 namespace ccredf::sweep {
 namespace {
@@ -123,6 +124,93 @@ TEST(GridTest, RejectsMalformedInput) {
   std::string err2;
   EXPECT_FALSE(parse_grid("nodes = 16\nbogus = 1\n", untouched, err2));
   EXPECT_EQ(untouched.node_counts, GridSpec{}.node_counts);
+}
+
+TEST(GridTest, IntFieldsRejectValuesTheyCannotHold) {
+  // Rejected at parse, not narrowed: 2^32 + 1 would become 1 and 2^31 a
+  // negative count that validate() reports as "must be >= 1".
+  for (const char* text :
+       {"connections_per_node = 4294967297\n", "link_cuts = 4294967297\n",
+        "cbs_flows = 4294967297\n", "churn_nodes = 4294967297\n",
+        "repetitions = 2147483648\n"}) {
+    GridSpec spec;
+    std::string error;
+    EXPECT_FALSE(parse_grid(text, spec, error)) << text;
+    EXPECT_NE(error.find("line 1: bad "), std::string::npos) << error;
+  }
+  GridSpec spec;
+  std::string error;
+  ASSERT_TRUE(parse_grid("repetitions = 2147483647\n", spec, error))
+      << error;
+  EXPECT_EQ(spec.repetitions, 2147483647);
+}
+
+TEST(GridTest, SeedsRejectSigns) {
+  // std::stoull accepts a sign and would turn "-1" into seed 2^64 - 1.
+  for (const char* text : {"seeds = -1\n", "seeds = 1, +2\n",
+                           "base_seed = -1\n"}) {
+    GridSpec spec;
+    std::string error;
+    EXPECT_FALSE(parse_grid(text, spec, error)) << text;
+  }
+  GridSpec spec;
+  std::string error;
+  ASSERT_TRUE(parse_grid("seeds = 18446744073709551615\n", spec, error))
+      << error;
+  EXPECT_EQ(spec.set_seeds, (std::vector<std::uint64_t>{~0ULL}));
+}
+
+TEST(GridTest, ListsRejectEmptyItems) {
+  // An empty item is an error, not a skipped one: "8,,16" is no
+  // two-point axis.
+  for (const char* text : {"nodes = 8,,16\n", "nodes = 8, 16,\n",
+                           "nodes = , 8\n", "utilisations = 0.3, ,0.5\n"}) {
+    GridSpec spec;
+    std::string error;
+    EXPECT_FALSE(parse_grid(text, spec, error)) << text;
+    EXPECT_NE(error.find("empty item"), std::string::npos) << error;
+  }
+}
+
+TEST(GridTest, ValidateKeepsEveryShardRunnable) {
+  // Each of these would fail every shard: an infinite rate or a dwell
+  // under a picosecond gives Rng::exponential a zero mean, and
+  // make_periodic_set rejects a NaN multicast fraction.
+  for (const char* text :
+       {"mixes = mixed\nbackground_rate = inf\n",
+        "mixes = saturation\nsaturation_rate = inf\n",
+        "services = cbs\ncbs_rate = inf\n",
+        "services = cbs-saturated\ncbs_saturation_rate = inf\n",
+        "churns = 500\nchurn_down_slots = inf\n", "churns = 1e-300\n",
+        "churns = inf\n", "multicast_fraction = nan\n",
+        "link_length_m = inf\n"}) {
+    GridSpec spec;
+    std::string error;
+    EXPECT_FALSE(parse_grid(text, spec, error)) << text;
+  }
+  // The largest rates and shortest dwells it accepts, on the shortest
+  // slot extent a grid can describe (2 nodes, 1 mm links, the Eq. 2
+  // minimum payload of 5 bytes): no shard may fail.
+  GridSpec spec;
+  std::string error;
+  ASSERT_TRUE(parse_grid(R"(
+nodes = 2
+mixes = mixed, saturation
+services = rt-only, cbs-saturated
+churns = 0, 0.001
+link_length_m = 0.001
+payload_bytes = 5
+slots = 10
+queue_cap = 8
+background_rate = 1000
+saturation_rate = 1000
+cbs_saturation_rate = 1000
+churn_down_slots = 0.001
+)",
+                         spec, error))
+      << error;
+  const SweepResult result = run_sweep(spec, {.threads = 1});
+  EXPECT_EQ(result.failed_shards, 0);
 }
 
 TEST(GridTest, ParserIsCrossFieldValidated) {

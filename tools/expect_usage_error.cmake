@@ -1,11 +1,11 @@
 # ctest check for a CLI's usage errors: runs
-#   CLI [GRID] OPTION [VALUE]
-# (GRID and VALUE only when defined, so -DVALUE= passes an empty argument)
+#   CLI [ARGS...] OPTION [VALUE]
+# (ARGS and VALUE only when defined, so -DVALUE= passes an empty argument)
 # and fails unless the CLI exits with status 2 and its standard error
 # contains EXPECT (default: "OPTION needs a value").
 set(cmd "${CLI}")
-if(DEFINED GRID)
-  list(APPEND cmd "${GRID}")
+if(DEFINED ARGS)
+  list(APPEND cmd ${ARGS})
 endif()
 list(APPEND cmd "${OPTION}")
 if(DEFINED VALUE)
