@@ -7,7 +7,7 @@ namespace ccredf::baseline {
 
 net::SlotPlan CcFprProtocol::plan_next_slot(
     const std::vector<core::Request>& requests, NodeId current_master,
-    SlotIndex /*slot*/) {
+    SlotIndex /*slot*/, NodeSet /*requesters*/) {
   CCREDF_EXPECT(requests.size() == topo_.nodes(),
                 "CcFprProtocol: need one request per node");
   net::SlotPlan plan;

@@ -29,12 +29,11 @@ class CcFprProtocol final : public net::MacProtocol {
 
   [[nodiscard]] const char* name() const override { return "CC-FPR"; }
 
-  // The base's requester-mask overload delegates here (CC-FPR's
-  // round-robin scan depends on position, not on who requests).
-  using net::MacProtocol::plan_next_slot;
+  // The booking scan depends on position, not on who requests, so it
+  // ignores the requester mask.
   [[nodiscard]] net::SlotPlan plan_next_slot(
       const std::vector<core::Request>& requests, NodeId current_master,
-      SlotIndex slot) override;
+      SlotIndex slot, NodeSet requesters) override;
 
   [[nodiscard]] sim::Duration gap(NodeId from, NodeId to) const override;
   [[nodiscard]] sim::Duration max_gap() const override;

@@ -7,7 +7,7 @@ namespace ccredf::baseline {
 
 net::SlotPlan TdmaProtocol::plan_next_slot(
     const std::vector<core::Request>& requests, NodeId /*current_master*/,
-    SlotIndex slot) {
+    SlotIndex slot, NodeSet /*requesters*/) {
   CCREDF_EXPECT(requests.size() == topo_.nodes(),
                 "TdmaProtocol: need one request per node");
   net::SlotPlan plan;

@@ -21,12 +21,11 @@ class TdmaProtocol final : public net::MacProtocol {
 
   [[nodiscard]] const char* name() const override { return "TDMA"; }
 
-  // The base's requester-mask overload delegates here (the TDMA owner
-  // is a pure function of the slot index).
-  using net::MacProtocol::plan_next_slot;
+  // The slot owner is a pure function of the slot index, so the
+  // requester mask goes unused.
   [[nodiscard]] net::SlotPlan plan_next_slot(
       const std::vector<core::Request>& requests, NodeId current_master,
-      SlotIndex slot) override;
+      SlotIndex slot, NodeSet requesters) override;
 
   [[nodiscard]] sim::Duration gap(NodeId from, NodeId to) const override {
     return handover_.gap(from, to);

@@ -76,38 +76,19 @@ void FaultInjector::set_random_token_loss(double p) {
 }
 
 void FaultInjector::schedule_node_failure(NodeId id, sim::TimePoint at) {
-  events_.push_back({at, next_event_seq_++, FaultEvent::Kind::kNodeFail, id});
   net_.sim().schedule_at(at, [this, id] { net_.fail_node(id); });
 }
 
 void FaultInjector::schedule_node_restore(NodeId id, sim::TimePoint at) {
-  events_.push_back(
-      {at, next_event_seq_++, FaultEvent::Kind::kNodeRestore, id});
   net_.sim().schedule_at(at, [this, id] { net_.restore_node(id); });
 }
 
 void FaultInjector::schedule_link_cut(LinkId l, sim::TimePoint at) {
-  events_.push_back({at, next_event_seq_++, FaultEvent::Kind::kLinkCut, l});
   net_.sim().schedule_at(at, [this, l] { net_.cut_link(l); });
 }
 
 void FaultInjector::schedule_link_splice(LinkId l, sim::TimePoint at) {
-  events_.push_back(
-      {at, next_event_seq_++, FaultEvent::Kind::kLinkSplice, l});
   net_.sim().schedule_at(at, [this, l] { net_.splice_link(l); });
-}
-
-std::vector<FaultInjector::FaultEvent> FaultInjector::scheduled_events()
-    const {
-  std::vector<FaultEvent> out = events_;
-  // Stable key (at, seq): seq is globally unique and monotonically
-  // increasing in scheduling order, so ties on `at` keep FIFO order
-  // across kinds -- exactly how the simulator's event queue fires them.
-  std::sort(out.begin(), out.end(),
-            [](const FaultEvent& a, const FaultEvent& b) {
-              return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-            });
-  return out;
 }
 
 void FaultInjector::set_control_ber(double ber) {

@@ -89,27 +89,6 @@ class FaultInjector final : public net::FaultHook {
   /// Splice (repair) link `l` at simulated time `at`.
   void schedule_link_splice(LinkId l, sim::TimePoint at);
 
-  /// One entry of the merged fault-event schedule (node AND link events).
-  struct FaultEvent {
-    enum class Kind : std::uint8_t {
-      kNodeFail,
-      kNodeRestore,
-      kLinkCut,
-      kLinkSplice,
-    };
-    sim::TimePoint at;
-    std::uint64_t seq = 0;  // global scheduling order (FIFO tie-break)
-    Kind kind = Kind::kNodeFail;
-    NodeId id = 0;  // node index, or link index for cut/splice
-  };
-  /// Merged, timestamp-sorted view of every scheduled node and link
-  /// event.  Same-timestamp entries keep their scheduling order (the
-  /// FIFO tie-break the simulator's event queue applies), so the view
-  /// predicts exactly the order the events will fire in -- the contract
-  /// ResilienceHook::next_deadline_slot needs when a link event precedes
-  /// a node event in the same slot.
-  [[nodiscard]] std::vector<FaultEvent> scheduled_events() const;
-
   // -- control-channel bit errors -----------------------------------------
   /// Uniform bit-error rate on every link of the ring.
   void set_control_ber(double ber);
@@ -208,9 +187,6 @@ class FaultInjector final : public net::FaultHook {
 
   NodeId babbler_ = kInvalidNode;
   double babble_p_ = 0.0;
-
-  std::vector<FaultEvent> events_;  // scheduling order (seq ascending)
-  std::uint64_t next_event_seq_ = 0;
 
   std::int64_t injected_ = 0;
   std::int64_t bits_flipped_ = 0;

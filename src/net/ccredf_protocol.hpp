@@ -18,14 +18,6 @@ class CcrEdfProtocol final : public MacProtocol {
 
   [[nodiscard]] const char* name() const override { return "CCR-EDF"; }
 
-  [[nodiscard]] SlotPlan plan_next_slot(
-      const std::vector<core::Request>& requests, NodeId current_master,
-      SlotIndex /*slot*/) override {
-    const core::ArbitrationResult r =
-        arbiter_.arbitrate(requests, current_master);
-    return SlotPlan{r.next_master, r.packet.granted};
-  }
-
   /// Arbitration only touches the requesting nodes, so the engine's
   /// dirty-requester mask lets the arbiter skip the idle majority.
   [[nodiscard]] SlotPlan plan_next_slot(

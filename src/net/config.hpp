@@ -86,8 +86,8 @@ struct NetworkConfig {
   /// Record every delivery in the receiving node's inbox vector.  On by
   /// default (tests and examples drain inboxes); long-running throughput
   /// and soak experiments turn it off so steady-state slots stay
-  /// allocation-free and memory stays bounded -- delivery callbacks and
-  /// NetworkStats still see every delivery.
+  /// allocation-free and memory stays bounded -- NetworkStats still
+  /// sees every delivery.
   bool record_inboxes = true;
 
   /// Slot fast-forward: when the next slots provably grant nobody and

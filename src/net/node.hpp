@@ -3,10 +3,9 @@
 // The Node is deliberately passive -- the slot engine samples its queues
 // during the collection phase and pushes deliveries into its inbox; user
 // code enqueues messages through Network's send_* API and drains the
-// inbox (or registers a callback).
+// inbox.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -17,8 +16,6 @@ namespace ccredf::net {
 
 class Node {
  public:
-  using DeliveryCallback = std::function<void(const core::Delivery&)>;
-
   explicit Node(NodeId id) : id_(id) {}
 
   [[nodiscard]] NodeId id() const { return id_; }
@@ -31,19 +28,13 @@ class Node {
   }
   void clear_inbox() { inbox_.clear(); }
 
-  /// Inbox recording toggle (NetworkConfig::record_inboxes); callbacks
-  /// and statistics are unaffected.
+  /// Inbox recording toggle (NetworkConfig::record_inboxes); statistics
+  /// are unaffected.
   void set_inbox_recording(bool on) { record_inbox_ = on; }
   [[nodiscard]] bool inbox_recording() const { return record_inbox_; }
 
-  /// Invoked (in addition to inbox recording) on every delivery.
-  void set_delivery_callback(DeliveryCallback cb) {
-    on_delivery_ = std::move(cb);
-  }
-
   void deliver(const core::Delivery& d) {
     if (record_inbox_) inbox_.push_back(d);
-    if (on_delivery_) on_delivery_(d);
   }
 
   /// Fail-silent state (fault experiments): a failed node neither
@@ -56,7 +47,6 @@ class Node {
   NodeId id_;
   core::EdfQueueSet queues_;
   std::vector<core::Delivery> inbox_;
-  DeliveryCallback on_delivery_;
   bool record_inbox_ = true;
   bool failed_ = false;
 };

@@ -30,21 +30,13 @@ class MacProtocol {
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// Plans the next slot from the requests collected during the current
-  /// one.  `requests` has exactly one entry per node (priority 0 = idle).
+  /// one.  `requests` has exactly one entry per node (priority 0 = idle);
+  /// `requesters` is a superset of the nodes whose request has
+  /// wants_slot() set (every node outside it is guaranteed idle), so a
+  /// protocol that sorts or scans requests may restrict its work to it.
   [[nodiscard]] virtual SlotPlan plan_next_slot(
       const std::vector<core::Request>& requests, NodeId current_master,
-      SlotIndex slot) = 0;
-
-  /// Hot-path variant the slot engine calls: `requesters` is a superset
-  /// of the nodes whose request has wants_slot() set (every node outside
-  /// it is guaranteed idle).  Protocols that sort or scan requests may
-  /// restrict their work to the set; the default ignores the hint and
-  /// delegates, so the two overloads are interchangeable by contract.
-  [[nodiscard]] virtual SlotPlan plan_next_slot(
-      const std::vector<core::Request>& requests, NodeId current_master,
-      SlotIndex slot, NodeSet /*requesters*/) {
-    return plan_next_slot(requests, current_master, slot);
-  }
+      SlotIndex slot, NodeSet requesters) = 0;
 
   /// Clock hand-over gap between a slot mastered by `from` and the next
   /// mastered by `to`.

@@ -1,108 +1,52 @@
 #include "sweep/grid.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cctype>
-#include <cmath>
+#include <charconv>
 #include <fstream>
-#include <limits>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 
+#include "analysis/json_writer.hpp"
 #include "baseline/ccfpr.hpp"
 #include "baseline/tdma.hpp"
 #include "common/error.hpp"
+#include "net/network.hpp"
 #include "sim/rng.hpp"
 
 namespace ccredf::sweep {
 
-const char* protocol_name(Protocol p) {
-  switch (p) {
-    case Protocol::kCcrEdf:
-      return "CCR-EDF";
-    case Protocol::kCcFpr:
-      return "CC-FPR";
-    case Protocol::kTdma:
-      return "TDMA";
-  }
-  return "?";
-}
-
-const char* mix_name(WorkloadMix m) {
-  switch (m) {
-    case WorkloadMix::kPeriodic:
-      return "periodic";
-    case WorkloadMix::kMixed:
-      return "mixed";
-    case WorkloadMix::kSaturation:
-      return "saturation";
-  }
-  return "?";
-}
-
-const char* service_name(ServiceMix s) {
-  switch (s) {
-    case ServiceMix::kRtOnly:
-      return "rt-only";
-    case ServiceMix::kCbs:
-      return "cbs";
-    case ServiceMix::kCbsSaturated:
-      return "cbs-saturated";
-  }
-  return "?";
-}
-
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return s;
+/// The spellings of one enum, indexed by enumerator value.
+struct Names {
+  const char* noun;  // "unknown <noun>" in parse errors
+  std::array<const char*, 3> of;
+};
+
+constexpr Names kProtocolNames{"protocol", {"CCR-EDF", "CC-FPR", "TDMA"}};
+constexpr Names kMixNames{"mix", {"periodic", "mixed", "saturation"}};
+constexpr Names kServiceNames{"service class",
+                              {"rt-only", "cbs", "cbs-saturated"}};
+
+const Names& names(Protocol) { return kProtocolNames; }
+const Names& names(WorkloadMix) { return kMixNames; }
+const Names& names(ServiceMix) { return kServiceNames; }
+
+template <class E>
+const char* name_of(E e) {
+  return names(e).of[static_cast<std::size_t>(e)];
 }
 
 }  // namespace
 
-bool parse_protocol(const std::string& s, Protocol& out) {
-  const std::string l = lower(s);
-  if (l == "ccr-edf" || l == "ccredf" || l == "edf") {
-    out = Protocol::kCcrEdf;
-  } else if (l == "cc-fpr" || l == "ccfpr" || l == "fpr") {
-    out = Protocol::kCcFpr;
-  } else if (l == "tdma") {
-    out = Protocol::kTdma;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool parse_mix(const std::string& s, WorkloadMix& out) {
-  const std::string l = lower(s);
-  if (l == "periodic") {
-    out = WorkloadMix::kPeriodic;
-  } else if (l == "mixed") {
-    out = WorkloadMix::kMixed;
-  } else if (l == "saturation") {
-    out = WorkloadMix::kSaturation;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool parse_service(const std::string& s, ServiceMix& out) {
-  const std::string l = lower(s);
-  if (l == "rt-only" || l == "rtonly" || l == "rt") {
-    out = ServiceMix::kRtOnly;
-  } else if (l == "cbs") {
-    out = ServiceMix::kCbs;
-  } else if (l == "cbs-saturated" || l == "cbssaturated") {
-    out = ServiceMix::kCbsSaturated;
-  } else {
-    return false;
-  }
-  return true;
-}
+const char* protocol_name(Protocol p) { return name_of(p); }
+const char* mix_name(WorkloadMix m) { return name_of(m); }
+const char* service_name(ServiceMix s) { return name_of(s); }
 
 std::size_t GridSpec::point_count() const {
   return protocols.size() * node_counts.size() * utilisations.size() *
@@ -164,9 +108,34 @@ namespace {
 constexpr double kMaxRatePerExtent = 1e3;
 constexpr double kMinDwellExtents = 1e-3;
 
-bool valid_rate(double r) { return r > 0.0 && r <= kMaxRatePerExtent; }
+// At the other end, the longest extent a grid can describe is under
+// 6.4e9 ps (64 nodes on kMaxLinkLengthM links, default payload), and a
+// shard multiplies slot counts, periods and mean gaps by it.  A run of
+// kMaxSlots slots, each stretched to five extents by a token-loss
+// recovery, ends before 3.2e18 ps, and a period plus a deadline past
+// that adds kMaxLeadPs.  Cut and splice instants stay under kMaxLeadPs.
+// Arrivals and dwells are drawn only before the nominal horizon
+// (6.4e17 ps), at most 37 means (the largest Rng::exponential draw) of
+// kMaxDwellExtents, 2.4e18 ps, ahead.  Every instant thus stays below
+// TimePoint::infinity() = 2^62 ps (4.6e18).
+constexpr double kMaxLinkLengthM = 1e4;
+constexpr std::int64_t kMaxPayloadBytes = 1'000'000;
+constexpr std::int64_t kMaxSlots = 100'000'000;
+constexpr double kMaxExtentPs = 6.4e9;
+constexpr double kMaxLeadPs = 2.0 * kMaxSlots * kMaxExtentPs;
+constexpr double kMaxDwellExtents = 1e7;
+constexpr double kMinRatePerExtent = 1.0 / kMaxDwellExtents;
+// connections_per_node times the node count must fit an int.
+constexpr int kMaxConnectionsPerNode = 1000;
+
+bool valid_rate(double r) {
+  return r >= kMinRatePerExtent && r <= kMaxRatePerExtent;
+}
 bool valid_dwell(double d) {
-  return d >= kMinDwellExtents && std::isfinite(d);
+  return d >= kMinDwellExtents && d <= kMaxDwellExtents;
+}
+bool valid_slots(std::int64_t n, std::int64_t min) {
+  return n >= min && n <= kMaxSlots;
 }
 
 }  // namespace
@@ -197,7 +166,7 @@ std::string GridSpec::validate() const {
   if (churns.empty()) return "churns axis is empty";
   for (const double c : churns) {
     if (c != 0.0 && !valid_dwell(c)) {
-      return "churn mean up-dwell must be 0 or in [0.001, inf)";
+      return "churn mean up-dwell must be 0 or in [0.001, 1e7]";
     }
   }
   if (link_cuts.empty()) return "link_cuts axis is empty";
@@ -210,43 +179,78 @@ std::string GridSpec::validate() const {
       }
     }
   }
-  if (cut_slot < 0) return "cut_slot must be >= 0";
-  if (cut_down_slots < 1) return "cut_down_slots must be >= 1";
+  if (!valid_slots(cut_slot, 0)) return "cut_slot must be in [0, 1e8]";
+  if (!valid_slots(cut_down_slots, 1)) {
+    return "cut_down_slots must be in [1, 1e8]";
+  }
   if (planners.empty()) return "planners axis is empty";
   if (churn_nodes < 1) return "churn_nodes must be >= 1";
   if (!valid_dwell(churn_down_slots)) {
-    return "churn_down_slots must be in [0.001, inf)";
+    return "churn_down_slots must be in [0.001, 1e7]";
   }
-  if (churn_detect_slots < 2) return "churn_detect_slots must be >= 2";
+  if (!valid_slots(churn_detect_slots, 2)) {
+    return "churn_detect_slots must be in [2, 1e8]";
+  }
   if (repetitions < 1) return "repetitions must be >= 1";
-  if (slots < 1) return "slots must be >= 1";
-  if (connections_per_node < 1) return "connections_per_node must be >= 1";
-  if (min_period_slots < 1 || max_period_slots < min_period_slots) {
-    return "period range must satisfy 1 <= min <= max";
+  if (!valid_slots(slots, 1)) return "slots must be in [1, 1e8]";
+  if (connections_per_node < 1 ||
+      connections_per_node > kMaxConnectionsPerNode) {
+    return "connections_per_node must be in [1, 1000]";
+  }
+  // make_periodic_set draws log-uniform periods of at least 2 slots.
+  if (!valid_slots(min_period_slots, 2) ||
+      !valid_slots(max_period_slots, min_period_slots)) {
+    return "period range must satisfy 2 <= min <= max <= 1e8";
   }
   if (!(multicast_fraction >= 0.0 && multicast_fraction <= 1.0)) {
     return "multicast_fraction out of [0, 1]";
   }
   if (!valid_rate(background_rate)) {
-    return "background_rate must be in (0, 1000]";
+    return "background_rate must be in [1e-7, 1000]";
   }
   if (!valid_rate(saturation_rate)) {
-    return "saturation_rate must be in (0, 1000]";
+    return "saturation_rate must be in [1e-7, 1000]";
   }
   if (services.empty()) return "services axis is empty";
   if (cbs_flows < 1) return "cbs_flows must be >= 1";
-  if (cbs_budget_slots < 1 || cbs_period_slots < cbs_budget_slots) {
-    return "cbs budget/period must satisfy 1 <= Q <= T";
+  if (!valid_slots(cbs_budget_slots, 1) ||
+      !valid_slots(cbs_period_slots, cbs_budget_slots)) {
+    return "cbs budget/period must satisfy 1 <= Q <= T <= 1e8";
   }
-  if (!valid_rate(cbs_rate)) return "cbs_rate must be in (0, 1000]";
+  if (!valid_rate(cbs_rate)) return "cbs_rate must be in [1e-7, 1000]";
   if (!valid_rate(cbs_saturation_rate)) {
-    return "cbs_saturation_rate must be in (0, 1000]";
+    return "cbs_saturation_rate must be in [1e-7, 1000]";
   }
   if (queue_cap < 0) return "queue_cap must be >= 0";
-  if (!(link_length_m > 0.0) || !std::isfinite(link_length_m)) {
-    return "link_length_m must be finite and > 0";
+  if (!(link_length_m > 0.0 && link_length_m <= kMaxLinkLengthM)) {
+    return "link_length_m must be in (0, 1e4]";
   }
-  if (slot_payload_bytes < 0) return "payload_bytes must be >= 0";
+  if (slot_payload_bytes < 0 || slot_payload_bytes > kMaxPayloadBytes) {
+    return "payload_bytes must be in [0, 1e6]";
+  }
+  // The largest ring has the longest slot extent.  Its network must
+  // build (an explicit payload can fall short of Eq. 2), and a saturated
+  // CBS server, whose deadline moves T slots per Q slots it is served,
+  // must not lead the clock by more than a period plus a deadline may.
+  GridPoint largest;
+  largest.nodes = *std::max_element(node_counts.begin(), node_counts.end());
+  double extent_ps = 0.0;
+  try {
+    const net::Network n(make_network_config(*this, largest));
+    extent_ps = static_cast<double>(n.timing().slot_plus_max_gap().ps());
+  } catch (const ConfigError& e) {
+    return std::string("the largest ring does not build: ") + e.what();
+  }
+  const bool cbs =
+      std::any_of(services.begin(), services.end(),
+                  [](ServiceMix m) { return m != ServiceMix::kRtOnly; });
+  const double cbs_periods =
+      static_cast<double>(slots) / static_cast<double>(cbs_budget_slots) + 1;
+  if (cbs && cbs_periods * static_cast<double>(cbs_period_slots) * extent_ps >
+                 kMaxLeadPs) {
+    return "slots / cbs_budget_slots * cbs_period_slots too large: a "
+           "saturated CBS server's deadline would pass 2^62 ps";
+  }
   return "";
 }
 
@@ -310,15 +314,76 @@ net::NetworkConfig make_network_config(const GridSpec& spec,
   return cfg;
 }
 
-// -- grid-file parsing ---------------------------------------------------
+// -- grid files ----------------------------------------------------------
 
 namespace {
+
+/// A GridSpec member a grid-file key names.
+using Field = std::variant<
+    std::vector<Protocol> GridSpec::*, std::vector<NodeId> GridSpec::*,
+    std::vector<double> GridSpec::*, std::vector<int> GridSpec::*,
+    std::vector<WorkloadMix> GridSpec::*, std::vector<ServiceMix> GridSpec::*,
+    std::vector<bool> GridSpec::*, std::vector<std::uint64_t> GridSpec::*,
+    int GridSpec::*, std::int64_t GridSpec::*, double GridSpec::*,
+    bool GridSpec::*, std::uint64_t GridSpec::*>;
+
+struct Key {
+  std::string_view name;
+  Field field;
+};
+
+/// Every grid-file key, in the order the report echoes them.
+constexpr std::array<Key, 36> kKeys{{
+    {"protocols", &GridSpec::protocols},
+    {"nodes", &GridSpec::node_counts},
+    {"utilisations", &GridSpec::utilisations},
+    {"bers", &GridSpec::bers},
+    {"data_bers", &GridSpec::data_bers},
+    {"churns", &GridSpec::churns},
+    {"link_cuts", &GridSpec::link_cuts},
+    {"mixes", &GridSpec::mixes},
+    {"services", &GridSpec::services},
+    {"planners", &GridSpec::planners},
+    {"seeds", &GridSpec::set_seeds},
+    {"repetitions", &GridSpec::repetitions},
+    {"slots", &GridSpec::slots},
+    {"connections_per_node", &GridSpec::connections_per_node},
+    {"min_period_slots", &GridSpec::min_period_slots},
+    {"max_period_slots", &GridSpec::max_period_slots},
+    {"multicast_fraction", &GridSpec::multicast_fraction},
+    {"background_rate", &GridSpec::background_rate},
+    {"saturation_rate", &GridSpec::saturation_rate},
+    {"cbs_flows", &GridSpec::cbs_flows},
+    {"cbs_budget_slots", &GridSpec::cbs_budget_slots},
+    {"cbs_period_slots", &GridSpec::cbs_period_slots},
+    {"cbs_rate", &GridSpec::cbs_rate},
+    {"cbs_saturation_rate", &GridSpec::cbs_saturation_rate},
+    {"churn_nodes", &GridSpec::churn_nodes},
+    {"churn_down_slots", &GridSpec::churn_down_slots},
+    {"churn_detect_slots", &GridSpec::churn_detect_slots},
+    {"cut_slot", &GridSpec::cut_slot},
+    {"cut_down_slots", &GridSpec::cut_down_slots},
+    {"queue_cap", &GridSpec::queue_cap},
+    {"link_length_m", &GridSpec::link_length_m},
+    {"payload_bytes", &GridSpec::slot_payload_bytes},
+    {"spatial_reuse", &GridSpec::spatial_reuse},
+    {"frame_crc", &GridSpec::frame_crc},
+    {"payload_crc", &GridSpec::payload_crc},
+    {"base_seed", &GridSpec::base_seed},
+}};
 
 std::string trim(const std::string& s) {
   const auto b = s.find_first_not_of(" \t\r");
   if (b == std::string::npos) return "";
   const auto e = s.find_last_not_of(" \t\r");
   return s.substr(b, e - b + 1);
+}
+
+std::string lower(std::string s) {
+  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+  return s;
 }
 
 /// Splits a comma list; an empty item (",," or a leading or trailing
@@ -334,52 +399,19 @@ std::vector<std::string> split_list(const std::string& s) {
   }
 }
 
-bool parse_i64(const std::string& s, std::int64_t& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stoll(s, &pos);
-    return pos == s.size();
-  } catch (...) {
-    return false;
-  }
+// Item parsers: syntax and fit of the field's type only (ranges are
+// GridSpec::validate()'s).  std::from_chars rejects a '+', a '-' on an
+// unsigned field (std::stoull would wrap "-1" to 2^64 - 1) and a value
+// its type cannot hold.
+template <class T>
+  requires std::is_arithmetic_v<T> && (!std::is_same_v<T, bool>)
+bool parse_item(const std::string& s, T& out) {
+  const char* end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc{} && stop == end;
 }
 
-/// An int-typed grid field: the value must fit before it is narrowed.
-bool parse_int(const std::string& s, int& out) {
-  std::int64_t v = 0;
-  if (!parse_i64(s, v) || v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
-    return false;
-  }
-  out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  // std::stoull accepts a sign and wraps "-1" to 2^64 - 1.
-  if (s.empty() || std::isdigit(static_cast<unsigned char>(s[0])) == 0) {
-    return false;
-  }
-  try {
-    std::size_t pos = 0;
-    out = std::stoull(s, &pos);
-    return pos == s.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_f64(const std::string& s, double& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stod(s, &pos);
-    return pos == s.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_flag(const std::string& s, bool& out) {
+bool parse_item(const std::string& s, bool& out) {
   const std::string l = lower(s);
   if (l == "true" || l == "on" || l == "1") {
     out = true;
@@ -389,6 +421,68 @@ bool parse_flag(const std::string& s, bool& out) {
     return false;
   }
   return true;
+}
+
+template <class E>
+  requires std::is_enum_v<E>
+bool parse_item(const std::string& s, E& out) {
+  const std::array<const char*, 3>& of = names(E{}).of;
+  for (std::size_t i = 0; i < of.size(); ++i) {
+    if (lower(s) == lower(of[i])) {
+      out = static_cast<E>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+template <class T>
+std::string item_error(const std::string& key, const std::string& item) {
+  if constexpr (std::is_enum_v<T>) {
+    return std::string("unknown ") + names(T{}).noun + " `" + item + "`";
+  } else {
+    return "bad " + key + " `" + item + "`";
+  }
+}
+
+/// Parses one key's items into its field; returns an error message, or
+/// "" on success.
+template <class T>
+std::string parse_field(const std::string& key,
+                        const std::vector<std::string>& items, T& out) {
+  if (items.size() != 1) return "`" + key + "` takes one value";
+  return parse_item(items[0], out) ? "" : item_error<T>(key, items[0]);
+}
+
+template <class T>
+std::string parse_field(const std::string& key,
+                        const std::vector<std::string>& items,
+                        std::vector<T>& axis) {
+  axis.clear();
+  for (const std::string& it : items) {
+    T v{};
+    if (!parse_item(it, v)) return item_error<T>(key, it);
+    axis.push_back(v);
+  }
+  return "";
+}
+
+template <class T>
+void echo_field(analysis::JsonWriter& w, const T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    w.value(name_of(v));
+  } else if constexpr (std::is_same_v<T, NodeId>) {
+    w.value(static_cast<std::int64_t>(v));
+  } else {
+    w.value(v);
+  }
+}
+
+template <class T>
+void echo_field(analysis::JsonWriter& w, const std::vector<T>& axis) {
+  w.begin_array();
+  for (const T v : axis) echo_field(w, v);
+  w.end_array();
 }
 
 }  // namespace
@@ -420,197 +514,13 @@ bool parse_grid(const std::string& text, GridSpec& spec,
     for (const auto& it : items) {
       if (it.empty()) return fail("empty item in `" + key + "`");
     }
-
-    if (key == "protocols") {
-      out.protocols.clear();
-      for (const auto& it : items) {
-        Protocol p;
-        if (!parse_protocol(it, p)) {
-          return fail("unknown protocol `" + it + "`");
-        }
-        out.protocols.push_back(p);
-      }
-    } else if (key == "nodes") {
-      out.node_counts.clear();
-      for (const auto& it : items) {
-        std::int64_t n;
-        if (!parse_i64(it, n) || n < 2 ||
-            n > static_cast<std::int64_t>(kMaxNodes)) {
-          return fail("bad node count `" + it + "`");
-        }
-        out.node_counts.push_back(static_cast<NodeId>(n));
-      }
-    } else if (key == "utilisations") {
-      out.utilisations.clear();
-      for (const auto& it : items) {
-        double u;
-        if (!parse_f64(it, u)) return fail("bad utilisation `" + it + "`");
-        out.utilisations.push_back(u);
-      }
-    } else if (key == "bers") {
-      out.bers.clear();
-      for (const auto& it : items) {
-        double b;
-        if (!parse_f64(it, b) || !(b >= 0.0) || b >= 1.0) {
-          return fail("bad ber `" + it + "`");
-        }
-        out.bers.push_back(b);
-      }
-    } else if (key == "data_bers") {
-      out.data_bers.clear();
-      for (const auto& it : items) {
-        double b;
-        if (!parse_f64(it, b) || !(b >= 0.0) || b >= 1.0) {
-          return fail("bad data_ber `" + it + "`");
-        }
-        out.data_bers.push_back(b);
-      }
-    } else if (key == "churns") {
-      out.churns.clear();
-      for (const auto& it : items) {
-        double c;
-        if (!parse_f64(it, c) || !(c >= 0.0)) {
-          return fail("bad churn `" + it + "`");
-        }
-        out.churns.push_back(c);
-      }
-    } else if (key == "link_cuts") {
-      out.link_cuts.clear();
-      for (const auto& it : items) {
-        int c;
-        if (!parse_int(it, c) || c < 0) {
-          return fail("bad link_cuts `" + it + "`");
-        }
-        out.link_cuts.push_back(c);
-      }
-    } else if (key == "mixes") {
-      out.mixes.clear();
-      for (const auto& it : items) {
-        WorkloadMix m;
-        if (!parse_mix(it, m)) return fail("unknown mix `" + it + "`");
-        out.mixes.push_back(m);
-      }
-    } else if (key == "services" || key == "service_classes") {
-      out.services.clear();
-      for (const auto& it : items) {
-        ServiceMix s;
-        if (!parse_service(it, s)) {
-          return fail("unknown service class `" + it + "`");
-        }
-        out.services.push_back(s);
-      }
-    } else if (key == "planners") {
-      out.planners.clear();
-      for (const auto& it : items) {
-        bool b;
-        if (!parse_flag(it, b)) return fail("bad planner flag `" + it + "`");
-        out.planners.push_back(b);
-      }
-    } else if (key == "seeds") {
-      out.set_seeds.clear();
-      for (const auto& it : items) {
-        std::uint64_t s;
-        if (!parse_u64(it, s)) return fail("bad seed `" + it + "`");
-        out.set_seeds.push_back(s);
-      }
-    } else {
-      // Scalar keys take exactly one value.
-      if (items.size() != 1) return fail("`" + key + "` takes one value");
-      const std::string& it = items[0];
-      std::int64_t i = 0;
-      int n = 0;
-      double f = 0.0;
-      if (key == "repetitions") {
-        if (!parse_int(it, n) || n < 1) return fail("bad repetitions");
-        out.repetitions = n;
-      } else if (key == "slots") {
-        if (!parse_i64(it, i) || i < 1) return fail("bad slots");
-        out.slots = i;
-      } else if (key == "connections_per_node") {
-        if (!parse_int(it, n) || n < 1) {
-          return fail("bad connections_per_node");
-        }
-        out.connections_per_node = n;
-      } else if (key == "min_period_slots") {
-        if (!parse_i64(it, i) || i < 1) return fail("bad min_period_slots");
-        out.min_period_slots = i;
-      } else if (key == "max_period_slots") {
-        if (!parse_i64(it, i) || i < 1) return fail("bad max_period_slots");
-        out.max_period_slots = i;
-      } else if (key == "multicast_fraction") {
-        if (!parse_f64(it, f)) return fail("bad multicast_fraction");
-        out.multicast_fraction = f;
-      } else if (key == "background_rate") {
-        if (!parse_f64(it, f)) return fail("bad background_rate");
-        out.background_rate = f;
-      } else if (key == "saturation_rate") {
-        if (!parse_f64(it, f)) return fail("bad saturation_rate");
-        out.saturation_rate = f;
-      } else if (key == "cbs_flows") {
-        if (!parse_int(it, n) || n < 1) return fail("bad cbs_flows");
-        out.cbs_flows = n;
-      } else if (key == "cbs_budget_slots") {
-        if (!parse_i64(it, i) || i < 1) return fail("bad cbs_budget_slots");
-        out.cbs_budget_slots = i;
-      } else if (key == "cbs_period_slots") {
-        if (!parse_i64(it, i) || i < 1) return fail("bad cbs_period_slots");
-        out.cbs_period_slots = i;
-      } else if (key == "cbs_rate") {
-        if (!parse_f64(it, f)) return fail("bad cbs_rate");
-        out.cbs_rate = f;
-      } else if (key == "cbs_saturation_rate") {
-        if (!parse_f64(it, f)) return fail("bad cbs_saturation_rate");
-        out.cbs_saturation_rate = f;
-      } else if (key == "churn_nodes") {
-        if (!parse_int(it, n) || n < 1) return fail("bad churn_nodes");
-        out.churn_nodes = n;
-      } else if (key == "churn_down_slots") {
-        if (!parse_f64(it, f) || !(f > 0.0)) {
-          return fail("bad churn_down_slots");
-        }
-        out.churn_down_slots = f;
-      } else if (key == "churn_detect_slots") {
-        if (!parse_i64(it, i) || i < 2) return fail("bad churn_detect_slots");
-        out.churn_detect_slots = i;
-      } else if (key == "cut_slot") {
-        if (!parse_i64(it, i) || i < 0) return fail("bad cut_slot");
-        out.cut_slot = i;
-      } else if (key == "cut_down_slots") {
-        if (!parse_i64(it, i) || i < 1) return fail("bad cut_down_slots");
-        out.cut_down_slots = i;
-      } else if (key == "queue_cap") {
-        if (!parse_i64(it, i) || i < 0) return fail("bad queue_cap");
-        out.queue_cap = i;
-      } else if (key == "link_length_m") {
-        if (!parse_f64(it, f)) return fail("bad link_length_m");
-        out.link_length_m = f;
-      } else if (key == "payload_bytes") {
-        if (!parse_i64(it, i) || i < 0) return fail("bad payload_bytes");
-        out.slot_payload_bytes = i;
-      } else if (key == "spatial_reuse") {
-        bool b;
-        if (!parse_flag(it, b)) return fail("bad spatial_reuse");
-        out.spatial_reuse = b;
-      } else if (key == "frame_crc") {
-        bool b;
-        if (!parse_flag(it, b)) return fail("bad frame_crc");
-        out.frame_crc = b;
-      } else if (key == "payload_crc") {
-        bool b;
-        if (!parse_flag(it, b)) return fail("bad payload_crc");
-        out.payload_crc = b;
-      } else if (key == "fast_forward") {
-        bool b;
-        if (!parse_flag(it, b)) return fail("bad fast_forward");
-        out.fast_forward = b;
-      } else if (key == "base_seed") {
-        std::uint64_t s;
-        if (!parse_u64(it, s)) return fail("bad base_seed");
-        out.base_seed = s;
-      } else {
-        return fail("unknown key `" + key + "`");
-      }
-    }
+    const auto row = std::find_if(kKeys.begin(), kKeys.end(),
+                                  [&](const Key& k) { return k.name == key; });
+    if (row == kKeys.end()) return fail("unknown key `" + key + "`");
+    const std::string bad = std::visit(
+        [&](auto member) { return parse_field(key, items, out.*member); },
+        row->field);
+    if (!bad.empty()) return fail(bad);
   }
   const std::string invalid = out.validate();
   if (!invalid.empty()) {
@@ -620,6 +530,15 @@ bool parse_grid(const std::string& text, GridSpec& spec,
   spec = out;
   error.clear();
   return true;
+}
+
+void write_grid(analysis::JsonWriter& w, const GridSpec& spec) {
+  w.begin_object();
+  for (const Key& k : kKeys) {
+    w.key(k.name);
+    std::visit([&](auto member) { echo_field(w, spec.*member); }, k.field);
+  }
+  w.end_object();
 }
 
 bool load_grid_file(const std::string& path, GridSpec& spec,

@@ -19,12 +19,15 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
 #include "net/config.hpp"
+
+namespace ccredf::analysis {
+class JsonWriter;
+}
 
 namespace ccredf::sweep {
 
@@ -57,17 +60,11 @@ enum class ServiceMix {
   kCbsSaturated,
 };
 
+/// The one spelling of each value: what the report prints and what a
+/// grid file writes (matched case-insensitively).
 [[nodiscard]] const char* protocol_name(Protocol p);
 [[nodiscard]] const char* mix_name(WorkloadMix m);
 [[nodiscard]] const char* service_name(ServiceMix s);
-
-/// Parses "ccr-edf" / "cc-fpr" / "tdma" (case-insensitive); returns false
-/// on unknown names.
-bool parse_protocol(const std::string& s, Protocol& out);
-/// Parses "periodic" / "mixed" / "saturation".
-bool parse_mix(const std::string& s, WorkloadMix& out);
-/// Parses "rt-only" / "cbs" / "cbs-saturated".
-bool parse_service(const std::string& s, ServiceMix& out);
 
 /// One cell of the expanded grid.
 struct GridPoint {
@@ -198,10 +195,11 @@ struct GridSpec {
   /// somewhere to ride.
   bool payload_crc = false;
   /// Enable the engine's O(1) idle fast-forward (NetworkConfig::
-  /// fast_forward) on every point's network.  Deliberately a scalar, not
-  /// an axis, and EXCLUDED from workload_key: the engine guarantees
-  /// byte-identical statistics either way (DESIGN.md §8), so flipping it
-  /// must never move a shard's seed.
+  /// fast_forward) on every point's network.  No grid-file key and no
+  /// report field (`ccredf_sweep --no-fast-forward` clears it), and
+  /// EXCLUDED from workload_key: the engine guarantees byte-identical
+  /// statistics either way (DESIGN.md §8), so flipping it must never move
+  /// a shard's seed or the report.
   bool fast_forward = true;
   /// Root of every derived RNG stream in this sweep.
   std::uint64_t base_seed = 1;
@@ -213,8 +211,10 @@ struct GridSpec {
   /// Enumerates all points in canonical order.
   [[nodiscard]] std::vector<GridPoint> expand() const;
 
-  /// Validates axis lists are non-empty and scalars are in range;
-  /// returns an explanatory message on failure, empty string when valid.
+  /// The one place every range lives: axis lists are non-empty, values
+  /// are in range, and no value can overflow a shard's picosecond clock
+  /// or fail its shards.  Returns an explanatory message on failure,
+  /// empty string when valid.
   [[nodiscard]] std::string validate() const;
 };
 
@@ -243,6 +243,7 @@ struct GridSpec {
 //   churns        = 0, 25000
 //   link_cuts     = 0, 1, 2
 //   mixes         = periodic
+//   services      = rt-only, cbs
 //   planners      = off, on
 //   seeds         = 1, 2
 //   repetitions   = 3
@@ -250,13 +251,27 @@ struct GridSpec {
 //   frame_crc     = on
 //   payload_crc   = on
 //
+// Every key is a GridSpec member, named as the report's "grid" echo names
+// it; one table in grid.cpp drives both.  Axis keys take a list, every
+// other key exactly one value.  Enum values use the names the report
+// prints (protocol_name, mix_name, service_name), in any case; flags take
+// on/off, true/false or 1/0.
+//
 // Unknown keys and malformed values are hard errors (a silently ignored
-// axis would invalidate an experiment).  Malformed includes an empty list
-// item, a sign on a seed and an integer too large for its field.
+// axis would invalidate an experiment).  Malformed means an empty list
+// item or a value that does not fit its field's type -- a word for a
+// number, a sign on a seed, an integer too large for its field -- and is
+// reported as "line N: bad <key> `<item>`".  Ranges are
+// GridSpec::validate()'s alone.
 
 /// Parses grid-file text into `spec` (fields not mentioned keep their
-/// defaults).  On error returns false and sets `error`.
+/// defaults), then validate()s it.  On error returns false, sets `error`
+/// and leaves `spec` untouched.
 bool parse_grid(const std::string& text, GridSpec& spec, std::string& error);
+
+/// Writes `spec` as one JSON object holding every grid-file key in table
+/// order, each value as the grid file would spell it.
+void write_grid(analysis::JsonWriter& w, const GridSpec& spec);
 
 /// Reads and parses `path`; distinguishes I/O and syntax errors in
 /// `error`.

@@ -10,75 +10,6 @@ namespace ccredf::sweep {
 
 namespace {
 
-void write_spec(analysis::JsonWriter& w, const GridSpec& spec) {
-  w.key("grid").begin_object();
-  w.key("protocols").begin_array();
-  for (const Protocol p : spec.protocols) w.value(protocol_name(p));
-  w.end_array();
-  w.key("nodes").begin_array();
-  for (const NodeId n : spec.node_counts) {
-    w.value(static_cast<std::int64_t>(n));
-  }
-  w.end_array();
-  w.key("utilisations").begin_array();
-  for (const double u : spec.utilisations) w.value(u);
-  w.end_array();
-  w.key("bers").begin_array();
-  for (const double b : spec.bers) w.value(b);
-  w.end_array();
-  w.key("data_bers").begin_array();
-  for (const double b : spec.data_bers) w.value(b);
-  w.end_array();
-  w.key("churns").begin_array();
-  for (const double c : spec.churns) w.value(c);
-  w.end_array();
-  w.key("link_cuts").begin_array();
-  for (const int c : spec.link_cuts) w.value(static_cast<std::int64_t>(c));
-  w.end_array();
-  w.key("mixes").begin_array();
-  for (const WorkloadMix m : spec.mixes) w.value(mix_name(m));
-  w.end_array();
-  w.key("services").begin_array();
-  for (const ServiceMix s : spec.services) w.value(service_name(s));
-  w.end_array();
-  w.key("planners").begin_array();
-  for (const bool p : spec.planners) w.value(p);
-  w.end_array();
-  w.key("seeds").begin_array();
-  for (const std::uint64_t s : spec.set_seeds) w.value(s);
-  w.end_array();
-  w.key("repetitions").value(spec.repetitions);
-  w.key("slots").value(spec.slots);
-  w.key("connections_per_node").value(spec.connections_per_node);
-  w.key("min_period_slots").value(spec.min_period_slots);
-  w.key("max_period_slots").value(spec.max_period_slots);
-  w.key("multicast_fraction").value(spec.multicast_fraction);
-  w.key("background_rate").value(spec.background_rate);
-  w.key("saturation_rate").value(spec.saturation_rate);
-  w.key("cbs_flows").value(spec.cbs_flows);
-  w.key("cbs_budget_slots").value(spec.cbs_budget_slots);
-  w.key("cbs_period_slots").value(spec.cbs_period_slots);
-  w.key("cbs_rate").value(spec.cbs_rate);
-  w.key("cbs_saturation_rate").value(spec.cbs_saturation_rate);
-  w.key("churn_nodes").value(spec.churn_nodes);
-  w.key("churn_down_slots").value(spec.churn_down_slots);
-  w.key("churn_detect_slots").value(spec.churn_detect_slots);
-  w.key("cut_slot").value(spec.cut_slot);
-  w.key("cut_down_slots").value(spec.cut_down_slots);
-  w.key("queue_cap").value(spec.queue_cap);
-  w.key("link_length_m").value(spec.link_length_m);
-  w.key("payload_bytes").value(spec.slot_payload_bytes);
-  w.key("spatial_reuse").value(spec.spatial_reuse);
-  w.key("frame_crc").value(spec.frame_crc);
-  w.key("payload_crc").value(spec.payload_crc);
-  // GridSpec::fast_forward is deliberately NOT serialized: the engine
-  // guarantees identical statistics either way, and `cmp` between a
-  // fast-forward and a --no-fast-forward report of the same grid is the
-  // regression gate that proves it (scripts/check.sh).
-  w.key("base_seed").value(spec.base_seed);
-  w.end_object();
-}
-
 void write_point(analysis::JsonWriter& w, const PointResult& pr) {
   w.begin_object();
   w.key("protocol").value(protocol_name(pr.point.protocol));
@@ -114,7 +45,8 @@ void write_json(const SweepResult& result, std::ostream& os) {
   analysis::JsonWriter w(os);
   w.begin_object();
   w.key("report").value("ccredf-sweep");
-  write_spec(w, result.spec);
+  w.key("grid");
+  write_grid(w, result.spec);
   w.key("shards").value(result.shards);
   w.key("failed_shards").value(result.failed_shards);
   w.key("points").begin_array();

@@ -78,7 +78,7 @@ TEST(CcFpr, ClockInterruptionBlocksUrgentMessage) {
   // Current master 0 => next master 1, break link = link 0 (into node 1).
   // Node 5 -> 2 needs links 5, 0, 1: crosses the break link.
   reqs[5] = req(31, topo, 5, 2);
-  const auto plan = proto.plan_next_slot(reqs, 0, 0);
+  const auto plan = proto.plan_next_slot(reqs, 0, 0, NodeSet::first_n(6));
   EXPECT_EQ(plan.next_master, 1u);
   EXPECT_FALSE(plan.granted.contains(5));  // priority inversion!
 }
@@ -94,7 +94,7 @@ TEST(CcFpr, UpstreamBookingStarvesUrgentDownstream) {
   // books links 1,2; node 2 (max prio) needs link 2 -> denied.
   reqs[1] = req(5, topo, 1, 3);
   reqs[2] = req(31, topo, 2, 3);
-  const auto plan = proto.plan_next_slot(reqs, 0, 0);
+  const auto plan = proto.plan_next_slot(reqs, 0, 0, NodeSet::first_n(6));
   EXPECT_TRUE(plan.granted.contains(1));
   EXPECT_FALSE(plan.granted.contains(2));
 }

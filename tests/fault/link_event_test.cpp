@@ -1,8 +1,6 @@
-// Satellite of the severed-segment PR: link cut/splice events through
-// the injector, and the merged timestamp-sorted event view that covers
-// node AND link events with a single FIFO tie-break (FaultEvent::seq is
-// globally monotonic across kinds, so same-timestamp events replay in
-// scheduling order no matter which kind they are).
+// Link cut/splice events through the injector: they land at their
+// instants, repeat idempotently, and same-timestamp events fire in
+// scheduling order.
 #include "fault/injector.hpp"
 
 #include <gtest/gtest.h>
@@ -73,45 +71,6 @@ TEST(LinkEvent, SameTimestampLastScheduledActionWins) {
     inj.schedule_link_cut(3, t);  // splice fires first, cut last
     n.run_slots(20);
     EXPECT_TRUE(n.severed_links().contains(3));
-  }
-}
-
-TEST(LinkEvent, MergedEventViewSortsByTimestampThenSeq) {
-  net::Network n(cfg6());
-  FaultInjector inj(n);
-  const TimePoint t1 = TimePoint::origin() + Duration::microseconds(1);
-  const TimePoint t2 = TimePoint::origin() + Duration::microseconds(2);
-  // Scheduled deliberately out of timestamp order, mixing kinds; two
-  // events share t1 so the FIFO tie-break is exercised across kinds.
-  inj.schedule_link_cut(4, t2);
-  inj.schedule_node_failure(1, t1);
-  inj.schedule_link_splice(4, t2 + Duration::microseconds(1));
-  inj.schedule_link_cut(0, t1);  // same instant as the node failure
-  inj.schedule_node_restore(1, t2);
-
-  const auto events = inj.scheduled_events();
-  ASSERT_EQ(events.size(), 5u);
-  using Kind = FaultInjector::FaultEvent::Kind;
-  // t1: node failure was scheduled before the cut -> it replays first.
-  EXPECT_EQ(events[0].kind, Kind::kNodeFail);
-  EXPECT_EQ(events[0].id, 1u);
-  EXPECT_EQ(events[1].kind, Kind::kLinkCut);
-  EXPECT_EQ(events[1].id, 0u);
-  EXPECT_LT(events[0].seq, events[1].seq);
-  // t2: the cut of link 4 (seq 0) precedes the restore (seq 4).
-  EXPECT_EQ(events[2].kind, Kind::kLinkCut);
-  EXPECT_EQ(events[2].id, 4u);
-  EXPECT_EQ(events[3].kind, Kind::kNodeRestore);
-  EXPECT_EQ(events[3].id, 1u);
-  EXPECT_EQ(events[4].kind, Kind::kLinkSplice);
-  EXPECT_EQ(events[4].id, 4u);
-  // Timestamps are non-decreasing and seqs strictly increase within a
-  // timestamp -- the merged view IS the replay order.
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].at.ps(), events[i].at.ps());
-    if (events[i - 1].at == events[i].at) {
-      EXPECT_LT(events[i - 1].seq, events[i].seq);
-    }
   }
 }
 

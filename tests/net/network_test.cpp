@@ -231,18 +231,6 @@ TEST(Network, SendValidatesArguments) {
                ConfigError);
 }
 
-TEST(Network, DeliveryCallbackFires) {
-  Network n(small_config());
-  int called = 0;
-  n.node(2).set_delivery_callback([&](const core::Delivery& d) {
-    ++called;
-    EXPECT_EQ(d.source, 0u);
-  });
-  n.send_best_effort(0, NodeSet::single(2), 1, Duration::milliseconds(1));
-  n.run_slots(5);
-  EXPECT_EQ(called, 1);
-}
-
 TEST(Network, FifoWithinSameSource) {
   // Two BE messages from one node with increasing deadlines leave in EDF
   // order; deliveries must preserve it.

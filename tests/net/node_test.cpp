@@ -37,22 +37,6 @@ TEST(Node, ClearInbox) {
   EXPECT_TRUE(n.inbox().empty());
 }
 
-TEST(Node, CallbackFiresOnEveryDelivery) {
-  Node n(1);
-  int calls = 0;
-  MessageId last = 0;
-  n.set_delivery_callback([&](const core::Delivery& d) {
-    ++calls;
-    last = d.id;
-  });
-  n.deliver(make_delivery(7, 0));
-  n.deliver(make_delivery(8, 0));
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(last, 8u);
-  // Inbox still records alongside the callback.
-  EXPECT_EQ(n.inbox().size(), 2u);
-}
-
 TEST(Node, FailureFlagToggle) {
   Node n(2);
   n.set_failed(true);

@@ -40,7 +40,7 @@ TEST(CcrEdfProtocol, PlanReflectsArbitration) {
   std::vector<Request> reqs(8);
   reqs[5] = req(30, f.topo, 5, 7);
   reqs[1] = req(20, f.topo, 1, 3);
-  const auto plan = p.plan_next_slot(reqs, 0, 0);
+  const auto plan = p.plan_next_slot(reqs, 0, 0, NodeSet::first_n(8));
   EXPECT_EQ(plan.next_master, 5u);
   EXPECT_TRUE(plan.granted.contains(5));
   EXPECT_TRUE(plan.granted.contains(1));  // disjoint -> spatial reuse
@@ -52,7 +52,7 @@ TEST(CcrEdfProtocol, SpatialReuseOffSingleGrant) {
   std::vector<Request> reqs(8);
   reqs[5] = req(30, f.topo, 5, 7);
   reqs[1] = req(20, f.topo, 1, 3);
-  const auto plan = p.plan_next_slot(reqs, 0, 0);
+  const auto plan = p.plan_next_slot(reqs, 0, 0, NodeSet::first_n(8));
   EXPECT_EQ(plan.granted.size(), 1);
 }
 

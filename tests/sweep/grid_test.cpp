@@ -1,6 +1,10 @@
 // GridSpec expansion, validation and grid-file parsing.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <sstream>
+
+#include "analysis/json_writer.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/runner.hpp"
 
@@ -114,6 +118,13 @@ TEST(GridTest, RejectsMalformedInput) {
   EXPECT_NE(error.find("unknown key"), std::string::npos);
   EXPECT_FALSE(parse_grid("protocols = csma\n", spec, error));
   EXPECT_NE(error.find("unknown protocol"), std::string::npos);
+  // One spelling per value, the report's name in any case: no aliases.
+  EXPECT_FALSE(parse_grid("protocols = ccredf\n", spec, error));
+  EXPECT_NE(error.find("unknown protocol"), std::string::npos);
+  EXPECT_FALSE(parse_grid("services = rt\n", spec, error));
+  // GridSpec::fast_forward has no key (`--no-fast-forward` sets it).
+  EXPECT_FALSE(parse_grid("fast_forward = off\n", spec, error));
+  EXPECT_NE(error.find("unknown key"), std::string::npos);
   EXPECT_FALSE(parse_grid("nodes = 0\n", spec, error));
   EXPECT_FALSE(parse_grid("nodes = 999\n", spec, error));
   EXPECT_FALSE(parse_grid("utilisations = banana\n", spec, error));
@@ -173,17 +184,42 @@ TEST(GridTest, ListsRejectEmptyItems) {
 }
 
 TEST(GridTest, ValidateKeepsEveryShardRunnable) {
-  // Each of these would fail every shard: an infinite rate or a dwell
-  // under a picosecond gives Rng::exponential a zero mean, and
-  // make_periodic_set rejects a NaN multicast fraction.
-  for (const char* text :
-       {"mixes = mixed\nbackground_rate = inf\n",
-        "mixes = saturation\nsaturation_rate = inf\n",
-        "services = cbs\ncbs_rate = inf\n",
-        "services = cbs-saturated\ncbs_saturation_rate = inf\n",
-        "churns = 500\nchurn_down_slots = inf\n", "churns = 1e-300\n",
-        "churns = inf\n", "multicast_fraction = nan\n",
-        "link_length_m = inf\n"}) {
+  // Each of these would fail every shard or overflow its arithmetic: an
+  // infinite rate or a dwell under a picosecond gives Rng::exponential a
+  // zero mean, a mean past 2^63 ps cannot convert to a Duration, and
+  // make_periodic_set rejects a NaN multicast fraction and a one-slot
+  // period; a payload below Eq. 2 fails the network; a slot count,
+  // period, cut instant or payload times a slot time, a 1e300 m link's
+  // delay, connections_per_node times the node count and a saturated CBS
+  // server's deadline (postponed T slots per Q served) overflow.
+  const std::vector<std::string> texts{
+      "mixes = mixed\nbackground_rate = inf\n",
+      "mixes = saturation\nsaturation_rate = inf\n",
+      "services = cbs\ncbs_rate = inf\n",
+      "services = cbs-saturated\ncbs_saturation_rate = inf\n",
+      "churns = 500\nchurn_down_slots = inf\n",
+      "churns = 1e-300\n",
+      "churns = inf\n",
+      "multicast_fraction = nan\n",
+      "link_length_m = inf\n",
+      "nodes = 4\nlink_cuts = 1\ncut_slot = 4611686018427387904\n",
+      "nodes = 4\nlink_cuts = 1\ncut_down_slots = 4611686018427387904\n",
+      "nodes = 4\nmixes = mixed\nslots = 4611686018427387904\n",
+      "nodes = 4\nmin_period_slots = 4611686018427387904\n"
+      "max_period_slots = 4611686018427387904\n",
+      "nodes = 4\nservices = cbs\ncbs_period_slots = 4611686018427387904\n",
+      "nodes = 4\npayload_bytes = 4611686018427387904\n",
+      "nodes = 4\nlink_length_m = 1e300\n",
+      "nodes = 4\nmixes = mixed\nbackground_rate = 1e-300\n",
+      "nodes = 4\nchurns = 1e300\n",
+      "nodes = 4\nchurns = 100\nchurn_down_slots = 1e15\n",
+      "nodes = 2\nconnections_per_node = 2147483647\n",
+      "nodes = 4\nmin_period_slots = 1\n",
+      "nodes = 64\nlink_length_m = 1000\npayload_bytes = 64\n",
+      "nodes = 8\nlink_length_m = 1e4\nservices = cbs-saturated\n"
+      "slots = 100000\ncbs_budget_slots = 1\ncbs_period_slots = 1000000\n",
+  };
+  for (const std::string& text : texts) {
     GridSpec spec;
     std::string error;
     EXPECT_FALSE(parse_grid(text, spec, error)) << text;
@@ -211,6 +247,89 @@ churn_down_slots = 0.001
       << error;
   const SweepResult result = run_sweep(spec, {.threads = 1});
   EXPECT_EQ(result.failed_shards, 0);
+  // The far corner: the longest slot extent (64 nodes on 1e4 m links)
+  // times the longest horizon, period, cut instant and mean arrival gap.
+  // Under the sanitizer presets a signed overflow aborts the test.
+  GridSpec far;
+  ASSERT_TRUE(parse_grid(R"(
+nodes = 64
+link_length_m = 1e4
+utilisations = 1e-6
+mixes = mixed
+link_cuts = 1
+slots = 100000000
+connections_per_node = 1
+min_period_slots = 100000000
+max_period_slots = 100000000
+background_rate = 1e-7
+cut_slot = 100000000
+cut_down_slots = 100000000
+)",
+                         far, error))
+      << error;
+  EXPECT_TRUE(run_shard(far, far.expand().front(), 0).ok);
+}
+
+TEST(GridTest, ShippedGridsValidate) {
+  int grids = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CCREDF_GRIDS_DIR)) {
+    if (entry.path().extension() != ".grid") continue;
+    ++grids;
+    GridSpec spec;
+    std::string error;
+    EXPECT_TRUE(load_grid_file(entry.path().string(), spec, error))
+        << error;
+    EXPECT_EQ(spec.validate(), "") << entry.path();
+  }
+  EXPECT_GE(grids, 7);
+}
+
+TEST(GridTest, EchoParsesBackToTheSameSpec) {
+  // The report's grid echo and the parser walk one key table: every
+  // echoed key is a grid-file key and every echoed value parses back.
+  // The echo lists all keys; these few values leave their defaults.
+  GridSpec spec;
+  std::string error;
+  ASSERT_TRUE(parse_grid(R"(
+protocols = cc-fpr, tdma
+mixes = saturation
+services = rt-only, cbs-saturated
+planners = on, off
+seeds = 3, 18446744073709551615
+data_bers = 2e-5
+churn_down_slots = 50.5
+frame_crc = on
+)",
+                         spec, error))
+      << error;
+  const auto echo = [](const GridSpec& s) {
+    std::ostringstream os;
+    analysis::JsonWriter w(os);
+    write_grid(w, s);
+    return os.str();
+  };
+  const std::string json = echo(spec);
+  // {"key":value,"axis":[a,b],...} -> one `key = a, b` line per key.
+  std::string text;
+  int depth = 0;
+  for (const char c : json.substr(1, json.size() - 2)) {
+    if (c == '[') {
+      ++depth;
+    } else if (c == ']') {
+      --depth;
+    } else if (c == ',' && depth == 0) {
+      text += '\n';
+    } else if (c == ':') {
+      text += '=';
+    } else if (c != '"') {
+      text += c;
+    }
+  }
+  GridSpec back;
+  ASSERT_TRUE(parse_grid(text, back, error)) << error << "\n" << text;
+  EXPECT_EQ(echo(back), json);
+  EXPECT_NE(echo(GridSpec{}), json);
 }
 
 TEST(GridTest, ParserIsCrossFieldValidated) {

@@ -64,22 +64,10 @@ TEST(SweepFastForward, FaultGridReportInvariantAcrossEngineAndThreads) {
   expect_engine_invariant(fault_grid());
 }
 
-TEST(SweepFastForward, GridFileKeyParses) {
-  GridSpec spec;
-  std::string error;
-  ASSERT_TRUE(parse_grid("fast_forward = off\n", spec, error)) << error;
-  EXPECT_FALSE(spec.fast_forward);
-  ASSERT_TRUE(parse_grid("fast_forward = on\n", spec, error)) << error;
-  EXPECT_TRUE(spec.fast_forward);
-  EXPECT_FALSE(parse_grid("fast_forward = maybe\n", spec, error));
-  EXPECT_FALSE(parse_grid("fast_forward = on, off\n", spec, error))
-      << "fast_forward is a scalar, not an axis";
-}
-
 TEST(SweepFastForward, DefaultSpecFastForwards) {
-  // The default must match the engine default (NetworkConfig), so grids
-  // written before this key existed silently gain the fast engine with
-  // unchanged reports.
+  // The default must match the engine default (NetworkConfig): every
+  // grid runs the fast engine unless `ccredf_sweep --no-fast-forward`
+  // clears the flag, and the report is the same either way.
   GridSpec spec;
   EXPECT_TRUE(spec.fast_forward);
   EXPECT_TRUE(make_network_config(spec, GridPoint{}).fast_forward);

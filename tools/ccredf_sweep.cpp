@@ -8,8 +8,8 @@
 //                 stdout
 //   --table       also print a human-readable summary table (stdout)
 //   --no-fast-forward
-//                 force slot-by-slot execution on every shard (overrides
-//                 the grid's `fast_forward` key).  The report must be
+//                 force slot-by-slot execution on every shard (grid files
+//                 have no fast-forward key).  The report must be
 //                 byte-identical either way -- this switch exists to
 //                 check exactly that (and to time the difference).
 //
