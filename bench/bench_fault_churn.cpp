@@ -20,9 +20,9 @@
 // E22c  determinism: a churn-axis grid (churns = 0 and a live cell)
 //       must serialise to byte-identical JSON with 1 and 8 worker
 //       threads AND with fast-forward on and off -- the monitor is a
-//       ResilienceHook, so the idle fast-forward stays enabled and must
-//       stay bit-exact through detection windows and re-admission
-//       drains (exit 1 otherwise).
+//       slot listener with deadlines, so the idle fast-forward stays
+//       enabled and must stay bit-exact through detection windows and
+//       re-admission drains (exit 1 otherwise).
 //
 // Flags: --quick (2e5-slot horizon instead of 1e7), --json <path>
 // (BENCH_fault_churn.json).

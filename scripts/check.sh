@@ -74,7 +74,8 @@ run_bench bench_link_fault ${QUICK}
 # idle fast-forward off (DESIGN.md section 8).  The grids cover the
 # plain axes, the BER fault axes, the CBS service class, the churn
 # resilience loop, the hypercycle planner and the severed-segment cycle,
-# each of which changes what the engine does per slot.
+# each of which changes what the engine does per slot, and the nightly
+# soak's axes all at once at 8,000 slots.
 SWEEP=./build-release/tools/ccredf_sweep
 if [[ ! -x "${SWEEP}" ]]; then
   echo "check.sh: FATAL: tool binary missing: ${SWEEP}" >&2
@@ -83,7 +84,7 @@ fi
 TMPDIR_SWEEP="$(mktemp -d)"
 trap 'rm -rf "${TMPDIR_SWEEP}"' EXIT
 for grid in smoke fault_smoke cbs_smoke churn_smoke planner_smoke \
-            link_fault_smoke; do
+            link_fault_smoke soak_smoke; do
   echo "==== ${grid}.grid: 1 vs 8 threads, schema, fast-forward ===="
   out="${TMPDIR_SWEEP}/${grid}"
   "${SWEEP}" "tools/grids/${grid}.grid" --threads 1 --out "${out}_t1.json"

@@ -44,8 +44,12 @@ class BitWriter {
 
 class BitReader {
  public:
+  /// Reads the first `nbits` bits of `bytes`, which must hold them all.
   BitReader(const std::vector<std::uint8_t>& bytes, std::size_t nbits)
-      : bytes_(bytes), nbits_(nbits) {}
+      : bytes_(bytes), nbits_(nbits) {
+    CCREDF_EXPECT(nbits <= bytes.size() * 8,
+                  "BitReader: bit count exceeds the buffer");
+  }
 
   /// Reads `width` bits, MSB first.
   [[nodiscard]] std::uint64_t read(unsigned width) {

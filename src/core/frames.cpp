@@ -169,7 +169,8 @@ DistributionPacket FrameCodec::decode_distribution(const Encoded& e) const {
 FrameCodec::CheckedRequest FrameCodec::decode_request_checked(
     const Encoded& e, NodeId source) const {
   CheckedRequest out;
-  if (e.bit_count != static_cast<std::size_t>(request_bits())) {
+  if (e.bit_count != static_cast<std::size_t>(request_bits()) ||
+      e.bytes.size() * 8 < e.bit_count) {
     out.reason = "wrong record length";
     return out;
   }
@@ -231,7 +232,8 @@ FrameCodec::CheckedRequest FrameCodec::decode_request_checked(
 FrameCodec::CheckedDistribution FrameCodec::decode_distribution_checked(
     const Encoded& e) const {
   CheckedDistribution out;
-  if (e.bit_count != static_cast<std::size_t>(distribution_bits())) {
+  if (e.bit_count != static_cast<std::size_t>(distribution_bits()) ||
+      e.bytes.size() * 8 < e.bit_count) {
     out.reason = "wrong frame length";
     return out;
   }

@@ -117,7 +117,9 @@ class FrameCodec {
   // survive corruption.  The checked decoders classify instead of throw:
   // ok == false means the guards rejected the frame and the receiver
   // must fall back to its containment action (treat the request as idle,
-  // or treat the distribution as a lost token).
+  // or treat the distribution as a lost token).  Every decoder reads only
+  // within `bytes`: a bit count the buffer cannot hold is a wrong length
+  // (checked) or a ConfigError (plain).
 
   struct CheckedRequest {
     Request request;

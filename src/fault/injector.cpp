@@ -27,7 +27,7 @@ constexpr std::uint64_t kFaultStreamTag = 0xFA;
 
 FaultInjector::FaultInjector(net::Network& net, std::uint64_t seed)
     : net_(net), seed_(sim::Rng::stream_seed(seed, kFaultStreamTag, 0)) {
-  net_.set_fault_hook(this);
+  net_.set_fault_hook(*this);
 }
 
 sim::Rng FaultInjector::rng_at(SlotIndex slot,
@@ -143,8 +143,8 @@ void FaultInjector::set_babbling_node(NodeId id, double p) {
   babble_p_ = p;
 }
 
-SlotIndex FaultInjector::first_idle_fault_slot(SlotIndex from,
-                                               SlotIndex limit) {
+SlotIndex FaultInjector::next_deadline_slot(SlotIndex from,
+                                            SlotIndex limit) {
   if (limit <= from) return from;
   // Scheduled faults: the earliest entry at or after `from` caps the
   // quiet range (entries before `from` can never fire again -- slot

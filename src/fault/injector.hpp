@@ -34,7 +34,8 @@
 // Rng::stream_seed -- no generator state across calls -- so injections
 // are reproducible regardless of call order, container iteration or
 // sweep thread count, and the fault stream is independent of workload
-// streams seeded from the same base.
+// streams seeded from the same base.  The same keying keeps the idle
+// fast-forward: the injector's listener deadline replays those draws.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,7 @@ namespace ccredf::fault {
 
 class FaultInjector final : public net::FaultHook {
  public:
-  /// Attaches to `net` as its fault hook; `net` must outlive the injector.
+  /// Attaches to `net` as its fault hook until destroyed.
   explicit FaultInjector(net::Network& net, std::uint64_t seed = 1);
 
   // -- token loss ---------------------------------------------------------
@@ -135,10 +136,9 @@ class FaultInjector final : public net::FaultHook {
   /// WITHOUT materialising frames or mutating counters, and returns the
   /// first slot in [from, limit) where any of them fires.  Because all
   /// randomness is keyed on (slot, channel), the probe and the full
-  /// fault path always agree -- the engine's batched geometric-skip
-  /// fallback rests on this.
-  [[nodiscard]] SlotIndex first_idle_fault_slot(SlotIndex from,
-                                                SlotIndex limit) override;
+  /// fault path always agree -- the engine's batched skip rests on this.
+  [[nodiscard]] SlotIndex next_deadline_slot(SlotIndex from,
+                                             SlotIndex limit) override;
   bool drop_distribution(SlotIndex slot) override;
   RequestFault filter_request(SlotIndex slot, NodeId hop, NodeId node,
                               core::Request& rq) override;

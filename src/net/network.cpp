@@ -26,7 +26,21 @@ std::unique_ptr<phy::RingPhy> make_phy(const NetworkConfig& cfg) {
   return std::make_unique<phy::RingPhy>(cfg.link, cfg.nodes,
                                         cfg.link_length_m);
 }
+
+/// The listener behind add_slot_observer: one function call per slot.
+class FunctionListener final : public SlotListener {
+ public:
+  explicit FunctionListener(Network::SlotObserver f) : f_(std::move(f)) {}
+  void on_slot(const SlotRecord& rec) override { f_(rec); }
+
+ private:
+  Network::SlotObserver f_;
+};
 }  // namespace
+
+SlotListener::~SlotListener() {
+  if (attached_to_ != nullptr) attached_to_->detach(*this);
+}
 
 Network::Network(NetworkConfig cfg)
     : cfg_(std::move(cfg)),
@@ -113,6 +127,49 @@ Network::Network(NetworkConfig cfg)
         sample_off_[static_cast<std::size_t>(m) * cfg_.nodes +
                     topo_.downstream(m, cfg_.nodes - 1)];
   }
+}
+
+Network::~Network() {
+  for (SlotListener* l : listeners_) {
+    if (l != nullptr) l->attached_to_ = nullptr;
+  }
+}
+
+void Network::attach(SlotListener& l) {
+  CCREDF_EXPECT(l.attached_to_ == nullptr,
+                "Network: listener is already attached");
+  listeners_.push_back(&l);
+  l.attached_to_ = this;
+}
+
+void Network::detach(SlotListener& l) {
+  if (l.attached_to_ != this) return;
+  l.attached_to_ = nullptr;
+  if (fault_hook_ == &l) fault_hook_ = nullptr;
+  *std::find(listeners_.begin(), listeners_.end(), &l) = nullptr;
+  if (!notifying_) std::erase(listeners_, nullptr);
+}
+
+template <typename F>
+void Network::notify(F&& f) {
+  notifying_ = true;
+  for (std::size_t i = 0, n = listeners_.size(); i < n; ++i) {
+    if (SlotListener* l = listeners_[i]) f(*l);
+  }
+  notifying_ = false;
+  std::erase(listeners_, nullptr);
+}
+
+void Network::add_slot_observer(SlotObserver obs) {
+  observers_.push_back(std::make_unique<FunctionListener>(std::move(obs)));
+  attach(*observers_.back());
+}
+
+void Network::set_fault_hook(FaultHook& hook) {
+  if (fault_hook_ != nullptr) detach(*fault_hook_);
+  attach(hook);
+  fault_hook_ = &hook;
+  mark_plan_diverged();
 }
 
 Node& Network::node(NodeId id) {
@@ -209,7 +266,7 @@ Network::OpenResult Network::open_connection(
   auto decision = admission_.request(params, sim_.now());
   bool planner_admit = false;
   if (!decision.admitted) {
-    if (!can_plan_admit()) return OpenResult{false, kNoConnection};
+    if (!plan_can_build()) return OpenResult{false, kNoConnection};
     // Eq. 5 charges every connection e_i/P_i of per-SLOT capacity, but
     // spatial reuse packs several segment-disjoint grants into one slot
     // -- so the planner may still find an exact schedule past U_max.
@@ -866,7 +923,7 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
     ++slot_;
 
     // Phase 7 -- notify.
-    if (observers_.empty() && resilience_ == nullptr) continue;
+    if (listeners_.empty()) continue;
     rec.index = index;
     rec.start = start;
     rec.end = slot_end;
@@ -875,11 +932,7 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
     rec.next_master = plan.next_master;
     rec.granted = granted;
     rec.token_lost = token_lost;
-    for (const auto& obs : observers_) obs(rec);
-    // The resilience hook runs LAST: it may mutate the network
-    // (quarantine closes, staged re-opens), and the observers above must
-    // see the slot as it actually ran.
-    if (resilience_ != nullptr) resilience_->on_slot_end(rec);
+    notify([&rec](SlotListener& l) { l.on_slot(rec); });
   }
 }
 
@@ -1024,11 +1077,10 @@ std::int64_t Network::skip_quiet_slots(std::int64_t max_slots,
                                        sim::TimePoint horizon) {
   // A slot is quiet when nothing moves on it and its decision provably
   // grants nobody and keeps the master: no grant or ack/NACK bit is in
-  // flight, nobody observes per-slot artefacts, and the protocol keeps
-  // the master on a slot that grants nobody.
+  // flight, and the protocol keeps the master on a slot that grants
+  // nobody.
   if (!cfg_.fast_forward || !current_granted_.empty()) return 0;
   if (!pending_acks_.empty() || !pending_nacks_.empty()) return 0;
-  if (!observers_.empty()) return 0;
   // Only slots ending STRICTLY before the next event are skippable: an
   // event landing inside (or exactly at the end of) a slot could release
   // a message a later collection sample of that slot would see, so that
@@ -1076,22 +1128,12 @@ std::int64_t Network::skip_quiet_slots(std::int64_t max_slots,
   };
   std::int64_t k = std::min({max_slots, starts_before(start_bound),
                              starts_before(eligible), starts_before(horizon)});
-  if (k <= 0) return 0;
-  if (fault_hook_ != nullptr) {
-    // With fault axes armed, fall back to batched keyed probes: the hook
-    // reports the first slot in range that could fire.  The draws stay
-    // keyed to (slot, channel), so probing preserves byte-determinism.
-    const SlotIndex quiet =
-        fault_hook_->first_idle_fault_slot(slot_, slot_ + k);
-    k = std::min<std::int64_t>(k, quiet - slot_);
-  }
-  if (resilience_ != nullptr) {
-    // The resilience hook bounds the skip by its own deadlines (a
-    // detection window expiring, a reappearance to witness, an eligible
-    // re-admission): the bounding slot itself is always simulated, so no
-    // monitor transition can fall inside a skipped window.
-    const SlotIndex safe = resilience_->next_deadline_slot(slot_, slot_ + k);
-    k = std::min<std::int64_t>(k, safe - slot_);
+  // Each listener's deadline (a fault the probe cannot rule out, a
+  // detection window, a flag awaiting collection) is simulated, not skipped.
+  for (SlotListener* l : listeners_) {
+    if (k <= 0) return 0;
+    k = std::min<std::int64_t>(k, l->next_deadline_slot(slot_, slot_ + k) -
+                                      slot_);
   }
   if (k <= 0) return 0;
 
@@ -1113,19 +1155,17 @@ std::int64_t Network::skip_quiet_slots(std::int64_t max_slots,
   const SlotIndex first = slot_;
   slot_ += k;
   slot_start_ = last_end + g;
-  if (resilience_ != nullptr) {
-    // Batch heartbeat advance: every skipped slot evidenced the same
-    // live set (no event could change it inside the window).
-    resilience_->on_fast_forward(first, k, topo_.all_nodes() & ~soa_.failed);
-  }
+  // Every skipped slot evidenced the same live set (no event could
+  // change it inside the window).
+  const NodeSet heard = topo_.all_nodes() & ~soa_.failed;
+  notify([&](SlotListener& l) { l.on_skip(first, k, heard); });
   return k;
 }
 
-bool Network::can_plan_admit() const {
+bool Network::plan_can_build() const {
   return planner_ != nullptr && protocol_->supports_planning() &&
-         fault_hook_ == nullptr && resilience_ == nullptr && cbs_.empty() &&
-         soa_.failed.empty() && severed_.empty() &&
-         current_granted_.empty() && soa_.queued.empty();
+         fault_hook_ == nullptr && cbs_.empty() && soa_.failed.empty() &&
+         severed_.empty() && current_granted_.empty() && soa_.queued.empty();
 }
 
 void Network::rebuild_plan() {
@@ -1134,16 +1174,7 @@ void Network::rebuild_plan() {
   plan_restore_releases();
   plan_valid_ = false;
   plan_diverged_ = false;
-  if (planner_ == nullptr || !protocol_->supports_planning()) return;
-  if (fault_hook_ != nullptr || resilience_ != nullptr) return;
-  if (!cbs_.empty() || !soa_.failed.empty()) return;
-  // The planner's grant layout assumes an intact ring; a severed segment
-  // keeps the engine on slot-by-slot TCMA until spliced whole.
-  if (!severed_.empty()) return;
-  // A plan anchors on a clean slot boundary: no grant in flight, no
-  // message already queued (the plan's feasibility sim assumes every
-  // job is released by its nominal instant and none earlier).
-  if (!current_granted_.empty() || !soa_.queued.empty()) return;
+  if (!plan_can_build()) return;
   const sim::Duration t_slot = timing_->slot();
   planner_->clear();
   bool any = false;

@@ -18,7 +18,7 @@
 //      packet, severed links;
 //   6. hand-over: the slot ends at T_k + t_slot; the clock hand-over gap
 //      to m_{k+1} follows (Eq. 1), so T_{k+1} = T_k + t_slot + gap;
-//   7. notify slot observers and the resilience hook.
+//   7. notify the slot listeners, in attach order.
 // This realises the paper's pipeline: arbitration for slot k+1 rides the
 // control channel while slot k's data flows (Fig. 3).
 //
@@ -58,10 +58,10 @@
 
 namespace ccredf::net {
 
-/// Everything that happened in one slot, handed to observers at slot end.
+/// Everything that happened in one slot, handed to listeners at slot end.
 /// The network reuses one record object across slots (its vectors keep
 /// their capacity, so the steady-state slot path never allocates); copy
-/// whatever must outlive the observer call.
+/// whatever must outlive the listener call.
 struct SlotRecord {
   SlotIndex index = 0;
   sim::TimePoint start;
@@ -105,6 +105,41 @@ struct SlotRecord {
   NodeSet heard;
 };
 
+class Network;
+
+/// A party riding the slot pipeline (a service, the fault hook, a
+/// function observer).  Attached listeners hear every slot in attach
+/// order: `on_slot` for a simulated slot, `on_skip` for a skipped
+/// window.  Destroying a listener detaches it, and a network destroyed
+/// first leaves it detached, so either destruction order is safe.
+class SlotListener {
+ public:
+  SlotListener() = default;
+  SlotListener(const SlotListener&) = delete;
+  SlotListener& operator=(const SlotListener&) = delete;
+  virtual ~SlotListener();
+
+  /// End of a simulated slot (phase 7).  The slot is over, so the
+  /// listener may mutate the network; later listeners see the same record.
+  virtual void on_slot(const SlotRecord& /*rec*/) {}
+  /// Quiet slots [first, first + k) were skipped: no grant, delivery,
+  /// event, fault or master death inside; each one evidenced `heard`.
+  virtual void on_skip(SlotIndex /*first*/, std::int64_t /*k*/,
+                       NodeSet /*heard*/) {}
+  /// First slot in [from, limit] this listener must see simulated, or
+  /// `limit` when none.  The engine never skips the returned slot, so a
+  /// conservative answer costs speed, never correctness.  It must not
+  /// mutate the network.  The default simulates every slot.
+  [[nodiscard]] virtual SlotIndex next_deadline_slot(SlotIndex from,
+                                                     SlotIndex /*limit*/) {
+    return from;
+  }
+
+ private:
+  friend class Network;
+  Network* attached_to_ = nullptr;
+};
+
 /// Run-time fault injection hooks (see src/fault/ for implementations).
 ///
 /// The engine calls a hook at each point where a physical fault can
@@ -113,7 +148,11 @@ struct SlotRecord {
 /// (containment or hazard) and counts it in NetworkStats::faults.  Every
 /// hook defaults to "no fault", so an implementation overrides only the
 /// axes it injects.
-class FaultHook {
+///
+/// Its `next_deadline_slot` is the fast-forward probe: the first slot
+/// in which the hook COULD fire a fault on an all-idle slot.  Probing
+/// MUST NOT perturb any stream the fault path draws from.
+class FaultHook : public SlotListener {
  public:
   /// What befell one request record of the collection packet.
   enum class RequestFault {
@@ -137,7 +176,6 @@ class FaultHook {
     kSilent,    ///< corrupted; reaches the application as garbage
   };
 
-  virtual ~FaultHook() = default;
   /// Return true to destroy the distribution packet ending `slot`
   /// (token loss: no node learns the next master).
   virtual bool drop_distribution(SlotIndex) { return false; }
@@ -164,52 +202,15 @@ class FaultHook {
                                 std::int64_t /*payload_bits*/) {
     return DataFault::kNone;
   }
-
-  /// Fast-forward probe: the first slot in [from, limit) in which this
-  /// hook COULD fire a fault on an all-idle slot (no data transfers, no
-  /// requesters), or `limit` if the whole range is provably quiet.  The
-  /// engine only skips slots the probe clears, then simulates the flagged
-  /// slot normally -- so a conservative answer costs speed, never
-  /// correctness.  Because injector randomness is keyed per (slot,
-  /// channel), probing MUST NOT perturb any stream the fault path draws
-  /// from.  The default claims no slot is quiet, which disables
-  /// fast-forward for hooks that do not implement the probe.
-  [[nodiscard]] virtual SlotIndex first_idle_fault_slot(SlotIndex from,
-                                                        SlotIndex /*limit*/) {
-    return from;
-  }
-};
-
-/// Protocol-level resilience hook (services::ResilienceMonitor).
-///
-/// Unlike a SlotObserver -- whose mere presence disables the idle
-/// fast-forward -- a ResilienceHook is a first-class engine citizen: it
-/// receives per-slot heartbeat evidence, is consulted for the first slot
-/// it MUST see simulated (detection deadlines, re-admission drains), and
-/// is batch-notified about skipped idle windows so its bookkeeping stays
-/// byte-identical between the fast-forward and slot-by-slot engines.
-class ResilienceHook {
- public:
-  virtual ~ResilienceHook() = default;
-  /// End-of-slot notification (after the observers).  `rec.heard`
-  /// carries the heartbeat evidence; the hook may mutate the network
-  /// (quarantine closes, staged re-opens) -- the slot is already over.
-  virtual void on_slot_end(const SlotRecord& rec) = 0;
-  /// `k` idle slots [first, first + k) were skipped; `heard` is the
-  /// constant live set every one of them evidenced (fast-forward
-  /// guarantees no event, fault or master death inside the window).
-  virtual void on_fast_forward(SlotIndex first, std::int64_t k,
-                               NodeSet heard) = 0;
-  /// First slot in [from, limit] this hook must observe simulated, or
-  /// `limit` when the whole range needs nothing.  The engine never
-  /// fast-forwards across the returned slot.
-  [[nodiscard]] virtual SlotIndex next_deadline_slot(SlotIndex from,
-                                                     SlotIndex limit) = 0;
 };
 
 class Network {
  public:
   explicit Network(NetworkConfig cfg);
+  /// Detaches every listener still attached (they outlive it safely).
+  ~Network();
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   // -- construction products --------------------------------------------
   [[nodiscard]] const NetworkConfig& config() const { return cfg_; }
@@ -287,26 +288,25 @@ class Network {
   void run_slots(std::int64_t n);
   void run_for(sim::Duration d);
 
-  // -- instrumentation ------------------------------------------------------
+  // -- listeners ------------------------------------------------------------
+  /// Appends `l`, not yet attached anywhere, to the listener list.  A
+  /// listener never gates or diverges the hypercycle plan.
+  void attach(SlotListener& l);
+  /// Removes `l` (a no-op when not attached here); safe mid-notification.
+  void detach(SlotListener& l);
+  /// Attach order = notification order.  During a notification a
+  /// detached entry reads nullptr until the loop ends.
+  [[nodiscard]] const std::vector<SlotListener*>& listeners() const {
+    return listeners_;
+  }
+  /// Attaches an engine-owned listener calling `obs` on every slot (the
+  /// default deadline: the engine steps every slot).
   using SlotObserver = std::function<void(const SlotRecord&)>;
-  void add_slot_observer(SlotObserver obs) {
-    observers_.push_back(std::move(obs));
-  }
-  /// Attaching a fault hook diverges any in-effect hypercycle plan: the
-  /// plan's precomputed outcomes no longer model the wire.
-  void set_fault_hook(FaultHook* hook) {
-    fault_hook_ = hook;
-    if (hook != nullptr) mark_plan_diverged();
-  }
-  /// Attaches the resilience hook (one at a time; nullptr detaches).
-  /// Same divergence rule as the fault hook: a monitor may quarantine.
-  void set_resilience_hook(ResilienceHook* hook) {
-    resilience_ = hook;
-    if (hook != nullptr) mark_plan_diverged();
-  }
-  [[nodiscard]] ResilienceHook* resilience_hook() const {
-    return resilience_;
-  }
+  void add_slot_observer(SlotObserver obs);
+  /// Attaches `hook` as the one fault hook, replacing any previous one.
+  /// This diverges any in-effect hypercycle plan: the plan's precomputed
+  /// outcomes no longer model the wire.
+  void set_fault_hook(FaultHook& hook);
 
   /// Fail-silent node (fault experiments); queued messages are dropped.
   /// Idempotent: failing an already-failed node is a no-op (no queue
@@ -433,15 +433,14 @@ class Network {
   /// slots, each starting before `horizon`.  Every slot it does not skip
   /// runs the fixed phases of the header comment inline in the loop.
   void advance(std::int64_t max_slots, sim::TimePoint horizon);
-  /// The one skip rule.  When nothing is in flight, nobody observes
-  /// per-slot artefacts and the next decisions are provably "grant
-  /// nobody, keep the master" -- the idle fixed point, or a plan wait
-  /// before the next bundle's release instant -- accounts that window in
-  /// O(1).  The window ends before the next event (or plan-table
-  /// release), the resilience hook's deadline, the plan's next eligible
-  /// bundle and the fault probe's first possible fault, and covers at
-  /// most `max_slots` slots starting before `horizon`.  Returns the
-  /// number skipped (0 = the next slot must be simulated).
+  /// The one skip rule.  When nothing is in flight and the next
+  /// decisions are provably "grant nobody, keep the master" -- the idle
+  /// fixed point, or a plan wait before the next bundle's release
+  /// instant -- accounts that window in O(1).  The window ends before
+  /// the next event (or plan-table release), the plan's next eligible
+  /// bundle and every listener's deadline, and covers at most
+  /// `max_slots` slots starting before `horizon`.  Returns the number
+  /// skipped (0 = the next slot must be simulated).
   std::int64_t skip_quiet_slots(std::int64_t max_slots,
                                 sim::TimePoint horizon);
   void execute_grants(SlotRecord& rec, sim::TimePoint slot_end);
@@ -468,14 +467,17 @@ class Network {
   /// slot start that can grant it).
   [[nodiscard]] sim::TimePoint plan_next_eligible_time() const;
   /// Re-derives the plan from the open connection set (admit/close
-  /// time).  The plan only builds from a clean engine state: CCR-EDF,
-  /// no hooks, no CBS, no failed nodes, no in-flight grants or queued
-  /// messages, and every connection still unreleased and grid-aligned;
-  /// otherwise the engine stays on slot-by-slot TCMA.
+  /// time).  The plan only builds from plan_can_build()'s state with
+  /// every connection still unreleased and grid-aligned; otherwise the
+  /// engine stays on slot-by-slot TCMA.
   void rebuild_plan();
-  /// Whether a rejected admission may be retried through the planner's
-  /// constructive feasibility proof.
-  [[nodiscard]] bool can_plan_admit() const;
+  /// The clean engine state a plan builds from, and the only one in
+  /// which a rejected admission is retried through the planner's
+  /// constructive proof: CCR-EDF, no fault hook, no CBS, no failed node,
+  /// an intact ring (the grant layout assumes one), no grant in flight
+  /// and no message queued (the plan anchors on a clean slot boundary:
+  /// its feasibility sim releases every job at its nominal instant).
+  [[nodiscard]] bool plan_can_build() const;
   /// Sticky divergence: the plan stays valid but stops driving slots
   /// until the next successful rebuild.  Release generation falls back
   /// to the event heap (plan_restore_releases) in the same breath.
@@ -501,6 +503,10 @@ class Network {
   /// Notifies the dirty-node tracking that `src`'s queue may have
   /// drained (after a consume/drop/clear).
   void refresh_queued_bit(NodeId src);
+  /// Calls `f` on each listener in attach order; a detach during the
+  /// loop leaves a hole that is skipped, then compacted.
+  template <typename F>
+  void notify(F&& f);
   void release_message(ConnectionId id);
   /// Releases open connection `id`'s next periodic message (shared by
   /// the event path and the plan-driven release table).
@@ -558,9 +564,13 @@ class Network {
   core::AdmissionController admission_;
   sim::Simulator sim_;
   std::vector<Node> nodes_;
-  std::vector<SlotObserver> observers_;
+  std::vector<SlotListener*> listeners_;
+  /// True while a loop over listeners_ runs: detach then leaves a
+  /// nullptr hole, compacted when the loop ends.
+  bool notifying_ = false;
+  /// The listeners behind add_slot_observer.
+  std::vector<std::unique_ptr<SlotListener>> observers_;
   FaultHook* fault_hook_ = nullptr;
-  ResilienceHook* resilience_ = nullptr;
 
   // Severed-segment state (empty/false on a healthy ring).
   LinkSet severed_;

@@ -1,5 +1,7 @@
 #include "services/admission_agent.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace ccredf::services {
@@ -22,8 +24,7 @@ AdmissionAgent::AdmissionAgent(net::Network& net, Params params)
     node_corrupt_.assign(net_.nodes(), 0);
     node_rate_.assign(net_.nodes(), 0.0);
   }
-  net_.add_slot_observer(
-      [this](const net::SlotRecord& rec) { on_slot(rec); });
+  net_.attach(*this);
 }
 
 void AdmissionAgent::decide(PendingRequest req) {
@@ -79,6 +80,13 @@ void AdmissionAgent::on_slot(const net::SlotRecord& rec) {
     }
   }
   if (params_.health_window_slots > 0) observe(rec);
+}
+
+SlotIndex AdmissionAgent::next_deadline_slot(SlotIndex from,
+                                             SlotIndex limit) {
+  if (params_.health_window_slots == 0) return limit;
+  return std::min(limit,
+                  from + params_.health_window_slots - 1 - window_slots_);
 }
 
 void AdmissionAgent::observe(const net::SlotRecord& rec) {

@@ -33,7 +33,7 @@
 
 namespace ccredf::services {
 
-class AdmissionAgent {
+class AdmissionAgent final : public net::SlotListener {
  public:
   using Callback = std::function<void(bool admitted, ConnectionId id)>;
 
@@ -51,6 +51,7 @@ class AdmissionAgent {
     double derate_threshold = 0.02;
   };
 
+  /// Attaches to `net` until destroyed.
   AdmissionAgent(net::Network& net, Params params);
 
   /// Starts a negotiation; `cb` fires when the reply reaches `requester`.
@@ -73,6 +74,18 @@ class AdmissionAgent {
   /// localises a failing link to the upstream transmitter.
   [[nodiscard]] double link_corruption_rate(NodeId node) const;
 
+  // net::SlotListener
+  void on_slot(const net::SlotRecord& rec) override;
+  /// Skipped slots deliver nothing but count towards the health window.
+  void on_skip(SlotIndex /*first*/, std::int64_t k,
+               NodeSet /*heard*/) override {
+    if (params_.health_window_slots > 0) window_slots_ += k;
+  }
+  /// The slot that closes the health window (`limit` when the monitor
+  /// is off): a skipped slot delivers nothing, so only the close acts.
+  [[nodiscard]] SlotIndex next_deadline_slot(SlotIndex from,
+                                             SlotIndex limit) override;
+
  private:
   struct PendingRequest {
     NodeId requester = kInvalidNode;
@@ -85,7 +98,6 @@ class AdmissionAgent {
     Callback cb;
   };
 
-  void on_slot(const net::SlotRecord& rec);
   void decide(PendingRequest req);
   void observe(const net::SlotRecord& rec);
   void close_window();

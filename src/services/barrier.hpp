@@ -8,57 +8,53 @@
 // distribution packet, i.e. at slot end.  No data slots are consumed --
 // the service is free-riding on the control channel, exactly the appeal
 // of the dedicated control fibre.
+//
+// A barrier is a global reduction whose operands nobody reads, so it is
+// one: each arrival contributes a zero to a GlobalReduceService round.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/nodeset.hpp"
 #include "common/types.hpp"
 #include "net/network.hpp"
+#include "services/reduce.hpp"
 #include "sim/time.hpp"
 
 namespace ccredf::services {
 
 class BarrierService {
  public:
-  /// Registers the service on `net` (slot observer).  `net` must outlive
-  /// the service.
-  explicit BarrierService(net::Network& net);
+  /// Attaches its reduction to `net` until destroyed.
+  explicit BarrierService(net::Network& net) : reduce_(net) {}
 
   /// Starts a new barrier over `participants`.  Any previous barrier must
   /// have completed.
-  void begin(NodeSet participants);
+  void begin(NodeSet participants) {
+    reduce_.begin(participants, ReduceOp::kBitOr);
+  }
 
   /// Participant `node` reaches the barrier at current simulated time.
-  void arrive(NodeId node);
+  void arrive(NodeId node) { reduce_.contribute(node, 0); }
 
-  [[nodiscard]] bool complete() const { return complete_; }
+  [[nodiscard]] bool complete() const { return reduce_.complete(); }
   /// Slot-end instant at which every node learned of completion.
   [[nodiscard]] std::optional<sim::TimePoint> completion_time() const {
-    return completion_;
+    return reduce_.completion_time();
   }
   /// Completion latency measured from the *last* arrival.
-  [[nodiscard]] std::optional<sim::Duration> latency() const;
+  [[nodiscard]] std::optional<sim::Duration> latency() const {
+    if (!complete()) return std::nullopt;
+    return *completion_time() - reduce_.last_contribution();
+  }
 
-  [[nodiscard]] std::int64_t barriers_completed() const { return rounds_; }
+  [[nodiscard]] std::int64_t barriers_completed() const {
+    return reduce_.rounds_completed();
+  }
 
  private:
-  void on_slot(const net::SlotRecord& rec);
-  /// Collection sampling instant of `node` in the slot described by `rec`.
-  [[nodiscard]] sim::TimePoint sample_time(const net::SlotRecord& rec,
-                                           NodeId node) const;
-
-  net::Network& net_;
-  NodeSet participants_;
-  NodeSet pending_;  // not yet observed by the master
-  std::vector<sim::TimePoint> arrival_;
-  sim::TimePoint last_arrival_;
-  bool active_ = false;
-  bool complete_ = false;
-  std::optional<sim::TimePoint> completion_;
-  std::int64_t rounds_ = 0;
+  GlobalReduceService reduce_;
 };
 
 }  // namespace ccredf::services

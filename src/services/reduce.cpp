@@ -43,8 +43,7 @@ GlobalReduceService::GlobalReduceService(net::Network& net)
     : net_(net),
       value_(net.nodes(), 0),
       contributed_(net.nodes(), sim::TimePoint::infinity()) {
-  net_.add_slot_observer(
-      [this](const net::SlotRecord& rec) { on_slot(rec); });
+  net_.attach(*this);
 }
 
 void GlobalReduceService::begin(NodeSet participants, ReduceOp op) {
@@ -55,6 +54,7 @@ void GlobalReduceService::begin(NodeSet participants, ReduceOp op) {
   op_ = op;
   accumulator_ = reduce_identity(op);
   for (auto& c : contributed_) c = sim::TimePoint::infinity();
+  last_contribution_ = sim::TimePoint::origin();
   active_ = true;
   complete_ = false;
   result_.reset();
@@ -68,20 +68,27 @@ void GlobalReduceService::contribute(NodeId node, std::int64_t value) {
   if (contributed_[node] == sim::TimePoint::infinity()) {
     contributed_[node] = net_.sim().now();
     value_[node] = value;
+    last_contribution_ = std::max(last_contribution_, contributed_[node]);
   }
 }
 
-sim::TimePoint GlobalReduceService::sample_time(const net::SlotRecord& rec,
-                                                NodeId node) const {
-  return rec.start +
-         net_.control_timing().sample_offset_of(rec.master, node);
+SlotIndex GlobalReduceService::next_deadline_slot(SlotIndex from,
+                                                  SlotIndex limit) {
+  for (const NodeId n : pending_) {
+    if (contributed_[n] != sim::TimePoint::infinity()) return from;
+  }
+  return limit;
 }
 
 void GlobalReduceService::on_slot(const net::SlotRecord& rec) {
   if (!active_) return;
+  // The master collects the operand of every participant whose
+  // contribution preceded its sampling instant in this slot.
   NodeSet still_pending;
   for (const NodeId n : pending_) {
-    if (contributed_[n] > sample_time(rec, n)) {
+    const sim::TimePoint sample =
+        rec.start + net_.control_timing().sample_offset_of(rec.master, n);
+    if (contributed_[n] > sample) {
       still_pending.insert(n);
     } else {
       accumulator_ = apply_reduce(op_, accumulator_, value_[n]);

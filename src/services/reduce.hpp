@@ -1,10 +1,12 @@
 // Global reduction service (paper §1, §7: "global reduction").
 //
 // Each participant contributes a 64-bit operand; the contribution rides
-// the collection phase (like the barrier flags), the master folds the
+// the collection phase of the first slot whose sampling time at that
+// node is not earlier than the contribution, the master folds the
 // operands with the chosen operator, and the result is broadcast in the
 // distribution packet of the slot in which the last contribution arrived
-// -- so every node holds the result at that slot's end.
+// -- so every node holds the result at that slot's end.  No data slots
+// are consumed: the service free-rides on the control channel.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +26,9 @@ enum class ReduceOp { kSum, kMin, kMax, kBitAnd, kBitOr };
                                         std::int64_t b);
 [[nodiscard]] std::int64_t reduce_identity(ReduceOp op);
 
-class GlobalReduceService {
+class GlobalReduceService final : public net::SlotListener {
  public:
+  /// Attaches to `net` until destroyed.
   explicit GlobalReduceService(net::Network& net);
 
   /// Starts a reduction round over `participants` with operator `op`.
@@ -40,18 +43,26 @@ class GlobalReduceService {
     return completion_;
   }
   [[nodiscard]] std::int64_t rounds_completed() const { return rounds_; }
+  /// Instant of the round's latest (first-per-node) contribution.
+  [[nodiscard]] sim::TimePoint last_contribution() const {
+    return last_contribution_;
+  }
+
+  // net::SlotListener
+  void on_slot(const net::SlotRecord& rec) override;
+  /// `from` while a contribution waits for collection, else `limit`:
+  /// a slot with no contributed flag pending changes nothing.
+  [[nodiscard]] SlotIndex next_deadline_slot(SlotIndex from,
+                                             SlotIndex limit) override;
 
  private:
-  void on_slot(const net::SlotRecord& rec);
-  [[nodiscard]] sim::TimePoint sample_time(const net::SlotRecord& rec,
-                                           NodeId node) const;
-
   net::Network& net_;
   NodeSet participants_;
   NodeSet pending_;
   ReduceOp op_ = ReduceOp::kSum;
   std::vector<std::int64_t> value_;
   std::vector<sim::TimePoint> contributed_;
+  sim::TimePoint last_contribution_;
   std::int64_t accumulator_ = 0;
   bool active_ = false;
   bool complete_ = false;

@@ -10,8 +10,7 @@ ReliableChannel::ReliableChannel(net::Network& net, Params params)
     : net_(net), params_(params) {
   CCREDF_EXPECT(params_.ack_margin_slots >= 0,
                 "ReliableChannel: ack margin cannot be negative");
-  net_.add_slot_observer(
-      [this](const net::SlotRecord& rec) { on_slot(rec); });
+  net_.attach(*this);
 }
 
 bool ReliableChannel::budget_covers_attempt(const Transfer& t) const {

@@ -25,7 +25,7 @@
 
 namespace ccredf::services {
 
-class ReliableChannel {
+class ReliableChannel final : public net::SlotListener {
  public:
   struct Params {
     /// Give up after this many attempts (0 = never).
@@ -55,6 +55,7 @@ class ReliableChannel {
   };
   using CompletionCallback = std::function<void(const TransferResult&)>;
 
+  /// Attaches to `net` until destroyed.
   ReliableChannel(net::Network& net, Params params);
 
   /// Sends `size_slots` of data from `src` to `dst` reliably as
@@ -76,6 +77,14 @@ class ReliableChannel {
   /// Payload-CRC NACKs observed for this channel's transfers.
   [[nodiscard]] std::int64_t nacks_received() const { return nacks_; }
 
+  // net::SlotListener
+  void on_slot(const net::SlotRecord& rec) override;
+  /// Always `limit`: a skipped slot delivers nothing.
+  [[nodiscard]] SlotIndex next_deadline_slot(SlotIndex /*from*/,
+                                             SlotIndex limit) override {
+    return limit;
+  }
+
  private:
   struct Transfer {
     MessageId transfer_id = 0;
@@ -90,7 +99,6 @@ class ReliableChannel {
     CompletionCallback cb;
   };
 
-  void on_slot(const net::SlotRecord& rec);
   void attempt(Transfer& t);
   /// Fires when the sender learns an attempt failed (NACK arrival):
   /// retransmit, or abandon if the budget ran out.

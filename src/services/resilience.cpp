@@ -15,19 +15,19 @@ ResilienceMonitor::ResilienceMonitor(net::Network& net,
   suspect_window_ = params_.suspect_window_slots > 0
                         ? params_.suspect_window_slots
                         : params_.detection_window_slots / 2;
-  CCREDF_EXPECT(net_.resilience_hook() == nullptr,
-                "resilience: a hook is already attached");
+  const auto is_monitor = [](const net::SlotListener* l) {
+    return dynamic_cast<const ResilienceMonitor*>(l) != nullptr;
+  };
+  const auto& attached = net_.listeners();
+  CCREDF_EXPECT(std::none_of(attached.begin(), attached.end(), is_monitor),
+                "resilience: a monitor is already attached");
   const SlotIndex s = net_.current_slot();
   for (NodeId j = 0; j < net_.nodes(); ++j) {
     tracked_[j].last_heard = s - 1;  // zero miss at attachment
   }
   anchor_ = s;
   tokens_ = params_.readmit_burst;
-  net_.set_resilience_hook(this);
-}
-
-ResilienceMonitor::~ResilienceMonitor() {
-  if (net_.resilience_hook() == this) net_.set_resilience_hook(nullptr);
+  net_.attach(*this);
 }
 
 ConnectionId ResilienceMonitor::current_incarnation(ConnectionId id) const {
@@ -41,7 +41,7 @@ ConnectionId ResilienceMonitor::current_incarnation(ConnectionId id) const {
   return cur;
 }
 
-void ResilienceMonitor::on_slot_end(const net::SlotRecord& rec) {
+void ResilienceMonitor::on_slot(const net::SlotRecord& rec) {
   const SlotIndex s = rec.index;
   if (net_.severed_links() != severed_seen_) sync_severed(s);
   for (NodeId j : rec.heard) heard_node(j, s);
@@ -76,8 +76,8 @@ void ResilienceMonitor::on_slot_end(const net::SlotRecord& rec) {
   if (!queue_.empty()) drain_readmissions(s);
 }
 
-void ResilienceMonitor::on_fast_forward(SlotIndex first, std::int64_t k,
-                                        NodeSet heard) {
+void ResilienceMonitor::on_skip(SlotIndex first, std::int64_t k,
+                                NodeSet heard) {
   // Every skipped slot evidenced exactly `heard`; unheard nodes cannot
   // cross a detection deadline inside the window (next_deadline_slot
   // bounded the skip), and no DOWN node can sit in `heard` (a live down
@@ -152,42 +152,7 @@ void ResilienceMonitor::declare_down(NodeId j, SlotIndex s) {
   t.state = NodeState::kDown;
   ++stats_.downs;
   stats_.detection_latency_slots.add(s - t.last_heard);
-
-  // Quarantine: close everything the node sources through the normal
-  // teardown paths and verify the released Eq. 5/6 weight matches the
-  // utilisation drop exactly (the reclamation invariant E22 gates).
-  const double u_before = net_.admission().utilisation();
-  double released = 0.0;
-  for (const auto& c : net_.connections_of(j)) {
-    released += net_.admission().weight(c.params);
-    net_.close_connection(c.id);
-    ++stats_.connections_quarantined;
-    incarnation_[c.id] = kNoConnection;
-    PendingReadmit p;
-    p.node = j;
-    p.is_cbs = false;
-    p.rt = c.params;
-    p.former_id = c.id;
-    p.eligible = s;
-    queue_.push_back(std::move(p));
-  }
-  for (const auto& srv : net_.cbs_servers_of(j)) {
-    released += net_.admission().weight(srv.params.admission_params());
-    net_.close_cbs_server(srv.id);
-    ++stats_.servers_quarantined;
-    incarnation_[srv.id] = kNoConnection;
-    PendingReadmit p;
-    p.node = j;
-    p.is_cbs = true;
-    p.cbs = srv.params;
-    p.former_id = srv.id;
-    p.eligible = s;
-    queue_.push_back(std::move(p));
-  }
-  stats_.weight_reclaimed += released;
-  const double err =
-      std::abs((u_before - net_.admission().utilisation()) - released);
-  if (err > stats_.reclaim_error) stats_.reclaim_error = err;
+  quarantine(NodeSet::single(j), s, /*segment=*/false);
 }
 
 void ResilienceMonitor::sync_severed(SlotIndex s) {
@@ -197,56 +162,58 @@ void ResilienceMonitor::sync_severed(SlotIndex s) {
   // Order matters: quarantine releases weight against the OLD capacity,
   // then the renegotiation derates the bound -- the reclaim-exactness
   // invariant is measured before the bound moves.
-  if (fresh_cut) quarantine_segment(s);
+  if (fresh_cut) {
+    ++stats_.segment_downs;
+    quarantine(net_.topology().all_nodes(), s, /*segment=*/true);
+  }
   renegotiate_capacity();
 }
 
-void ResilienceMonitor::quarantine_segment(SlotIndex s) {
-  ++stats_.segment_downs;
+double ResilienceMonitor::weight(const PendingReadmit& p) const {
+  return p.is_cbs ? net_.admission().weight(p.cbs.admission_params())
+                  : net_.admission().weight(p.rt);
+}
+
+void ResilienceMonitor::quarantine(NodeSet sources, SlotIndex s,
+                                   bool segment) {
   const double u_before = net_.admission().utilisation();
   double released = 0.0;
-  const auto& topo = net_.topology();
-  // Deterministic closure order: sources ascending, each source's
-  // connections then CBS servers in id order (both accessors sort) --
-  // identical at any sweep thread count.
-  for (NodeId j = 0; j < net_.nodes(); ++j) {
-    for (const auto& c : net_.connections_of(j)) {
-      const auto links =
-          ring::Segment::for_transmission(topo, j, c.params.dests).links();
-      if (!links.intersects(severed_seen_)) continue;
-      released += net_.admission().weight(c.params);
-      net_.close_connection(c.id);
+  // Closes one transfer sourced at `j` through the normal teardown path
+  // and parks it for re-admission; a segment quarantine spares the
+  // transfers whose segment crosses no severed link.
+  const auto close_and_park = [&](NodeId j, ConnectionId id,
+                                  PendingReadmit p) {
+    if (segment) {
+      const NodeSet dests = p.is_cbs ? p.cbs.dests : p.rt.dests;
+      p.cut_links =
+          ring::Segment::for_transmission(net_.topology(), j, dests).links() &
+          severed_seen_;
+      if (p.cut_links.empty()) return;
       ++stats_.segment_quarantines;
       ++net_.mutable_stats().faults.segment_quarantines;
-      incarnation_[c.id] = kNoConnection;
-      PendingReadmit p;
-      p.node = j;
-      p.is_cbs = false;
-      p.rt = c.params;
-      p.former_id = c.id;
-      p.eligible = s;
-      p.segment = true;
-      p.cut_links = links & severed_seen_;
-      queue_.push_back(std::move(p));
+    } else {
+      ++(p.is_cbs ? stats_.servers_quarantined
+                  : stats_.connections_quarantined);
+    }
+    released += weight(p);
+    if (p.is_cbs) {
+      net_.close_cbs_server(id);
+    } else {
+      net_.close_connection(id);
+    }
+    incarnation_[id] = kNoConnection;
+    p.node = j;
+    p.former_id = id;
+    p.eligible = s;
+    p.segment = segment;
+    queue_.push_back(std::move(p));
+  };
+  for (const NodeId j : sources) {
+    for (const auto& c : net_.connections_of(j)) {
+      close_and_park(j, c.id, {.rt = c.params});
     }
     for (const auto& srv : net_.cbs_servers_of(j)) {
-      const auto links =
-          ring::Segment::for_transmission(topo, j, srv.params.dests).links();
-      if (!links.intersects(severed_seen_)) continue;
-      released += net_.admission().weight(srv.params.admission_params());
-      net_.close_cbs_server(srv.id);
-      ++stats_.segment_quarantines;
-      ++net_.mutable_stats().faults.segment_quarantines;
-      incarnation_[srv.id] = kNoConnection;
-      PendingReadmit p;
-      p.node = j;
-      p.is_cbs = true;
-      p.cbs = srv.params;
-      p.former_id = srv.id;
-      p.eligible = s;
-      p.segment = true;
-      p.cut_links = links & severed_seen_;
-      queue_.push_back(std::move(p));
+      close_and_park(j, srv.id, {.is_cbs = true, .cbs = srv.params});
     }
   }
   stats_.weight_reclaimed += released;
@@ -316,9 +283,7 @@ void ResilienceMonitor::drain_readmissions(SlotIndex s) {
         p.is_cbs ? net_.open_cbs_server(p.cbs) : net_.open_connection(p.rt);
     if (r.admitted) {
       ++stats_.readmissions;
-      stats_.weight_readmitted +=
-          p.is_cbs ? net_.admission().weight(p.cbs.admission_params())
-                   : net_.admission().weight(p.rt);
+      stats_.weight_readmitted += weight(p);
       incarnation_[p.former_id] = r.id;
       it = queue_.erase(it);
     } else {

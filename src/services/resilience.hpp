@@ -38,13 +38,16 @@
 // single cut), and parks the closed entries until their links are
 // spliced -- then the same token bucket stages their re-admission.
 //
-// Determinism: the monitor is a net::ResilienceHook, not a SlotObserver,
-// so the engine's idle fast-forward stays enabled.  next_deadline_slot()
-// bounds every skip at the earliest slot where a suspect/down transition
-// or an eligible re-admission drain could occur, and on_fast_forward()
-// batch-advances the bookkeeping for the skipped window -- byte-identical
-// statistics between fast-forward and slot-by-slot execution
-// (tests/sweep/churn_sweep_test.cpp pins it).
+// Determinism: the monitor is a net::SlotListener whose deadline keeps
+// the engine's idle fast-forward enabled.  next_deadline_slot() bounds
+// every skip at the earliest slot where a suspect/down transition or an
+// eligible re-admission drain could occur, and on_skip() batch-advances
+// the bookkeeping for the skipped window -- byte-identical statistics
+// between fast-forward and slot-by-slot execution
+// (tests/sweep/churn_sweep_test.cpp pins it).  It never gates the
+// hypercycle plan: on an engaged plan no node is failed and no link is
+// cut, so it hears everyone and acts on nothing, and every action it
+// takes later goes through open/close calls that re-derive the plan.
 #pragma once
 
 #include <array>
@@ -133,18 +136,13 @@ struct ResilienceStats {
   double reclaim_error = 0.0;
 };
 
-class ResilienceMonitor final : public net::ResilienceHook {
+class ResilienceMonitor final : public net::SlotListener {
  public:
   enum class NodeState : std::uint8_t { kUp, kSuspect, kDown };
 
-  /// Attaches to `net` as its resilience hook (one at a time; the ctor
-  /// displaces nothing -- attaching over an existing hook is a bug).
-  /// `net` must outlive the monitor.
+  /// Attaches to `net` until destroyed.  One monitor per network: a
+  /// second one is a configuration error.
   ResilienceMonitor(net::Network& net, ResilienceParams params);
-  ~ResilienceMonitor() override;
-
-  ResilienceMonitor(const ResilienceMonitor&) = delete;
-  ResilienceMonitor& operator=(const ResilienceMonitor&) = delete;
 
   [[nodiscard]] const ResilienceParams& params() const { return params_; }
   [[nodiscard]] const ResilienceStats& stats() const { return stats_; }
@@ -169,10 +167,9 @@ class ResilienceMonitor final : public net::ResilienceHook {
   /// themselves.
   [[nodiscard]] ConnectionId current_incarnation(ConnectionId id) const;
 
-  // net::ResilienceHook
-  void on_slot_end(const net::SlotRecord& rec) override;
-  void on_fast_forward(SlotIndex first, std::int64_t k,
-                       NodeSet heard) override;
+  // net::SlotListener
+  void on_slot(const net::SlotRecord& rec) override;
+  void on_skip(SlotIndex first, std::int64_t k, NodeSet heard) override;
   [[nodiscard]] SlotIndex next_deadline_slot(SlotIndex from,
                                              SlotIndex limit) override;
 
@@ -186,8 +183,8 @@ class ResilienceMonitor final : public net::ResilienceHook {
   struct PendingReadmit {
     NodeId node = kInvalidNode;
     bool is_cbs = false;
-    core::ConnectionParams rt;  // valid when !is_cbs
-    core::CbsParams cbs;        // valid when is_cbs
+    core::ConnectionParams rt{};  // valid when !is_cbs
+    core::CbsParams cbs{};        // valid when is_cbs
     ConnectionId former_id = kNoConnection;
     /// First slot this entry may spend a token (back-off gate).
     SlotIndex eligible = 0;
@@ -196,7 +193,7 @@ class ResilienceMonitor final : public net::ResilienceHook {
     /// Segment-down entry: parked until every link in `cut_links` is
     /// spliced (instead of until its node reappears).
     bool segment = false;
-    LinkSet cut_links;
+    LinkSet cut_links{};
   };
 
   void heard_node(NodeId j, SlotIndex s);
@@ -205,7 +202,13 @@ class ResilienceMonitor final : public net::ResilienceHook {
   /// every cut-crossing transfer, and any change renegotiates the
   /// admission capacity to the surviving-region fraction.
   void sync_severed(SlotIndex s);
-  void quarantine_segment(SlotIndex s);
+  /// Closes and parks what `sources` originate (ascending; each one's
+  /// connections, then CBS servers, in id order) and checks the released
+  /// Eq. 5/6 weight against the utilisation drop (E22's invariant).  A
+  /// `segment` quarantine takes only the transfers crossing a cut.
+  void quarantine(NodeSet sources, SlotIndex s, bool segment);
+  /// Eq. 5/6 weight of a parked entry.
+  [[nodiscard]] double weight(const PendingReadmit& p) const;
   void renegotiate_capacity();
   void drain_readmissions(SlotIndex s);
   [[nodiscard]] std::int64_t tokens_at(SlotIndex s) const;

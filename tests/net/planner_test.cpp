@@ -5,8 +5,10 @@
 // the plan-driven fast-forward and slot-by-slot execution paths.
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -172,20 +174,37 @@ TEST(Planner, FaultHookAttachDiverges) {
   EXPECT_EQ(n.stats().planned_slots, 0);
 }
 
-TEST(Planner, ResilienceMonitorAttachDiverges) {
-  Network n(cfg8());
-  ASSERT_TRUE(n.open_connection(conn(0, 1, 1, 8)).admitted);
-  ASSERT_TRUE(n.plan_engaged());
-  {
-    services::ResilienceMonitor mon(n, services::ResilienceParams{});
-    EXPECT_FALSE(n.plan_engaged());
-    EXPECT_EQ(n.stats().plan_divergences, 1);
+TEST(Planner, ResilienceMonitorKeepsThePlan) {
+  // A monitor never gates the plan: on a healthy planned ring it hears
+  // every node and acts on nothing, so the run plans exactly the slots
+  // it plans without the monitor, and every statistic agrees.
+  const auto run = [](bool monitored) {
+    Network n(cfg8());
+    std::optional<services::ResilienceMonitor> mon;
+    if (monitored) mon.emplace(n, services::ResilienceParams{});
+    EXPECT_TRUE(n.open_connection(conn(0, 1, 1, 8)).admitted);
+    EXPECT_TRUE(n.plan_engaged());
     n.run_slots(1'000);
-    EXPECT_EQ(n.stats().planned_slots, 0);
-  }
-  // With the monitor detached the next admission event can re-plan.
-  ASSERT_TRUE(n.open_connection(conn(4, 5, 1, 8, /*offset=*/0)).admitted);
-  EXPECT_FALSE(n.plan_valid());  // first stream is mid-release now
+    EXPECT_EQ(n.stats().plan_divergences, 0);
+    return std::make_pair(n.stats().planned_slots, fingerprint(n));
+  };
+  const auto bare = run(false);
+  EXPECT_GT(bare.first, 0);
+  EXPECT_EQ(run(true), bare);
+
+  // A failure diverges the plan first; the monitor then declares the
+  // node down within its detection window plus one slot.
+  Network n(cfg8());
+  const services::ResilienceParams rp;
+  services::ResilienceMonitor mon(n, rp);
+  ASSERT_TRUE(n.open_connection(conn(0, 1, 1, 8)).admitted);
+  n.run_slots(64);
+  ASSERT_TRUE(n.plan_engaged());
+  ASSERT_TRUE(n.fail_node(5));
+  EXPECT_FALSE(n.plan_engaged());
+  n.run_slots(rp.detection_window_slots + 1);
+  EXPECT_TRUE(mon.is_down(5));
+  EXPECT_EQ(mon.stats().downs, 1);
 }
 
 TEST(Planner, NodeChurnDiverges) {

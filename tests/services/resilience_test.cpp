@@ -73,12 +73,14 @@ TEST(Resilience, DetachesOnDestruction) {
   net::Network n(cfg6());
   {
     ResilienceMonitor m(n, fast_params());
-    EXPECT_EQ(n.resilience_hook(), &m);
+    ASSERT_EQ(n.listeners().size(), 1u);
+    EXPECT_EQ(n.listeners().front(), &m);
   }
-  EXPECT_EQ(n.resilience_hook(), nullptr);
+  EXPECT_TRUE(n.listeners().empty());
   // A fresh monitor can attach after the old one is gone.
   ResilienceMonitor m2(n, fast_params());
-  EXPECT_EQ(n.resilience_hook(), &m2);
+  ASSERT_EQ(n.listeners().size(), 1u);
+  EXPECT_EQ(n.listeners().front(), &m2);
 }
 
 TEST(Resilience, DetectionWithinWindowPlusOne) {

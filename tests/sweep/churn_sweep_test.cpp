@@ -125,7 +125,7 @@ TEST(ChurnSweep, ShardRerunsBitIdentical) {
 TEST(ChurnSweep, ReportInvariantAcrossEngineAndThreads) {
   // The determinism contract under the full resilience loop:
   // byte-identical JSON across {fast-forward, slot-by-slot} x {1, 4, 8
-  // threads}.  The monitor is a ResilienceHook whose next_deadline_slot
+  // threads}.  The monitor is a slot listener whose next_deadline_slot
   // bounds every skip, so the idle fast-forward stays enabled AND exact
   // through detection windows, quarantines and re-admission drains.
   GridSpec spec = churn_grid();
