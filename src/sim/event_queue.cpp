@@ -1,10 +1,21 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace ccredf::sim {
+
+ArrivalProcess::~ArrivalProcess() {
+  if (queue_ != nullptr) queue_->detach(*this);
+}
+
+EventQueue::~EventQueue() {
+  for (ArrivalProcess* p : processes_) {
+    if (p != nullptr) p->queue_ = nullptr;
+  }
+}
 
 void EventQueue::reserve(std::size_t n) {
   slots_.reserve(n);
@@ -26,9 +37,42 @@ EventId EventQueue::schedule(TimePoint at, Callback fn) {
   Slot& slot = slots_[index];
   slot.fn = std::move(fn);
   slot.seq = next_seq_++;
-  heap_push(HeapEntry{at, slot.seq, index});
+  heap_push(HeapEntry{at, slot.seq, index, 0});
   ++live_;
   return make_id(slot.gen, index);
+}
+
+void EventQueue::arm(TimePoint at, ArrivalProcess& process,
+                     std::uint32_t key) {
+  if (at == TimePoint::infinity()) return;
+  if (process.queue_ != this) attach(process);
+  heap_push(HeapEntry{at, next_seq_++, key, process.index_});
+  ++live_;
+}
+
+void EventQueue::attach(ArrivalProcess& p) {
+  CCREDF_EXPECT(p.queue_ == nullptr,
+                "EventQueue: process is armed on another queue");
+  auto it = std::find(processes_.begin() + 1, processes_.end(), nullptr);
+  if (it == processes_.end()) it = processes_.insert(it, nullptr);
+  *it = &p;
+  p.queue_ = this;
+  p.index_ = static_cast<std::uint32_t>(it - processes_.begin());
+}
+
+void EventQueue::detach(ArrivalProcess& p) {
+  const std::uint32_t index = p.index_;
+  const std::size_t before = heap_.size();
+  std::erase_if(heap_,
+                [index](const HeapEntry& e) { return e.process == index; });
+  if (heap_.size() != before) {
+    live_ -= before - heap_.size();
+    // Rebuild bottom-up.  Firing order depends only on the strict
+    // (time, seq) order, never on the heap's layout.
+    for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
+  }
+  processes_[index] = nullptr;
+  p.queue_ = nullptr;
 }
 
 void EventQueue::free_slot(std::uint32_t index) {
@@ -49,15 +93,38 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-EventQueue::Fired EventQueue::pop() {
-  CCREDF_EXPECT(live_ > 0, "EventQueue::pop on empty queue");
+void EventQueue::fire_next(TimePoint& now) {
+  CCREDF_EXPECT(live_ > 0, "EventQueue::fire_next on empty queue");
   drop_stale_heads();
   const HeapEntry top = heap_.front();
-  heap_pop_top();
-  Fired fired{top.time, std::move(slots_[top.slot].fn)};
-  free_slot(top.slot);
-  --live_;
-  return fired;
+  now = top.time;
+  if (top.process == 0) {
+    heap_pop_top();
+    // Move the callback out and recycle its slot first: while it runs it
+    // may schedule, which can reuse that slot or grow the slab.
+    Callback fn = std::move(slots_[top.ref].fn);
+    free_slot(top.ref);
+    --live_;
+    fn();
+    return;
+  }
+  const TimePoint next = processes_[top.process]->arrive(top.ref);
+  // Whatever arrive() pushed sorts after `top` (nothing precedes now,
+  // and every new seq is larger), and purging a destroyed process's
+  // entries keeps the minimum at the root -- so `top` is still the head
+  // unless its own process was destroyed.
+  if (heap_.empty() || heap_.front().seq != top.seq) return;
+  if (next == TimePoint::infinity()) {
+    heap_pop_top();
+    --live_;
+    return;
+  }
+  CCREDF_EXPECT(next >= top.time,
+                "EventQueue: an arrival cannot be re-armed into the past");
+  HeapEntry& head = heap_.front();
+  head.time = next;
+  head.seq = next_seq_++;
+  sift_down(0);
 }
 
 // ---- flat binary min-heap over (time, seq) ------------------------------

@@ -5,9 +5,7 @@ namespace ccredf::sim {
 std::size_t Simulator::run_until_slow(TimePoint horizon) {
   std::size_t fired = 0;
   while (!queue_.empty() && queue_.next_time() <= horizon) {
-    auto ev = queue_.pop();
-    now_ = ev.time;
-    ev.fn();
+    queue_.fire_next(now_);
     ++fired;
   }
   events_fired_ += fired;
@@ -18,9 +16,7 @@ std::size_t Simulator::run_until_slow(TimePoint horizon) {
 std::size_t Simulator::run_all() {
   std::size_t fired = 0;
   while (!queue_.empty()) {
-    auto ev = queue_.pop();
-    now_ = ev.time;
-    ev.fn();
+    queue_.fire_next(now_);
     ++fired;
   }
   events_fired_ += fired;

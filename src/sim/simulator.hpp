@@ -1,9 +1,10 @@
 // The discrete-event simulator driving all experiments.
 //
 // The protocol engines (net::Network and the MAC drivers) advance the clock
-// slot by slot; workload generators and timeouts are events on this queue.
-// Network::run_*() interleaves the two: before each slot boundary it fires
-// every event with timestamp <= that boundary.
+// slot by slot.  Releases, timeouts, faults and churn are closure events
+// on this queue; workload generators are arrival processes armed on it
+// (sim::ArrivalProcess).  Network::run_*() interleaves the two: before
+// each slot boundary it fires every event with timestamp <= that boundary.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +34,13 @@ class Simulator {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Arms `key` of `process` at absolute time `at` (must not precede
+  /// now(); infinity arms nothing).  See ArrivalProcess.
+  void arm(TimePoint at, ArrivalProcess& process, std::uint32_t key) {
+    CCREDF_EXPECT(at >= now_, "Simulator: cannot arm into the past");
+    queue_.arm(at, process, key);
+  }
+
   /// Runs all events with time <= horizon, advancing now() to each event
   /// time; finally sets now() = horizon.  Returns the number of events run.
   /// The slot engine calls this at every intra-slot phase boundary and
@@ -58,8 +66,8 @@ class Simulator {
   [[nodiscard]] bool idle() { return queue_.empty(); }
   [[nodiscard]] TimePoint next_event_time() { return queue_.next_time(); }
 
-  /// Cumulative number of events fired since construction (throughput
-  /// accounting for the bench harness).
+  /// Cumulative number of events fired since construction, closures and
+  /// arrivals alike (throughput accounting for the bench harness).
   [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }
 
  private:

@@ -10,7 +10,8 @@
 //     actually stresses bandwidth isolation.
 // Per-flow Rng streams are forked from one seed (sim::Rng::stream), so
 // the arrival pattern is independent of how flows interleave and stays
-// byte-deterministic under any sweep sharding.
+// byte-deterministic under any sweep sharding.  Each flow is one key of
+// the generator's arrival process (sim::ArrivalProcess).
 #pragma once
 
 #include <cstdint>
@@ -38,11 +39,11 @@ struct AperiodicParams {
   void validate() const;
 };
 
-class AperiodicGenerator {
+class AperiodicGenerator final : public sim::ArrivalProcess {
  public:
   /// Starts generating immediately onto the given ADMITTED CBS servers
-  /// (one flow per id); stops at `until`.  `net` must outlive the
-  /// generator.  An empty server list is a no-op generator.
+  /// (one flow per id); stops at `until`.  Either the generator or `net`
+  /// may be destroyed first.  An empty server list is a no-op generator.
   AperiodicGenerator(net::Network& net, std::vector<ConnectionId> servers,
                      AperiodicParams params, sim::TimePoint until);
 
@@ -64,13 +65,19 @@ class AperiodicGenerator {
     sim::TimePoint phase_end;
   };
 
-  void schedule_next(std::size_t flow);
-  void emit(std::size_t flow);
-  [[nodiscard]] sim::Duration extent() const;
+  /// sim::ArrivalProcess; the key is the flow.
+  sim::TimePoint arrive(std::uint32_t flow) override;
+  /// The flow's next arrival instant after now, or infinity from `until`
+  /// on.
+  sim::TimePoint next_arrival(Flow& flow);
+  void emit(Flow& flow);
 
   net::Network& net_;
   AperiodicParams params_;
   sim::TimePoint until_;
+  sim::Duration mean_gap_;
+  sim::Duration burst_mean_;  // bursty mode only
+  sim::Duration idle_mean_;   // bursty mode only
   std::vector<Flow> flows_;
   std::int64_t generated_ = 0;
   std::int64_t orphaned_ = 0;

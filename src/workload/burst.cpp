@@ -22,19 +22,35 @@ BurstGenerator::BurstGenerator(net::Network& net, BurstParams params,
       peer_(net.nodes(), kInvalidNode) {
   params_.validate();
   CCREDF_EXPECT(net.nodes() >= 2, "BurstGenerator: need at least two nodes");
-  for (NodeId n = 0; n < net_.nodes(); ++n) enter_idle(n);
-}
-
-void BurstGenerator::enter_idle(NodeId node) {
   const sim::Duration extent = net_.timing().slot_plus_max_gap();
-  const auto wait = rng_.exponential(extent * static_cast<std::int64_t>(
-      std::max(1.0, params_.mean_idle_slots)));
-  const sim::TimePoint at = net_.sim().now() + wait;
-  if (at >= until_) return;
-  net_.sim().schedule_at(at, [this, node] { enter_burst(node); });
+  idle_mean_ = extent * static_cast<std::int64_t>(
+                            std::max(1.0, params_.mean_idle_slots));
+  burst_mean_ = extent * static_cast<std::int64_t>(
+                             std::max(1.0, params_.mean_burst_slots));
+  mean_gap_ = sim::Duration::picoseconds(static_cast<std::int64_t>(
+      static_cast<double>(extent.ps()) / params_.burst_rate));
+  for (NodeId n = 0; n < net_.nodes(); ++n) {
+    net_.sim().arm(idle_end(), *this, phase_key(n));
+  }
 }
 
-void BurstGenerator::enter_burst(NodeId node) {
+sim::TimePoint BurstGenerator::arrive(std::uint32_t key) {
+  const NodeId node = key / 2;
+  if (key == emit_key(node)) {
+    emit(node);
+    return sim::TimePoint::infinity();
+  }
+  if (peer_[node] == kInvalidNode) return enter_burst(node);
+  peer_[node] = kInvalidNode;
+  return idle_end();
+}
+
+sim::TimePoint BurstGenerator::idle_end() {
+  const sim::TimePoint at = net_.sim().now() + rng_.exponential(idle_mean_);
+  return at < until_ ? at : sim::TimePoint::infinity();
+}
+
+sim::TimePoint BurstGenerator::enter_burst(NodeId node) {
   ++bursts_;
   // Pick the burst peer once per burst (a file transfer has one sink).
   NodeId dest;
@@ -43,26 +59,17 @@ void BurstGenerator::enter_burst(NodeId node) {
   } while (dest == node);
   peer_[node] = dest;
 
-  const sim::Duration extent = net_.timing().slot_plus_max_gap();
-  const auto burst_len = rng_.exponential(
-      extent * static_cast<std::int64_t>(
-                   std::max(1.0, params_.mean_burst_slots)));
   const sim::TimePoint burst_end =
-      std::min(net_.sim().now() + burst_len, until_);
+      std::min(net_.sim().now() + rng_.exponential(burst_mean_), until_);
 
   // Emit at burst_rate until the phase ends, then go idle again.
-  const sim::Duration mean_gap = sim::Duration::picoseconds(
-      static_cast<std::int64_t>(static_cast<double>(extent.ps()) /
-                                params_.burst_rate));
   sim::TimePoint t = net_.sim().now();
   for (;;) {
-    t += rng_.exponential(mean_gap);
+    t += rng_.exponential(mean_gap_);
     if (t >= burst_end) break;
-    net_.sim().schedule_at(t, [this, node] { emit(node); });
+    net_.sim().arm(t, *this, emit_key(node));
   }
-  if (burst_end < until_) {
-    net_.sim().schedule_at(burst_end, [this, node] { enter_idle(node); });
-  }
+  return burst_end < until_ ? burst_end : sim::TimePoint::infinity();
 }
 
 void BurstGenerator::emit(NodeId node) {

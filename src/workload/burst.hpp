@@ -5,7 +5,9 @@
 // best-effort messages at a high rate towards a single "burst peer".
 // This is the classic model of file transfers / swapped video scenes and
 // stresses the priority machinery far harder than plain Poisson traffic:
-// bursts pile deep queues behind one head-of-line request per node.
+// bursts pile deep queues behind one head-of-line request per node.  Each
+// node's phase changes and burst emits are keys of the generator's
+// arrival process (sim::ArrivalProcess).
 #pragma once
 
 #include <cstdint>
@@ -36,8 +38,10 @@ struct BurstParams {
   void validate() const;
 };
 
-class BurstGenerator {
+class BurstGenerator final : public sim::ArrivalProcess {
  public:
+  /// Starts every node idle; stops at `until`.  Either the generator or
+  /// `net` may be destroyed first.
   BurstGenerator(net::Network& net, BurstParams params,
                  sim::TimePoint until);
 
@@ -45,15 +49,29 @@ class BurstGenerator {
   [[nodiscard]] std::int64_t bursts_started() const { return bursts_; }
 
  private:
-  void enter_idle(NodeId node);
-  void enter_burst(NodeId node);
+  // Key 2n is node n's next phase change; key 2n + 1 one of its burst's
+  // emits.
+  static std::uint32_t phase_key(NodeId n) { return 2 * n; }
+  static std::uint32_t emit_key(NodeId n) { return 2 * n + 1; }
+
+  /// sim::ArrivalProcess.
+  sim::TimePoint arrive(std::uint32_t key) override;
+  /// When an idle phase starting now ends, or infinity from `until` on.
+  sim::TimePoint idle_end();
+  /// Starts a burst: picks its peer and arms its emits; returns when it
+  /// ends, or infinity when it runs into `until`.
+  sim::TimePoint enter_burst(NodeId node);
   void emit(NodeId node);
 
   net::Network& net_;
   BurstParams params_;
   sim::TimePoint until_;
+  sim::Duration idle_mean_;
+  sim::Duration burst_mean_;
+  sim::Duration mean_gap_;  // between emits while bursting
   sim::Rng rng_;
-  std::vector<NodeId> peer_;  // current burst destination per node
+  // Current burst destination per node; kInvalidNode while idle.
+  std::vector<NodeId> peer_;
   std::int64_t generated_ = 0;
   std::int64_t bursts_ = 0;
 };

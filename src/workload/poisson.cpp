@@ -16,21 +16,22 @@ PoissonGenerator::PoissonGenerator(net::Network& net, PoissonParams params,
   CCREDF_EXPECT(params_.min_laxity_slots >= 1 &&
                     params_.max_laxity_slots >= params_.min_laxity_slots,
                 "PoissonGenerator: bad laxity range");
-  for (NodeId n = 0; n < net_.nodes(); ++n) schedule_next(n);
+  mean_gap_ = sim::Duration::picoseconds(static_cast<std::int64_t>(
+      static_cast<double>(net_.timing().slot_plus_max_gap().ps()) /
+      params_.rate_per_node));
+  for (NodeId n = 0; n < net_.nodes(); ++n) {
+    net_.sim().arm(next_arrival(), *this, n);
+  }
 }
 
-void PoissonGenerator::schedule_next(NodeId node) {
-  const sim::Duration mean_gap = sim::Duration::picoseconds(
-      static_cast<std::int64_t>(
-          static_cast<double>(net_.timing().slot_plus_max_gap().ps()) /
-          params_.rate_per_node));
-  const sim::Duration wait = rng_.exponential(mean_gap);
-  const sim::TimePoint at = net_.sim().now() + wait;
-  if (at >= until_) return;
-  net_.sim().schedule_at(at, [this, node] {
-    emit(node);
-    schedule_next(node);
-  });
+sim::TimePoint PoissonGenerator::arrive(std::uint32_t node) {
+  emit(node);
+  return next_arrival();
+}
+
+sim::TimePoint PoissonGenerator::next_arrival() {
+  const sim::TimePoint at = net_.sim().now() + rng_.exponential(mean_gap_);
+  return at < until_ ? at : sim::TimePoint::infinity();
 }
 
 void PoissonGenerator::emit(NodeId node) {

@@ -3,7 +3,9 @@
 // Each node generates messages with exponential inter-arrival times;
 // destinations are uniform (optionally biased towards nearby downstream
 // nodes, which raises spatial-reuse opportunity -- experiment E9), sizes
-// and laxities uniform over configured ranges.
+// and laxities uniform over configured ranges.  Each node is one key of
+// the generator's arrival process (sim::ArrivalProcess), armed on the
+// network's event queue.
 #pragma once
 
 #include <cstdint>
@@ -32,22 +34,26 @@ struct PoissonParams {
   std::uint64_t seed = 7;
 };
 
-class PoissonGenerator {
+class PoissonGenerator final : public sim::ArrivalProcess {
  public:
-  /// Starts generating immediately; stops at `until`.  `net` must outlive
-  /// the generator.
+  /// Starts generating immediately; stops at `until`.  Either the
+  /// generator or `net` may be destroyed first.
   PoissonGenerator(net::Network& net, PoissonParams params,
                    sim::TimePoint until);
 
   [[nodiscard]] std::int64_t generated() const { return generated_; }
 
  private:
-  void schedule_next(NodeId node);
+  /// sim::ArrivalProcess; the key is the node.
+  sim::TimePoint arrive(std::uint32_t node) override;
+  /// The next arrival instant after now, or infinity from `until` on.
+  sim::TimePoint next_arrival();
   void emit(NodeId node);
 
   net::Network& net_;
   PoissonParams params_;
   sim::TimePoint until_;
+  sim::Duration mean_gap_;
   sim::Rng rng_;
   std::int64_t generated_ = 0;
 };

@@ -5,8 +5,10 @@
 // touching the heap.  This binary replaces global operator new/delete
 // with counting versions and asserts that running thousands of slots of
 // an admitted periodic CCR-EDF load performs zero allocations, with the
-// hypercycle planner off and on, and with a control-BER fault hook that
-// draws no flip (every slot consults it for every frame).
+// hypercycle planner off and on, with a control-BER fault hook that
+// draws no flip (every slot consults it for every frame), and beside a
+// saturating Poisson generator whose arrivals mostly tail-drop at a
+// capped buffer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +20,7 @@
 #include "fault/injector.hpp"
 #include "net/network.hpp"
 #include "workload/periodic.hpp"
+#include "workload/poisson.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -68,16 +71,20 @@ TEST(Allocation, SteadyStateSlotsAreAllocationFree) {
   // planner on runs the plan cursor and the release table instead.  The
   // fault leg runs planner off with a FaultInjector filtering every
   // request record and distribution packet at a control BER whose keyed
-  // draws flip no bit in the window.
+  // draws flip no bit in the window.  The generator leg adds 3 Poisson
+  // arrivals per node per slot extent against a 32-message buffer, the
+  // sweep's saturation cell: nearly every arrival is tail-dropped.
   struct Leg {
     const char* name;
     bool planner;
     bool fault_hook;
+    bool generator;
   };
   const std::vector<Leg> legs = {
-      {"planner off", false, false},
-      {"planner on", true, false},
-      {"control BER, no flip drawn", false, true},
+      {"planner off", false, false, false},
+      {"planner on", true, false, false},
+      {"control BER, no flip drawn", false, true, false},
+      {"saturating Poisson generator", false, false, true},
   };
   for (const Leg& leg : legs) {
     SCOPED_TRACE(leg.name);
@@ -85,11 +92,19 @@ TEST(Allocation, SteadyStateSlotsAreAllocationFree) {
     cfg.nodes = 16;
     cfg.record_inboxes = false;  // inboxes grow forever by design
     cfg.planner = leg.planner;
+    if (leg.generator) cfg.max_queue_messages = 32;
     net::Network n(cfg);
     std::optional<fault::FaultInjector> inj;
     if (leg.fault_hook) {
       inj.emplace(n, /*seed=*/1);
       inj->set_control_ber(1e-9);
+    }
+    std::optional<workload::PoissonGenerator> gen;
+    if (leg.generator) {
+      workload::PoissonParams pp;
+      pp.rate_per_node = 3.0;
+      pp.seed = 7;
+      gen.emplace(n, pp, sim::TimePoint::infinity());
     }
 
     // A strictly periodic admitted load: one connection per node at a
@@ -109,8 +124,9 @@ TEST(Allocation, SteadyStateSlotsAreAllocationFree) {
     ASSERT_GT(admitted, 0);
 
     // Warm-up: every pool, slab, vector and hash table reaches its
-    // high-water capacity (50 full release periods).
-    n.run_slots(5'000);
+    // high-water capacity (50 full release periods; 200 with the
+    // generator, whose buffers fill at random).
+    n.run_slots(gen ? 20'000 : 5'000);
 
     const std::int64_t flipped = inj ? inj->bits_flipped() : 0;
     const std::uint64_t before =
@@ -130,6 +146,7 @@ TEST(Allocation, SteadyStateSlotsAreAllocationFree) {
     // Sanity: the run actually simulated work on the intended path.
     EXPECT_GT(n.stats().cls(core::TrafficClass::kRealTime).delivered, 0);
     EXPECT_EQ(n.stats().planned_slots > 0, leg.planner);
+    EXPECT_EQ(n.stats().buffer_drops > 0, leg.generator);
   }
 }
 

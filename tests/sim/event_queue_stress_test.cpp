@@ -1,5 +1,5 @@
 // Stress the pooled event queue: long interleavings of schedule / cancel
-// / pop must preserve (time, scheduling-order) firing, and the slab must
+// / fire must preserve (time, scheduling-order) firing, and the slab must
 // recycle slots instead of growing without bound.
 #include "sim/event_queue.hpp"
 
@@ -28,7 +28,7 @@ TEST(EventQueueStress, InterleavedScheduleCancelPopKeepsOrder) {
   EventQueue q;
   Rng rng(0xC0FFEE);
   std::vector<Scheduled> pending;
-  std::vector<std::uint64_t> fired;  // serials, in pop order
+  std::vector<std::uint64_t> fired;  // serials, in firing order
   std::vector<Scheduled> expected;
   std::uint64_t next_serial = 0;
   std::int64_t now_ns = 0;
@@ -56,12 +56,12 @@ TEST(EventQueueStress, InterleavedScheduleCancelPopKeepsOrder) {
       victim.cancelled = true;
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
     }
-    // Pop a few events; the queue decides which fire first.
+    // Fire a few events; the queue decides which fire first.
     const int pops = static_cast<int>(rng.uniform_int(0, 4));
     for (int i = 0; i < pops && !q.empty(); ++i) {
-      const auto ev = q.pop();
-      now_ns = std::max(now_ns, (ev.time - TimePoint::origin()).ps() / 1000);
-      ev.fn();
+      TimePoint t;
+      q.fire_next(t);
+      now_ns = std::max(now_ns, (t - TimePoint::origin()).ps() / 1000);
     }
     // Firing consumes from `pending` in (time, serial) order.
     std::sort(pending.begin(), pending.end(),
@@ -74,10 +74,8 @@ TEST(EventQueueStress, InterleavedScheduleCancelPopKeepsOrder) {
       pending.erase(pending.begin());
     }
   }
-  while (!q.empty()) {
-    const auto ev = q.pop();
-    ev.fn();
-  }
+  TimePoint t;
+  while (!q.empty()) q.fire_next(t);
   std::sort(pending.begin(), pending.end(),
             [](const Scheduled& a, const Scheduled& b) {
               if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
@@ -107,7 +105,7 @@ TEST(EventQueueStress, SlabPlateausUnderSteadyChurn) {
           serial);
       ++serial;
       // Retire one event whenever the pending population tops 64; half
-      // the turnover goes through cancel, half through pop.
+      // the turnover goes through cancel, half through firing.
       if (live.size() > 64) {
         if (rng.bernoulli(0.5)) {
           const auto pick = static_cast<std::size_t>(
@@ -116,9 +114,9 @@ TEST(EventQueueStress, SlabPlateausUnderSteadyChurn) {
           live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
         } else {
           fired.clear();
-          const auto ev = q.pop();
-          t = std::max(t, (ev.time - TimePoint::origin()).ps() / 1000);
-          ev.fn();
+          TimePoint fired_at;
+          q.fire_next(fired_at);
+          t = std::max(t, (fired_at - TimePoint::origin()).ps() / 1000);
           ASSERT_EQ(fired.size(), 1u);
           std::erase_if(live, [&](const auto& e) {
             return e.second == fired.front();

@@ -13,6 +13,13 @@ using namespace ccredf::sim::literals;
 
 TimePoint at(Duration d) { return TimePoint::origin() + d; }
 
+// Fires the earliest event and returns its time.
+TimePoint fire(EventQueue& q) {
+  TimePoint t;
+  q.fire_next(t);
+  return t;
+}
+
 TEST(EventQueue, EmptyInitially) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
@@ -26,7 +33,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.schedule(at(30_ns), [&] { fired.push_back(3); });
   q.schedule(at(10_ns), [&] { fired.push_back(1); });
   q.schedule(at(20_ns), [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) fire(q);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -36,15 +43,14 @@ TEST(EventQueue, EqualTimesFireInScheduleOrder) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(at(5_ns), [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) fire(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
 TEST(EventQueue, PopReportsEventTime) {
   EventQueue q;
   q.schedule(at(42_ns), [] {});
-  const auto ev = q.pop();
-  EXPECT_EQ(ev.time, at(42_ns));
+  EXPECT_EQ(fire(q), at(42_ns));
 }
 
 TEST(EventQueue, NextTimeTracksEarliest) {
@@ -83,7 +89,7 @@ TEST(EventQueue, CancelledHeadIsSkipped) {
   q.schedule(at(20_ns), [&] { fired.push_back(2); });
   q.cancel(first);
   EXPECT_EQ(q.next_time(), at(20_ns));
-  q.pop().fn();
+  EXPECT_EQ(fire(q), at(20_ns));
   EXPECT_EQ(fired, std::vector<int>{2});
 }
 
@@ -98,7 +104,7 @@ TEST(EventQueue, SizeCountsLiveOnly) {
 
 TEST(EventQueue, PopOnEmptyThrows) {
   EventQueue q;
-  EXPECT_THROW((void)q.pop(), ConfigError);
+  EXPECT_THROW((void)fire(q), ConfigError);
 }
 
 TEST(EventQueue, ManyInterleavedOperations) {
@@ -111,9 +117,9 @@ TEST(EventQueue, ManyInterleavedOperations) {
   TimePoint last = TimePoint::origin();
   std::size_t popped = 0;
   while (!q.empty()) {
-    const auto ev = q.pop();
-    EXPECT_GE(ev.time, last);
-    last = ev.time;
+    const TimePoint t = fire(q);
+    EXPECT_GE(t, last);
+    last = t;
     ++popped;
   }
   EXPECT_EQ(popped, 1'000u - (1'000u + 2) / 3);

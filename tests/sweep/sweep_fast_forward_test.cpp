@@ -42,6 +42,24 @@ GridSpec fault_grid() {
   return spec;
 }
 
+// The cells that carry most Poisson and CBS arrivals: saturation load
+// beside saturated CBS servers, tail-dropped at a 32-message buffer.
+GridSpec saturation_grid() {
+  GridSpec spec;
+  spec.protocols = {Protocol::kCcrEdf, Protocol::kCcFpr};
+  spec.node_counts = {8, 16};
+  spec.utilisations = {0.5};
+  spec.bers = {0.0, 1e-3};
+  spec.mixes = {WorkloadMix::kSaturation};
+  spec.services = {ServiceMix::kCbsSaturated};
+  spec.queue_cap = 32;
+  spec.set_seeds = {5};
+  spec.repetitions = 2;
+  spec.slots = 1500;
+  spec.base_seed = 3;
+  return spec;
+}
+
 void expect_engine_invariant(GridSpec spec) {
   spec.fast_forward = true;
   const std::string reference = to_json(run_sweep(spec, {.threads = 1}));
@@ -62,6 +80,10 @@ TEST(SweepFastForward, ReportInvariantAcrossEngineAndThreads) {
 
 TEST(SweepFastForward, FaultGridReportInvariantAcrossEngineAndThreads) {
   expect_engine_invariant(fault_grid());
+}
+
+TEST(SweepFastForward, SaturationGridReportInvariantAcrossEngineAndThreads) {
+  expect_engine_invariant(saturation_grid());
 }
 
 TEST(SweepFastForward, DefaultSpecFastForwards) {
