@@ -1,8 +1,9 @@
-// Shared helpers for the gated experiment benches (bench_* binaries).
+// Shared helpers for the timing benches (bench_* binaries).
 //
-// Each binary runs one experiment from DESIGN.md §6, prints its tables
-// through analysis::Table and exits 1 when one of its gates fails;
-// EXPERIMENTS.md records prediction vs measurement.
+// Each binary times one engineering experiment from DESIGN.md §6 (E16,
+// E17, E20, E23b), prints its tables through analysis::Table and can
+// write a flat JSON metric document; EXPERIMENTS.md records the
+// readings.  The correctness claims are ctest cases (`ctest -L claims`).
 #pragma once
 
 #include <algorithm>
@@ -22,27 +23,21 @@
 #include "net/network.hpp"
 #include "sweep/grid.hpp"
 #include "workload/periodic.hpp"
-#include "workload/poisson.hpp"
 
 namespace ccredf::bench {
 
-// The protocol axis lives in the sweep module now (shared by the grid
+// The protocol axis lives in the sweep module (shared by the grid
 // runner, the CLI and the benches).
 using Protocol = sweep::Protocol;
-using sweep::protocol_name;
 
-inline net::NetworkConfig make_config(NodeId nodes, Protocol proto,
-                                      double link_length_m = 10.0,
-                                      std::int64_t payload = 0) {
-  sweep::GridSpec spec;
-  spec.link_length_m = link_length_m;
-  spec.slot_payload_bytes = payload;
+/// A sweep-configured ring of `nodes` nodes on 10 m links.  Timing runs
+/// keep no inboxes: unbounded inboxes would dominate memory.
+inline net::NetworkConfig make_config(NodeId nodes, Protocol proto) {
   sweep::GridPoint point;
   point.protocol = proto;
   point.nodes = nodes;
-  net::NetworkConfig cfg = sweep::make_network_config(spec, point);
-  // Benches drain inboxes in places; keep the library default.
-  cfg.record_inboxes = true;
+  net::NetworkConfig cfg = sweep::make_network_config(sweep::GridSpec{}, point);
+  cfg.record_inboxes = false;
   return cfg;
 }
 
@@ -54,30 +49,6 @@ inline int open_all(net::Network& n,
     if (n.open_connection(c).admitted) ++admitted;
   }
   return admitted;
-}
-
-// ---- fault-sweep scaffolding (bench_fault_recovery, E19) ---------------
-
-/// One cell of a fault-rate sweep: the injected rate and the fragment
-/// naming it in JSON keys.
-struct BerCase {
-  double ber;
-  const char* label;
-};
-
-/// The canonical fault-experiment workload: tight deadlines (a few
-/// slots), so one recovery stall or retransmission round trip overruns
-/// them and faults translate directly into misses.
-inline workload::PeriodicSetParams fault_workload(const net::Network& n,
-                                                  double load = 0.5) {
-  workload::PeriodicSetParams wp;
-  wp.nodes = n.nodes();
-  wp.connections = 12;
-  wp.total_utilisation = load * n.timing().u_max();
-  wp.min_period_slots = 8;
-  wp.max_period_slots = 40;
-  wp.seed = 3;
-  return wp;
 }
 
 inline void header(const std::string& id, const std::string& title,

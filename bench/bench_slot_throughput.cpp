@@ -44,7 +44,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 Sample run_config(NodeId nodes, double load_fraction, double min_seconds,
                   bool fast_forward) {
   net::NetworkConfig cfg = bench::make_config(nodes, bench::Protocol::kCcrEdf);
-  cfg.record_inboxes = false;  // unbounded inboxes would dominate memory
   cfg.fast_forward = fast_forward;
   net::Network n(cfg);
 

@@ -1,9 +1,9 @@
 // E17 (engineering metric): throughput and parallel speedup of the
-// sweep runner, plus a determinism self-check.  The E17 grid covers the
-// three protocols at four loads on three ring sizes; the same grid is run
-// with 1 worker thread and with 8, the aggregated JSON documents are
-// compared byte-for-byte, and shard throughput + speedup land in
-// BENCH_sweep.json for CI trend tracking.
+// sweep runner.  The E17 grid covers the three protocols at four loads on
+// three ring sizes; it is timed with 1, 2, 4 and 8 worker threads, and
+// shard throughput + speedup land in BENCH_sweep.json for trend
+// tracking.  The byte-identity of the report across thread counts is a
+// ctest case (SweepDeterminismTest.JsonIdenticalAcrossThreadCounts).
 //
 // Note: speedup is bounded by the machine -- on an M-core host the ideal
 // is min(8, M); `hardware_threads` is recorded alongside so a 1.0x on a
@@ -13,7 +13,6 @@
 #include <string>
 #include <thread>
 
-#include "sweep/report.hpp"
 #include "sweep/runner.hpp"
 
 using namespace ccredf;
@@ -43,7 +42,7 @@ sweep::GridSpec e17_grid(bool quick) {
 int main(int argc, char** argv) {
   const Flags flags = parse_flags(argc, argv);
 
-  header("E17", "parallel sweep-runner throughput & determinism",
+  header("E17", "parallel sweep-runner throughput",
          "engineering metric (no paper artefact); DESIGN.md section 9");
 
   const sweep::GridSpec spec = e17_grid(flags.quick);
@@ -60,8 +59,6 @@ int main(int argc, char** argv) {
   double wall_8t = 0.0;
   double shards_per_s_1t = 0.0;
   double shards_per_s_8t = 0.0;
-  std::string json_1t;
-  bool identical = true;
   for (const int threads : {1, 2, 4, 8}) {
     sweep::RunOptions opts;
     opts.threads = threads;
@@ -71,9 +68,6 @@ int main(int argc, char** argv) {
     if (threads == 1) {
       wall_1t = res.wall_seconds;
       shards_per_s_1t = rate;
-      json_1t = sweep::to_json(res);
-    } else {
-      identical = identical && sweep::to_json(res) == json_1t;
     }
     if (threads == 8) {
       wall_8t = res.wall_seconds;
@@ -86,9 +80,7 @@ int main(int argc, char** argv) {
         .cell(rate, 1)
         .cell(wall_1t / res.wall_seconds, 2);
   }
-  t.note("aggregated JSON byte-identical across thread counts: " +
-         std::string(identical ? "yes" : "NO (BUG)") +
-         "; hardware threads on this host: " + std::to_string(hw));
+  t.note("hardware threads on this host: " + std::to_string(hw));
   t.print(std::cout);
 
   if (!flags.json_path.empty()) {
@@ -102,7 +94,6 @@ int main(int argc, char** argv) {
     doc.set("shards_per_s_8t", shards_per_s_8t);
     doc.set("speedup_8t_vs_1t", wall_1t / wall_8t);
     doc.set("hardware_threads", static_cast<double>(hw));
-    doc.set("json_identical", identical ? 1.0 : 0.0);
     if (!doc.write(flags.json_path)) {
       std::cerr << "bench_sweep: cannot write " << flags.json_path
                 << "\n";
@@ -110,5 +101,5 @@ int main(int argc, char** argv) {
     }
     std::cout << doc.str();
   }
-  return identical ? 0 : 1;
+  return 0;
 }

@@ -9,7 +9,9 @@ and ccredf_sweep writes a richer {"report": "ccredf-sweep", ...}
 document.  CI and scripts/check.sh run this validator after each bench so
 a silently truncated or malformed write fails the pipeline instead of
 poisoning the performance-trajectory archive.  It checks document shape
-only: each bench gates its own numbers and exits 1 when a gate fails.
+only: the three benches record timings, bench_hypercycle exits 1 when
+E23b's speed-up gate fails, and the correctness claims are ctest cases
+(`ctest -L claims`).
 
 Usage: validate_bench_json.py FILE [FILE...]
 Exit codes: 0 all valid, 1 validation failure, 2 usage error.

@@ -173,8 +173,9 @@ SlotIndex FaultInjector::next_deadline_slot(SlotIndex from,
   // while the engine fast-forwards), so per-node path probabilities are
   // computed once.
   const bool ber_active = ber_.has_value() && ber_->enabled();
+  const NodeSet failed = net_.failed_nodes();
   const bool babble_active = babble_p_ > 0.0 && babbler_ != kInvalidNode &&
-                             !net_.node(babbler_).failed();
+                             !failed.contains(babbler_);
   if (!ber_active && !babble_active && random_loss_p_ <= 0.0) return lim;
 
   const NodeId master = net_.current_master();
@@ -191,7 +192,7 @@ SlotIndex FaultInjector::next_deadline_slot(SlotIndex from,
     distribution_p = distribution_exposure();
     for (NodeId h = 0; h < net_.nodes(); ++h) {
       const NodeId j = net_.topology().downstream(master, h);
-      if (net_.node(j).failed()) continue;
+      if (failed.contains(j)) continue;
       live_node[live] = j;
       collection_p[live] = request_exposure(h, j);
       ++live;

@@ -204,7 +204,7 @@ MessageId Network::enqueue(NodeId src, NodeSet dests, core::TrafficClass cls,
     mark_plan_diverged();
   }
   const MessageId id = next_message_id_++;
-  if (nodes_[src].failed()) return id;  // dropped: source is down
+  if (soa_.failed.contains(src)) return id;  // dropped: source is down
   if (cfg_.max_queue_messages != 0 &&
       cls != core::TrafficClass::kRealTime &&
       nodes_[src].queues().size() >= cfg_.max_queue_messages) {
@@ -370,7 +370,7 @@ MessageId Network::cbs_send(ConnectionId id, std::int64_t size_slots) {
   CCREDF_EXPECT(it != cbs_.end(), "cbs_send: unknown or closed server");
   CbsState& st = it->second;
   const core::CbsParams& p = st.server.params();
-  if (nodes_[p.source].failed() ||
+  if (soa_.failed.contains(p.source) ||
       (cfg_.max_queue_messages != 0 &&
        nodes_[p.source].queues().size() >= cfg_.max_queue_messages)) {
     // Mirror enqueue's drop rules up front: a job the queue will refuse
@@ -428,9 +428,8 @@ bool Network::fail_node(NodeId id) {
   // Idempotence contract (fault/injector.hpp): a double-fail -- which
   // overlapping churn schedules produce naturally -- must not re-clear
   // queues or re-zero CBS backlogs.
-  if (n.failed()) return false;
+  if (soa_.failed.contains(id)) return false;
   mark_plan_diverged();  // the plan's outcomes assumed a healthy ring
-  n.set_failed(true);
   n.queues().clear();
   soa_.failed.insert(id);
   soa_.queued.erase(id);
@@ -443,10 +442,9 @@ bool Network::fail_node(NodeId id) {
 }
 
 bool Network::restore_node(NodeId id) {
-  Node& n = node(id);
-  if (!n.failed()) return false;  // restore-of-healthy: no-op
+  CCREDF_EXPECT(id < nodes_.size(), "Network: node index out of range");
+  if (!soa_.failed.contains(id)) return false;  // restore-of-healthy: no-op
   mark_plan_diverged();  // churn: the planned future no longer holds
-  n.set_failed(false);
   soa_.failed.erase(id);
   return true;
 }
@@ -522,7 +520,7 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
   int executed = 0;
   for (const NodeId g : current_granted_) {
     Node& src = nodes_[g];
-    if (!soa_.bound.contains(g) || src.failed() ||
+    if (!soa_.bound.contains(g) || soa_.failed.contains(g) ||
         !src.queues().contains(soa_.bind_msg[g])) {
       ++stats_.wasted_grants;
       continue;
@@ -588,7 +586,7 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
     rec.deliveries.push_back(d);
 
     for (const NodeId dst : soa_.bind_dests[g]) {
-      if (!nodes_[dst].failed()) nodes_[dst].deliver(d);
+      if (!soa_.failed.contains(dst)) nodes_[dst].deliver(d);
     }
     auto& cs = stats_.cls(done->traffic_class);
     ++cs.delivered;
@@ -715,8 +713,8 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
     // being delayed in each intermediate node (t_node of Eq. 2).
     const sim::TimePoint sample = slot_start_ + off[j];
     sim_.run_until(sample);
+    if (soa_.failed.contains(j)) continue;
     Node& nd = nodes_[j];
-    if (nd.failed()) continue;
     // The node was live at its sampling instant: it wrote a (possibly
     // idle) record into the passing collection packet.  Faults below may
     // still destroy it in transit.
@@ -1047,7 +1045,7 @@ sim::Duration Network::recover_token_loss(SlotPlan& plan) {
   // live node downstream of it assumes the role.
   NodeId restarter = cfg_.designated_restarter;
   NodeId tried = 0;
-  while (tried < nodes() && nodes_[restarter].failed()) {
+  while (tried < nodes() && soa_.failed.contains(restarter)) {
     restarter = topo_.downstream(restarter);
     ++tried;
   }
@@ -1060,9 +1058,7 @@ sim::Duration Network::recover_token_loss(SlotPlan& plan) {
     ++stats_.faults.ring_dark;
     plan.next_master = cfg_.designated_restarter;
   } else {
-    ++recoveries_;
     ++stats_.faults.recoveries;
-    recovery_time_ += gap;
     stats_.faults.recovery_gap.add(gap);
     stats_.faults.recovery_gap_quantiles.add(gap.ps());
     plan.next_master = restarter;

@@ -232,9 +232,13 @@ class Network {
   [[nodiscard]] NodeId nodes() const { return cfg_.nodes; }
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] NetworkStats& mutable_stats() { return stats_; }
-  /// Per-connection accounting (empty record if never released).
-  [[nodiscard]] const ConnectionStats& connection_stats(ConnectionId id) {
-    return stats_.per_connection[id];
+  /// Per-connection accounting (empty record if never released);
+  /// reading an id without a record leaves the statistics unchanged.
+  [[nodiscard]] const ConnectionStats& connection_stats(
+      ConnectionId id) const {
+    static const ConnectionStats kEmpty{};
+    const auto it = stats_.per_connection.find(id);
+    return it == stats_.per_connection.end() ? kEmpty : it->second;
   }
   [[nodiscard]] sim::Duration slot_duration() const {
     return timing_->slot();
@@ -358,10 +362,13 @@ class Network {
   [[nodiscard]] std::vector<OpenCbsInfo> cbs_servers_of(NodeId src) const;
 
   /// Count of token-loss recoveries performed.
-  [[nodiscard]] std::int64_t recoveries() const { return recoveries_; }
+  [[nodiscard]] std::int64_t recoveries() const {
+    return stats_.faults.recoveries;
+  }
   /// Wall time lost to recovery timeouts.
   [[nodiscard]] sim::Duration recovery_time() const {
-    return recovery_time_;
+    return sim::Duration::picoseconds(
+        stats_.faults.recovery_gap.sum_exact());
   }
 
   /// Nodes whose transmit queues are non-empty right now (dirty-node
@@ -394,7 +401,9 @@ class Network {
     /// Nodes with at least one queued message (candidates for the
     /// collection phase; kept in sync at every queue mutation).
     NodeSet queued;
-    /// Nodes in fail-silent state (mirror of Node::failed()).
+    /// Nodes in fail-silent state: a failed node neither requests slots
+    /// nor accepts deliveries; its ribbon is optically bypassed so the
+    /// ring stays closed.
     NodeSet failed;
     /// Nodes with a live request->message binding from the last
     /// collection phase (replaces an array of optionals: clearing all
@@ -653,8 +662,6 @@ class Network {
   NodeSet pending_nacks_;
   MessageId next_message_id_ = 1;
   NetworkStats stats_;
-  std::int64_t recoveries_ = 0;
-  sim::Duration recovery_time_ = sim::Duration::zero();
 };
 
 }  // namespace ccredf::net

@@ -37,18 +37,11 @@ class Node {
     if (record_inbox_) inbox_.push_back(d);
   }
 
-  /// Fail-silent state (fault experiments): a failed node neither
-  /// requests slots nor accepts deliveries; its ribbon is optically
-  /// bypassed so the ring stays closed.
-  [[nodiscard]] bool failed() const { return failed_; }
-  void set_failed(bool f) { failed_ = f; }
-
  private:
   NodeId id_;
   core::EdfQueueSet queues_;
   std::vector<core::Delivery> inbox_;
   bool record_inbox_ = true;
-  bool failed_ = false;
 };
 
 }  // namespace ccredf::net

@@ -100,10 +100,11 @@ struct FaultStats {
   /// next-master index (clock break).  The hazard class the guards
   /// cannot remove, only shrink.
   std::int64_t silent_misarbitrations = 0;
-  /// Token-loss recoveries performed (mirror of Network::recoveries()).
+  /// Token-loss recoveries performed (Network::recoveries()).
   std::int64_t recoveries = 0;
-  /// Distribution of the recovery timeout gaps, ps.
-  sim::OnlineStats recovery_gap;
+  /// Distribution of the recovery timeout gaps, ps; its exact sum is
+  /// Network::recovery_time().
+  sim::ExactStats recovery_gap;
   /// Exact per-value counts of the same gaps: the gap is a deterministic
   /// function of the configuration, so distinct values stay few and the
   /// p50/p99 sweep metrics (kRecoveryGapP50Us/P99Us) come out as exact

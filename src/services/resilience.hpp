@@ -131,8 +131,8 @@ struct ResilienceStats {
   /// Slots from last heard record to declaration, per declaration.
   sim::ExactStats detection_latency_slots;
   /// Worst observed |utilisation drop - released weight| across
-  /// quarantines: the reclamation-exactness invariant (bench E22 gates
-  /// this at ~1e-9).
+  /// quarantines: the reclamation-exactness invariant (the E22 and E24
+  /// claims gate this at 1e-9).
   double reclaim_error = 0.0;
 };
 

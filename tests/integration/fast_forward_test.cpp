@@ -114,7 +114,7 @@ std::string fingerprint(const net::Network& n) {
   put(os, "rearbitration_slots", f.rearbitration_slots);
   put(os, "silent_misarbitrations", f.silent_misarbitrations);
   put(os, "recoveries", f.recoveries);
-  put_online(os, "recovery_gap", f.recovery_gap);
+  put_exact(os, "recovery_gap", f.recovery_gap);
   put(os, "ring_dark", f.ring_dark);
   put(os, "payload_corruptions", f.payload_corruptions);
   put(os, "payload_detected", f.payload_detected);

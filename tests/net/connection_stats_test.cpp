@@ -67,6 +67,19 @@ TEST(ConnectionStats, UnknownConnectionIsEmpty) {
   EXPECT_EQ(cs.delivered, 0);
 }
 
+TEST(ConnectionStats, ReadingAnUnknownIdLeavesStatsUnchanged) {
+  Network n(cfg8());
+  const auto r = n.open_connection(conn(0, 3, 1, 10));
+  ASSERT_TRUE(r.admitted);
+  n.run_slots(55);
+  const std::size_t records = n.stats().per_connection.size();
+  ASSERT_EQ(records, 1u);
+  EXPECT_EQ(n.connection_stats(r.id + 1).released, 0);
+  EXPECT_EQ(n.stats().per_connection.size(), records);
+  n.run_slots(55);
+  EXPECT_EQ(n.stats().per_connection.size(), records);
+}
+
 TEST(ConnectionStats, SurvivesClose) {
   Network n(cfg8());
   const auto r = n.open_connection(conn(0, 3, 1, 10));

@@ -18,7 +18,6 @@ TEST(Node, IdAndInitialState) {
   EXPECT_EQ(n.id(), 3u);
   EXPECT_TRUE(n.inbox().empty());
   EXPECT_TRUE(n.queues().empty());
-  EXPECT_FALSE(n.failed());
 }
 
 TEST(Node, DeliverAppendsToInbox) {
@@ -35,14 +34,6 @@ TEST(Node, ClearInbox) {
   n.deliver(make_delivery(10, 0));
   n.clear_inbox();
   EXPECT_TRUE(n.inbox().empty());
-}
-
-TEST(Node, FailureFlagToggle) {
-  Node n(2);
-  n.set_failed(true);
-  EXPECT_TRUE(n.failed());
-  n.set_failed(false);
-  EXPECT_FALSE(n.failed());
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ GridSpec small_grid() {
 TEST(SweepDeterminismTest, JsonIdenticalAcrossThreadCounts) {
   const GridSpec spec = small_grid();
   const std::string json_1 = to_json(run_sweep(spec, {.threads = 1}));
-  for (const int threads : {4, 8}) {
+  for (const int threads : {2, 4, 8}) {
     const std::string json_n =
         to_json(run_sweep(spec, {.threads = threads}));
     EXPECT_EQ(json_1, json_n) << "non-deterministic at " << threads
