@@ -4,10 +4,15 @@
 # timing benches (E16/E20, E17, E23b) and validate their JSON output.
 #
 # Usage: scripts/check.sh [--quick] [--presets "release asan ubsan"]
+#                         [--parent REV]
 #   --quick       shorter benchmark measurement windows (smoke test)
 #   --presets     space-separated CMake preset list (default: all three);
 #                 CI legs that already built elsewhere pass e.g.
 #                 `--presets release` to only smoke the benches.
+#   --parent REV  also build REV's Release ccredf_sweep (from `git
+#                 archive REV` in a temporary directory) and `cmp` each
+#                 smoke grid's 1-thread report against the working
+#                 tree's; fails naming every grid whose report differs.
 #
 # Fails loudly when a bench binary is missing, exits non-zero (E23b's
 # speed-up gate), or writes a JSON document that does not validate
@@ -16,6 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=""
+PARENT=""
 PRESETS=(release asan ubsan)
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -28,12 +34,23 @@ while [[ $# -gt 0 ]]; do
       read -r -a PRESETS <<< "$2"
       shift 2
       ;;
+    --parent)
+      [[ $# -ge 2 ]] || { echo "check.sh: --parent needs a revision" >&2; exit 2; }
+      PARENT="$2"
+      shift 2
+      ;;
     *)
       echo "check.sh: unknown argument: $1" >&2
       exit 2
       ;;
   esac
 done
+
+if [[ -n "${PARENT}" ]] &&
+   ! git rev-parse --quiet --verify "${PARENT}^{commit}" > /dev/null; then
+  echo "check.sh: --parent: not a commit: ${PARENT}" >&2
+  exit 2
+fi
 
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
@@ -80,6 +97,21 @@ if [[ ! -x "${SWEEP}" ]]; then
 fi
 TMPDIR_SWEEP="$(mktemp -d)"
 trap 'rm -rf "${TMPDIR_SWEEP}"' EXIT
+
+# --parent REV: the same sweep tool built from REV's committed tree.
+PARENT_SWEEP=""
+PARENT_DIFFS=()
+if [[ -n "${PARENT}" ]]; then
+  echo "==== parent ${PARENT}: Release ccredf_sweep ===="
+  mkdir "${TMPDIR_SWEEP}/parent"
+  git archive "${PARENT}" | tar -x -C "${TMPDIR_SWEEP}/parent"
+  cmake -S "${TMPDIR_SWEEP}/parent" -B "${TMPDIR_SWEEP}/parent-build" \
+    -DCMAKE_BUILD_TYPE=Release -DCCREDF_BUILD_TESTS=OFF \
+    -DCCREDF_BUILD_BENCH=OFF -DCCREDF_BUILD_EXAMPLES=OFF > /dev/null
+  cmake --build "${TMPDIR_SWEEP}/parent-build" --target ccredf_sweep_cli \
+    -j "${JOBS}" > /dev/null
+  PARENT_SWEEP="${TMPDIR_SWEEP}/parent-build/tools/ccredf_sweep"
+fi
 for grid in smoke fault_smoke cbs_smoke churn_smoke planner_smoke \
             link_fault_smoke soak_smoke; do
   echo "==== ${grid}.grid: 1 vs 8 threads, schema, fast-forward ===="
@@ -93,6 +125,19 @@ for grid in smoke fault_smoke cbs_smoke churn_smoke planner_smoke \
   cmp "${out}_t1.json" "${out}_noff.json"
   echo "${grid}.grid reports byte-identical across thread counts and" \
        "fast-forward modes"
+  if [[ -n "${PARENT_SWEEP}" ]]; then
+    "${PARENT_SWEEP}" "tools/grids/${grid}.grid" --threads 1 \
+      --out "${out}_parent.json"
+    if cmp -s "${out}_t1.json" "${out}_parent.json"; then
+      echo "${grid}.grid report byte-identical to ${PARENT}'s"
+    else
+      PARENT_DIFFS+=("${grid}")
+    fi
+  fi
 done
+if [[ ${#PARENT_DIFFS[@]} -gt 0 ]]; then
+  echo "check.sh: reports differ from ${PARENT}'s: ${PARENT_DIFFS[*]}" >&2
+  exit 1
+fi
 
 echo "==== check.sh: all green ===="

@@ -119,7 +119,7 @@ bool HypercyclePlanner::build(sim::TimePoint anchor_start,
   std::int64_t hyper = 1;
   for (const ConnInfo& c : conns_) {
     // The cursor model relies on at most one outstanding job per
-    // connection (FIFO binding against the pending queue's front).
+    // connection (the engine binds its oldest held message).
     if (c.deadline > c.period) return fail("deadline beyond period");
     hyper = lcm_capped(hyper, c.period, cfg_.max_hyperperiod_slots);
     if (hyper == 0) return fail("hyperperiod exceeds cap");

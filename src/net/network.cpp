@@ -127,6 +127,14 @@ Network::Network(NetworkConfig cfg)
         sample_off_[static_cast<std::size_t>(m) * cfg_.nodes +
                     topo_.downstream(m, cfg_.nodes - 1)];
   }
+  // Hand-over gaps depend only on (from, to) as well.
+  gap_.resize(sample_off_.size());
+  for (NodeId from = 0; from < cfg_.nodes; ++from) {
+    for (NodeId to = 0; to < cfg_.nodes; ++to) {
+      gap_[static_cast<std::size_t>(from) * cfg_.nodes + to] =
+          protocol_->gap(from, to);
+    }
+  }
 }
 
 Network::~Network() {
@@ -195,19 +203,23 @@ MessageId Network::enqueue(NodeId src, NodeSet dests, core::TrafficClass cls,
                            sim::TimePoint arrival) {
   CCREDF_EXPECT(src < nodes_.size(), "enqueue: bad source");
   CCREDF_EXPECT(size_slots >= 1, "enqueue: size must be >= 1 slot");
-  CCREDF_EXPECT(!dests.empty() && !dests.contains(src),
-                "enqueue: destinations must be non-empty and exclude src");
-  if (plan_valid_ && !plan_diverged_ &&
-      (conn == kNoConnection || !planner_->is_planned(conn))) {
-    // Traffic outside the plan (plain sends, CBS jobs): the precomputed
+  CCREDF_EXPECT(!dests.empty() && dests.is_subset_of(topo_.all_nodes()) &&
+                    !dests.contains(src),
+                "enqueue: destinations must be non-empty ring nodes other "
+                "than src");
+  bool hold = false;
+  if (plan_engaged()) {
+    // A planned release stays with its connection; any other traffic
+    // (plain sends, CBS jobs) is outside the plan: the precomputed
     // outcomes no longer model the wire -- back to slot-by-slot TCMA.
-    mark_plan_diverged();
+    hold = conn != kNoConnection && planner_->is_planned(conn);
+    if (!hold) mark_plan_diverged();
   }
   const MessageId id = next_message_id_++;
   if (soa_.failed.contains(src)) return id;  // dropped: source is down
   if (cfg_.max_queue_messages != 0 &&
       cls != core::TrafficClass::kRealTime &&
-      nodes_[src].queues().size() >= cfg_.max_queue_messages) {
+      waiting_messages(src) >= cfg_.max_queue_messages) {
     ++stats_.buffer_drops;  // tail drop at a full transmit buffer
     return id;
   }
@@ -223,13 +235,39 @@ MessageId Network::enqueue(NodeId src, NodeSet dests, core::TrafficClass cls,
   m.connection = conn;
   m.release_index = release_index;
   m.payload_bytes = size_slots * timing_->payload_bytes();
-  nodes_[src].queues().push(std::move(m));
+  if (hold) {
+    releases_[conn].held.push_back(std::move(m));
+    ++soa_.held_count[src];
+    soa_.holding.insert(src);
+  } else {
+    nodes_[src].queues().push(std::move(m));
+  }
   soa_.queued.insert(src);
   return id;
 }
 
 void Network::refresh_queued_bit(NodeId src) {
-  if (nodes_[src].queues().empty()) soa_.queued.erase(src);
+  if (waiting_messages(src) == 0) soa_.queued.erase(src);
+}
+
+void Network::flush_held() {
+  // EDF order is a total order on (deadline, arrival, id), so the queues
+  // end up exactly as if every held message had been pushed at release.
+  for (ReleaseState& st : releases_) {
+    for (core::Message& m : st.held) {
+      nodes_[st.params.source].queues().push(std::move(m));
+    }
+    st.held.clear();
+  }
+  soa_.holding = NodeSet{};
+  soa_.held_count.fill(0);
+}
+
+void Network::drop_held(ReleaseState& st) {
+  const NodeId src = st.params.source;
+  soa_.held_count[src] -= st.held.size();
+  if (soa_.held_count[src] == 0) soa_.holding.erase(src);
+  st.held.clear();
 }
 
 MessageId Network::send(NodeId src, NodeSet dests, core::TrafficClass cls,
@@ -259,6 +297,9 @@ MessageId Network::send_non_realtime(NodeId src, NodeSet dests,
 Network::OpenResult Network::open_connection(
     const core::ConnectionParams& params) {
   CCREDF_EXPECT(params.source < nodes_.size(), "connection: bad source");
+  CCREDF_EXPECT(!params.dests.empty() &&
+                    params.dests.is_subset_of(topo_.all_nodes()),
+                "connection: destinations must be non-empty ring nodes");
   CCREDF_EXPECT(!params.dests.contains(params.source),
                 "connection: source cannot be a destination");
   CCREDF_EXPECT(params.service == core::ServiceClass::kHardRealTime,
@@ -307,19 +348,8 @@ void Network::fire_release(ConnectionId id) {
   // The arrival is the nominal release instant: the event path fires
   // exactly there, and the plan-driven table may catch up at the next
   // slot boundary without skewing latency accounting.
-  const MessageId mid =
-      enqueue(p.source, p.dests, core::TrafficClass::kRealTime, p.size_slots,
-              deadline, id, st.released, release_t);
-  if (plan_valid_ && !plan_diverged_) {
-    // The plan's cursor binds this connection's jobs FIFO: remember the
-    // released id so the bundle grant knows which message it carries.
-    const std::int32_t pi = planner_->planned_index(id);
-    if (pi >= 0) {
-      plan_pending_[static_cast<std::size_t>(pi)].push_back(mid);
-    } else {
-      mark_plan_diverged();  // a release the plan does not know about
-    }
-  }
+  (void)enqueue(p.source, p.dests, core::TrafficClass::kRealTime,
+                p.size_slots, deadline, id, st.released, release_t);
   ++conn_stats_slot(id).released;
   ++st.released;
 }
@@ -341,6 +371,7 @@ bool Network::close_connection(ConnectionId id) {
   ReleaseState& st = releases_[id];
   st.open = false;
   sim_.cancel(st.next_event);
+  drop_held(st);
   nodes_[st.params.source].queues().drop_connection(id);
   refresh_queued_bit(st.params.source);
   const bool released = admission_.release(id);
@@ -353,6 +384,8 @@ bool Network::close_connection(ConnectionId id) {
 Network::OpenResult Network::open_cbs_server(const core::CbsParams& params) {
   params.validate();
   CCREDF_EXPECT(params.source < nodes_.size(), "cbs: bad source");
+  CCREDF_EXPECT(params.dests.is_subset_of(topo_.all_nodes()),
+                "cbs: destinations must be ring nodes");
   const auto decision =
       admission_.request(params.admission_params(), sim_.now());
   if (!decision.admitted) return OpenResult{false, kNoConnection};
@@ -372,7 +405,7 @@ MessageId Network::cbs_send(ConnectionId id, std::int64_t size_slots) {
   const core::CbsParams& p = st.server.params();
   if (soa_.failed.contains(p.source) ||
       (cfg_.max_queue_messages != 0 &&
-       nodes_[p.source].queues().size() >= cfg_.max_queue_messages)) {
+       waiting_messages(p.source) >= cfg_.max_queue_messages)) {
     // Mirror enqueue's drop rules up front: a job the queue will refuse
     // must not recharge the budget or move the server deadline (the
     // enqueue call still does the drop accounting and burns the id).
@@ -431,6 +464,11 @@ bool Network::fail_node(NodeId id) {
   if (soa_.failed.contains(id)) return false;
   mark_plan_diverged();  // the plan's outcomes assumed a healthy ring
   n.queues().clear();
+  if (soa_.holding.contains(id)) {
+    for (ReleaseState& st : releases_) {
+      if (st.params.source == id) drop_held(st);
+    }
+  }
   soa_.failed.insert(id);
   soa_.queued.erase(id);
   for (auto& [cid, st] : cbs_) {
@@ -520,8 +558,14 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
   int executed = 0;
   for (const NodeId g : current_granted_) {
     Node& src = nodes_[g];
-    if (!soa_.bound.contains(g) || soa_.failed.contains(g) ||
-        !src.queues().contains(soa_.bind_msg[g])) {
+    if (!soa_.bound.contains(g) || soa_.failed.contains(g)) {
+      ++stats_.wasted_grants;
+      continue;
+    }
+    // A plan-bound message is consumed where it is held; anything else
+    // must still sit in the source's EDF queues.
+    ReleaseState* holder = bound_holder(g);
+    if (holder == nullptr && !src.queues().contains(soa_.bind_msg[g])) {
       ++stats_.wasted_grants;
       continue;
     }
@@ -535,16 +579,17 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
     ++executed;
     ++stats_.total_grants;
     ++stats_.node_grants[g];
-    auto done = src.queues().consume_slot(soa_.bind_msg[g]);
+    std::optional<core::Message> done;
+    if (holder == nullptr) {
+      done = src.queues().consume_slot(soa_.bind_msg[g]);
+    } else if (--holder->held.front().remaining_slots == 0) {
+      done = std::move(holder->held.front());
+      holder->held.erase(holder->held.begin());
+      if (--soa_.held_count[g] == 0) soa_.holding.erase(g);
+    }
     if (!cbs_.empty()) charge_cbs(g, done.has_value());
     if (!done) continue;  // more slots of this message remain
     refresh_queued_bit(g);  // the consumed message may have drained g
-    if (plan_valid_ && !plan_diverged_) {
-      // Divergence-exact completion check: while the plan is in effect
-      // every completion must be the front of its connection's pending
-      // queue, else the engine's view has drifted from the plan's.
-      plan_note_completion(done->connection, done->id);
-    }
 
     core::Delivery d;
     d.id = done->id;
@@ -553,7 +598,7 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
     d.traffic_class = done->traffic_class;
     d.connection = done->connection;
     d.arrival = done->arrival;
-    d.completed = slot_end + phy_->path_delay(g, soa_.bind_hops[g]);
+    d.completed = slot_end + soa_.bind_delay[g];
     d.deadline = done->deadline;
     d.size_slots = done->size_slots;
 
@@ -658,6 +703,7 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
       soa_.bind_links[j] = seg.links();
       soa_.bind_dests[j] = m.dests;
       soa_.bind_conn[j] = m.connection;
+      soa_.bind_delay[j] = phy_->path_delay(j, seg.hops());
     }
     if (!severed_.empty() && soa_.bind_links[j].intersects(severed_)) {
       // Degraded-mode candidate mask: the transfer's segment crosses a
@@ -843,6 +889,9 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
       // plan), so every node evidences itself on a planned slot.
       rec.heard = topo_.all_nodes() & ~soa_.failed;
     } else {
+      // The first slot collection decides after a plan drove: the held
+      // messages join the EDF queues the collection samples.
+      if (!soa_.holding.empty()) flush_held();
       collect_requests(rec.requests);
     }
     // The distribution packet ends with the slot.  A token loss (fault
@@ -901,7 +950,7 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
       rec.acks = NodeSet{};
       rec.nacks = NodeSet{};
     } else {
-      gap = protocol_->gap(master_, plan.next_master);
+      gap = handover_gap(master_, plan.next_master);
     }
     if (!severed_.empty()) gap = apply_cuts(plan, gap, token_lost);
     if (!rec.nacks.empty()) stats_.faults.payload_nacks += rec.nacks.size();
@@ -947,7 +996,7 @@ sim::Duration Network::apply_cuts(SlotPlan& plan, sim::Duration gap,
     soa_.bound = NodeSet{};
     if (token_lost) return gap;
     plan.next_master = cfg_.designated_restarter;
-    return protocol_->gap(master_, plan.next_master);
+    return handover_gap(master_, plan.next_master);
   }
   // Single cut: master succession re-anchors at the cut's downstream
   // endpoint so the collection path never traverses the severed segment
@@ -957,7 +1006,7 @@ sim::Duration Network::apply_cuts(SlotPlan& plan, sim::Duration gap,
     return gap;
   }
   plan.next_master = anchor;
-  return protocol_->gap(master_, anchor);
+  return handover_gap(master_, anchor);
 }
 
 bool Network::apply_distribution_fault(SlotPlan& plan, SlotRecord& rec) {
@@ -1115,7 +1164,7 @@ std::int64_t Network::skip_quiet_slots(std::int64_t max_slots,
   }
   if (!protocol_->idle_keeps_master()) return 0;
 
-  const sim::Duration g = protocol_->gap(master_, master_);
+  const sim::Duration g = handover_gap(master_, master_);
   const sim::Duration step = t_slot + g;
   // Number of window slots i >= 0 starting strictly before `t`.
   const auto starts_before = [&](sim::TimePoint t) -> std::int64_t {
@@ -1190,7 +1239,6 @@ void Network::rebuild_plan() {
   plan_prefix_pos_ = 0;
   plan_cycle_pos_ = 0;
   plan_cycle_no_ = 0;
-  plan_pending_.assign(planner_->connection_count(), {});
   plan_adopt_releases();
 }
 
@@ -1324,27 +1372,26 @@ SlotPlan Network::plan_next_from_cursor() {
       from_prefix ? &planner_->prefix()[plan_prefix_pos_]
                   : &planner_->cycle()[plan_cycle_pos_];
   const core::HypercyclePlanner::Grant* gs = planner_->grants(*b);
-  // Bind each grant's pending front, but mark the sources bound only once
-  // every front validated, so a divergence (queue drift) leaves no
+  // Bind each grant's held front, but mark the sources bound only once
+  // every front was found, so a divergence (a dropped message) leaves no
   // partial binding behind.  (The bind_* entries always describe the
   // message in bind_msg, so collect_requests' geometry memo stays sound.)
   NodeSet bound;
   for (std::uint32_t i = 0; i < b->grant_count; ++i) {
     const auto& g = gs[i];
-    const std::int32_t pi = planner_->planned_index(g.conn);
-    if (pi < 0 || plan_pending_[static_cast<std::size_t>(pi)].empty() ||
-        !nodes_[g.source].queues().contains(
-            plan_pending_[static_cast<std::size_t>(pi)].front())) {
+    const std::vector<core::Message>& held = releases_[g.conn].held;
+    if (held.empty()) {
       mark_plan_diverged();
       return plan;  // idle decision; TCMA resumes next slot
     }
     const NodeId s = g.source;
     bound.insert(s);
-    soa_.bind_msg[s] = plan_pending_[static_cast<std::size_t>(pi)].front();
+    soa_.bind_msg[s] = held.front().id;
     soa_.bind_hops[s] = g.hops;
     soa_.bind_links[s] = g.links;
     soa_.bind_dests[s] = g.dests;
     soa_.bind_conn[s] = g.conn;
+    soa_.bind_delay[s] = g.path_delay;
   }
   soa_.bound |= bound;
   plan.next_master = b->master;

@@ -28,6 +28,11 @@
 // nobody, keep the master" -- the idle fixed point, or the plan waiting
 // for its next bundle's release -- and then accounts the whole window
 // arithmetically (NetworkConfig::fast_forward).
+//
+// While a plan drives, a node's EDF queues do not hold its planned
+// messages: each connection holds its released messages itself, the plan
+// cursor binds the oldest, and they join the EDF queues at the first
+// slot the collection phase decides again.
 #pragma once
 
 #include <array>
@@ -371,7 +376,8 @@ class Network {
         stats_.faults.recovery_gap.sum_exact());
   }
 
-  /// Nodes whose transmit queues are non-empty right now (dirty-node
+  /// Nodes with a message waiting to transmit right now: a non-empty
+  /// EDF queue, or a planned message held while a plan drives (dirty-node
   /// tracking; maintained incrementally at every queue mutation site).
   [[nodiscard]] NodeSet queued_nodes() const { return soa_.queued; }
   /// Nodes currently failed (mirror of the per-node flags as a mask).
@@ -398,9 +404,13 @@ class Network {
   /// state touches O(active nodes), not O(N), and the fast-forward
   /// predicate is a handful of mask tests.
   struct SoaState {
-    /// Nodes with at least one queued message (candidates for the
-    /// collection phase; kept in sync at every queue mutation).
+    /// Nodes with at least one queued or held message (candidates for
+    /// the collection phase; kept in sync at every queue mutation).
     NodeSet queued;
+    /// Nodes holding planned messages outside their EDF queues
+    /// (ReleaseState::held), and how many each holds.
+    NodeSet holding;
+    std::array<std::size_t, kMaxNodes> held_count{};
     /// Nodes in fail-silent state: a failed node neither requests slots
     /// nor accepts deliveries; its ribbon is optically bypassed so the
     /// ring stays closed.
@@ -418,6 +428,9 @@ class Network {
     std::array<NodeId, kMaxNodes> bind_hops{};  // to furthest destination
     std::array<LinkSet, kMaxNodes> bind_links{};
     std::array<NodeSet, kMaxNodes> bind_dests{};
+    /// Propagation to the furthest destination: a completion's delivery
+    /// instant is its slot end plus this delay.
+    std::array<sim::Duration, kMaxNodes> bind_delay{};
     /// Connection of the bound message (kNoConnection for plain sends);
     /// lets the grant path find the owning CBS server without a queue
     /// lookup.
@@ -428,6 +441,12 @@ class Network {
     sim::TimePoint base;  // time of release 0
     sim::EventId next_event = 0;
     std::int64_t released = 0;
+    /// Messages released while a plan drives, oldest first, kept out of
+    /// the source's EDF queues: the cursor binds the front and
+    /// execute_grants consumes it in place (plan order is FIFO per
+    /// connection).  A plan keeps deadlines within periods, so this holds
+    /// one or two messages and, once warm, never allocates again.
+    std::vector<core::Message> held;
     bool open = false;  // ids never opened as RT connections stay closed
   };
   /// A live CBS: the pure core::CbsServer plus the engine-side backlog
@@ -468,9 +487,10 @@ class Network {
   sim::Duration apply_cuts(SlotPlan& plan, sim::Duration gap, bool token_lost);
   /// Consults the plan cursor for the decision phase of the current
   /// slot (start slot_start_, master master_): on an eligible bundle it
-  /// writes the soa_ bindings, advances the cursor and returns the
-  /// bundle's grants; otherwise the idle wait decision.  A pending-
-  /// queue mismatch marks divergence and returns the idle decision.
+  /// binds each granted connection's held front, advances the cursor and
+  /// returns the bundle's grants; otherwise the idle wait decision.  A
+  /// granted connection holding nothing (its messages were dropped)
+  /// marks divergence and returns the idle decision.
   SlotPlan plan_next_from_cursor();
   /// Release instant of the bundle the cursor points at (the earliest
   /// slot start that can grant it).
@@ -489,7 +509,10 @@ class Network {
   [[nodiscard]] bool plan_can_build() const;
   /// Sticky divergence: the plan stays valid but stops driving slots
   /// until the next successful rebuild.  Release generation falls back
-  /// to the event heap (plan_restore_releases) in the same breath.
+  /// to the event heap (plan_restore_releases) in the same breath.  The
+  /// held messages stay held: the slot whose decision source is already
+  /// latched to the plan may still bind them, so they join the EDF
+  /// queues only when collection decides again (flush_held).
   void mark_plan_diverged() {
     if (plan_valid_ && !plan_diverged_) {
       plan_diverged_ = true;
@@ -497,21 +520,34 @@ class Network {
       plan_restore_releases();
     }
   }
-  /// Divergence-exact completion bookkeeping: a planned message must
-  /// complete in plan order (front of its connection's pending queue).
-  void plan_note_completion(ConnectionId conn, MessageId id) {
-    const std::int32_t pi = planner_->planned_index(conn);
-    if (pi < 0 || plan_pending_[static_cast<std::size_t>(pi)].empty() ||
-        plan_pending_[static_cast<std::size_t>(pi)].front() != id) {
-      mark_plan_diverged();
-    } else {
-      auto& pending = plan_pending_[static_cast<std::size_t>(pi)];
-      pending.erase(pending.begin());
+  /// Moves every held message into its source's EDF queues (the first
+  /// collection phase after the plan stopped driving).
+  void flush_held();
+  /// Drops the messages connection `st` holds (close, source failure).
+  void drop_held(ReleaseState& st);
+  /// The connection whose oldest held message is the one bound at node
+  /// `g`, or nullptr when g's binding is not a held message.
+  [[nodiscard]] ReleaseState* bound_holder(NodeId g) {
+    if (!soa_.holding.contains(g) || soa_.bind_conn[g] >= releases_.size()) {
+      return nullptr;
     }
+    ReleaseState& st = releases_[soa_.bind_conn[g]];
+    if (st.held.empty() || st.held.front().id != soa_.bind_msg[g]) {
+      return nullptr;
+    }
+    return &st;
+  }
+  /// Messages waiting at `src`, queued or held (the tail-drop count).
+  [[nodiscard]] std::size_t waiting_messages(NodeId src) const {
+    return nodes_[src].queues().size() + soa_.held_count[src];
   }
   /// Notifies the dirty-node tracking that `src`'s queue may have
   /// drained (after a consume/drop/clear).
   void refresh_queued_bit(NodeId src);
+  /// Clock hand-over gap from the table filled at construction.
+  [[nodiscard]] sim::Duration handover_gap(NodeId from, NodeId to) const {
+    return gap_[static_cast<std::size_t>(from) * cfg_.nodes + to];
+  }
   /// Calls `f` on each listener in attach order; a detach during the
   /// loop leaves a hole that is skipped, then compacted.
   template <typename F>
@@ -605,6 +641,9 @@ class Network {
   /// ~15% of slot time), plus each master's last-sample offset.
   std::vector<sim::Duration> sample_off_;
   std::array<sim::Duration, kMaxNodes> last_sample_off_{};
+  /// The protocol's hand-over gaps, flat [from * N + to] (no virtual
+  /// call per slot).
+  std::vector<sim::Duration> gap_;
 
   // Hypercycle-planner state (null/false unless NetworkConfig::planner).
   std::unique_ptr<core::HypercyclePlanner> planner_;
@@ -615,13 +654,6 @@ class Network {
   std::size_t plan_prefix_pos_ = 0;
   std::size_t plan_cycle_pos_ = 0;
   std::int64_t plan_cycle_no_ = 0;
-  /// Per planned connection (dense planner index): released message ids
-  /// not yet fully delivered, in release order.  The cursor binds the
-  /// front; execute_grants pops it on completion (plan order is FIFO
-  /// per connection by construction).  A plan keeps deadlines within
-  /// periods, so a queue holds one or two ids: popping the front is a
-  /// tiny move, and once warm the storage never allocates again.
-  std::vector<std::vector<MessageId>> plan_pending_;
   /// One cyclic-release-table entry: connection `conn` releases a
   /// message at grid slots first_abs, first_abs + H, first_abs + 2H, ...
   /// (rel = first_abs mod H keys the sorted table; visits of the entry

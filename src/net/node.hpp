@@ -19,6 +19,9 @@ class Node {
   explicit Node(NodeId id) : id_(id) {}
 
   [[nodiscard]] NodeId id() const { return id_; }
+  /// The node's transmit queues.  While a hypercycle plan drives the
+  /// ring they do not hold the node's planned messages: the network
+  /// holds those per connection until collection decides again.
   [[nodiscard]] core::EdfQueueSet& queues() { return queues_; }
   [[nodiscard]] const core::EdfQueueSet& queues() const { return queues_; }
 

@@ -6,6 +6,7 @@
 // ExactQuantiles: exact nearest-rank quantiles over few distinct values.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -18,7 +19,16 @@ namespace ccredf::sim {
 
 class OnlineStats {
  public:
-  void add(double x);
+  /// Inline: the engine adds every delivery's latency twice.
+  void add(double x) {
+    ++n_;
+    sum_ += x;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
   void add(Duration d) { add(static_cast<double>(d.ps())); }
 
   [[nodiscard]] std::int64_t count() const { return n_; }

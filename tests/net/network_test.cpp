@@ -231,6 +231,59 @@ TEST(Network, SendValidatesArguments) {
                ConfigError);
 }
 
+TEST(Network, DestinationsOutsideTheRingAreRejectedAtTheCall) {
+  // Node 12 on an 8-node ring: every entry point throws before it changes
+  // anything -- no admission charge, no queued message, no plan change --
+  // and the ring keeps running.
+  for (const bool planner : {false, true}) {
+    SCOPED_TRACE(planner ? "planner on" : "planner off");
+    NetworkConfig cfg = small_config(8);
+    cfg.planner = planner;
+    Network n(cfg);
+    core::ConnectionParams ok;
+    ok.source = 0;
+    ok.dests = NodeSet::single(1);
+    ok.period_slots = 16;
+    ASSERT_TRUE(n.open_connection(ok).admitted);
+    n.run_slots(50);
+    const double u = n.admission().utilisation();
+    const std::int64_t requests = n.admission().requests_seen();
+    const std::int64_t slots = n.stats().slots;
+    const std::int64_t delivered =
+        n.stats().cls(TrafficClass::kRealTime).delivered;
+    const bool engaged = n.plan_engaged();
+    const NodeSet queued = n.queued_nodes();
+
+    core::ConnectionParams bad = ok;
+    bad.dests = NodeSet::single(12);
+    EXPECT_THROW(n.open_connection(bad), ConfigError);
+    bad.dests = NodeSet{};
+    EXPECT_THROW(n.open_connection(bad), ConfigError);
+    core::CbsParams cbs;
+    cbs.source = 0;
+    cbs.dests = NodeSet::single(12);
+    cbs.budget_slots = 1;
+    cbs.period_slots = 16;
+    EXPECT_THROW(n.open_cbs_server(cbs), ConfigError);
+    EXPECT_THROW(n.send_best_effort(0, NodeSet::single(12), 1,
+                                    Duration::milliseconds(1)),
+                 ConfigError);
+    EXPECT_THROW(n.send_non_realtime(0, NodeSet::single(12), 1), ConfigError);
+
+    EXPECT_EQ(n.admission().utilisation(), u);
+    EXPECT_EQ(n.admission().requests_seen(), requests);
+    EXPECT_EQ(n.stats().buffer_drops, 0);
+    EXPECT_EQ(n.stats().plan_divergences, 0);
+    EXPECT_EQ(n.plan_engaged(), engaged);
+    EXPECT_EQ(n.queued_nodes(), queued);
+    EXPECT_NO_THROW(n.run_slots(200));
+    EXPECT_EQ(n.stats().slots, slots + 200);
+    EXPECT_GT(n.stats().cls(TrafficClass::kRealTime).delivered, delivered);
+    EXPECT_EQ(n.stats().cls(TrafficClass::kBestEffort).delivered, 0);
+    EXPECT_EQ(n.stats().cls(TrafficClass::kRealTime).user_misses, 0);
+  }
+}
+
 TEST(Network, FifoWithinSameSource) {
   // Two BE messages from one node with increasing deadlines leave in EDF
   // order; deliveries must preserve it.
