@@ -25,16 +25,6 @@ enum class ServiceClass : std::uint8_t {
   kConstantBandwidth = 1,
 };
 
-[[nodiscard]] constexpr const char* service_class_name(ServiceClass s) {
-  switch (s) {
-    case ServiceClass::kHardRealTime:
-      return "hard-rt";
-    case ServiceClass::kConstantBandwidth:
-      return "cbs";
-  }
-  return "?";
-}
-
 struct ConnectionParams {
   NodeId source = kInvalidNode;
   NodeSet dests;

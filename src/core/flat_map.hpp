@@ -105,14 +105,6 @@ class FlatMap64 {
     size_ = 0;
   }
 
-  /// Calls `fn(key, value)` for every entry (unspecified order).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& s : slots_) {
-      if (s.used) fn(s.key, s.value);
-    }
-  }
-
  private:
   struct Slot {
     std::uint64_t key = 0;

@@ -236,7 +236,7 @@ MessageId Network::enqueue(NodeId src, NodeSet dests, core::TrafficClass cls,
   m.release_index = release_index;
   m.payload_bytes = size_slots * timing_->payload_bytes();
   if (hold) {
-    releases_[conn].held.push_back(std::move(m));
+    conns_[conn].held.push_back(std::move(m));
     ++soa_.held_count[src];
     soa_.holding.insert(src);
   } else {
@@ -253,21 +253,20 @@ void Network::refresh_queued_bit(NodeId src) {
 void Network::flush_held() {
   // EDF order is a total order on (deadline, arrival, id), so the queues
   // end up exactly as if every held message had been pushed at release.
-  for (ReleaseState& st : releases_) {
-    for (core::Message& m : st.held) {
-      nodes_[st.params.source].queues().push(std::move(m));
+  for (ConnState& c : conns_) {
+    for (core::Message& m : c.held) {
+      nodes_[c.source].queues().push(std::move(m));
     }
-    st.held.clear();
+    c.held.clear();
   }
   soa_.holding = NodeSet{};
   soa_.held_count.fill(0);
 }
 
-void Network::drop_held(ReleaseState& st) {
-  const NodeId src = st.params.source;
-  soa_.held_count[src] -= st.held.size();
-  if (soa_.held_count[src] == 0) soa_.holding.erase(src);
-  st.held.clear();
+void Network::drop_held(ConnState& c) {
+  soa_.held_count[c.source] -= c.held.size();
+  if (soa_.held_count[c.source] == 0) soa_.holding.erase(c.source);
+  c.held.clear();
 }
 
 MessageId Network::send(NodeId src, NodeSet dests, core::TrafficClass cls,
@@ -317,19 +316,18 @@ Network::OpenResult Network::open_connection(
   }
 
   const ConnectionId id = decision.id;
-  if (id >= releases_.size()) releases_.resize(id + std::size_t{1});
-  ReleaseState& st = releases_[id];
-  st.params = params;
-  st.base = sim_.now() + timing_->slot() * params.offset_slots;
-  st.open = true;
-  st.next_event =
-      sim_.schedule_at(st.base, [this, id] { release_message(id); });
+  ConnState& c = new_conn(id);
+  c.kind = ConnState::Kind::kRealTime;
+  c.source = params.source;
+  c.params = params;
+  c.base = sim_.now() + timing_->slot() * params.offset_slots;
+  c.next_event = sim_.schedule_at(c.base, [this, id] { release_message(id); });
   rebuild_plan();
   if (planner_admit) {
     if (!plan_valid_) {
       // The layout/feasibility proof failed: the Eq. 5 rejection stands.
-      sim_.cancel(st.next_event);
-      st.open = false;
+      sim_.cancel(c.next_event);
+      c.kind = ConnState::Kind::kClosed;
       admission_.release(id);
       rebuild_plan();
       return OpenResult{false, kNoConnection};
@@ -339,41 +337,47 @@ Network::OpenResult Network::open_connection(
 }
 
 void Network::fire_release(ConnectionId id) {
-  ReleaseState& st = releases_[id];
-  const core::ConnectionParams& p = st.params;
+  ConnState& c = conns_[id];
+  const core::ConnectionParams& p = c.params;
   const sim::TimePoint release_t =
-      st.base + timing_->slot() * (p.period_slots * st.released);
+      c.base + timing_->slot() * (p.period_slots * c.released);
   const sim::TimePoint deadline =
       release_t + timing_->slot() * p.effective_deadline_slots();
   // The arrival is the nominal release instant: the event path fires
   // exactly there, and the plan-driven table may catch up at the next
   // slot boundary without skewing latency accounting.
   (void)enqueue(p.source, p.dests, core::TrafficClass::kRealTime,
-                p.size_slots, deadline, id, st.released, release_t);
-  ++conn_stats_slot(id).released;
-  ++st.released;
+                p.size_slots, deadline, id, c.released, release_t);
+  ++stats_of(id).released;
+  ++c.released;
 }
 
 void Network::release_message(ConnectionId id) {
-  ReleaseState& st = releases_[id];
-  if (!st.open) return;
+  ConnState& c = conns_[id];
+  if (c.kind != ConnState::Kind::kRealTime) return;
   fire_release(id);
   // The clamp only bites when a restored event is catching up on more
   // than one deferred release; on the steady event path next > now.
   const sim::TimePoint next =
-      st.base + timing_->slot() * (st.params.period_slots * st.released);
-  st.next_event = sim_.schedule_at(std::max(next, sim_.now()),
-                                   [this, id] { release_message(id); });
+      c.base + timing_->slot() * (c.params.period_slots * c.released);
+  c.next_event = sim_.schedule_at(std::max(next, sim_.now()),
+                                  [this, id] { release_message(id); });
 }
 
 bool Network::close_connection(ConnectionId id) {
-  if (id >= releases_.size() || !releases_[id].open) return false;
-  ReleaseState& st = releases_[id];
-  st.open = false;
-  sim_.cancel(st.next_event);
-  drop_held(st);
-  nodes_[st.params.source].queues().drop_connection(id);
-  refresh_queued_bit(st.params.source);
+  if (id >= conns_.size() || conns_[id].kind == ConnState::Kind::kClosed) {
+    return false;
+  }
+  ConnState& c = conns_[id];
+  if (c.kind == ConnState::Kind::kRealTime) {
+    sim_.cancel(c.next_event);
+    drop_held(c);
+  } else {
+    --open_cbs_;
+  }
+  c.kind = ConnState::Kind::kClosed;
+  nodes_[c.source].queues().drop_connection(id);
+  refresh_queued_bit(c.source);
   const bool released = admission_.release(id);
   // Any in-effect plan covered the closed connection: re-derive (a
   // mid-run close leaves released>0 peers, so this lands on TCMA).
@@ -389,8 +393,11 @@ Network::OpenResult Network::open_cbs_server(const core::CbsParams& params) {
   const auto decision =
       admission_.request(params.admission_params(), sim_.now());
   if (!decision.admitted) return OpenResult{false, kNoConnection};
-  cbs_.emplace(decision.id,
-               CbsState{core::CbsServer(params, timing_->slot())});
+  ConnState& c = new_conn(decision.id);
+  c.kind = ConnState::Kind::kCbs;
+  c.source = params.source;
+  c.server.emplace(params, timing_->slot());
+  ++open_cbs_;
   ++stats_.cbs.servers_opened;
   // CBS jobs are aperiodic: no plan can cover them (rebuild_plan gates
   // on an empty server set, so this invalidates any current plan).
@@ -399,10 +406,10 @@ Network::OpenResult Network::open_cbs_server(const core::CbsParams& params) {
 }
 
 MessageId Network::cbs_send(ConnectionId id, std::int64_t size_slots) {
-  auto it = cbs_.find(id);
-  CCREDF_EXPECT(it != cbs_.end(), "cbs_send: unknown or closed server");
-  CbsState& st = it->second;
-  const core::CbsParams& p = st.server.params();
+  CCREDF_EXPECT(cbs_server(id) != nullptr,
+                "cbs_send: unknown or closed server");
+  ConnState& c = conns_[id];
+  const core::CbsParams& p = c.server->params();
   if (soa_.failed.contains(p.source) ||
       (cfg_.max_queue_messages != 0 &&
        waiting_messages(p.source) >= cfg_.max_queue_messages)) {
@@ -410,49 +417,38 @@ MessageId Network::cbs_send(ConnectionId id, std::int64_t size_slots) {
     // must not recharge the budget or move the server deadline (the
     // enqueue call still does the drop accounting and burns the id).
     return enqueue(p.source, p.dests, core::TrafficClass::kBestEffort,
-                   size_slots, sim_.now(), id, st.sent, sim_.now());
+                   size_slots, sim_.now(), id, c.sent, sim_.now());
   }
   const sim::TimePoint deadline =
-      st.server.on_arrival(sim_.now(), st.backlog > 0);
+      c.server->on_arrival(sim_.now(), c.backlog > 0);
   const MessageId mid =
       enqueue(p.source, p.dests, core::TrafficClass::kBestEffort, size_slots,
-              deadline, id, st.sent, sim_.now());
-  ++st.backlog;
-  ++st.sent;
+              deadline, id, c.sent, sim_.now());
+  ++c.backlog;
+  ++c.sent;
   ++stats_.cbs.jobs;
-  ++conn_stats_slot(id).released;
+  ++stats_of(id).released;
   return mid;
 }
 
-bool Network::close_cbs_server(ConnectionId id) {
-  auto it = cbs_.find(id);
-  if (it == cbs_.end()) return false;
-  const NodeId src = it->second.server.params().source;
-  nodes_[src].queues().drop_connection(id);
-  refresh_queued_bit(src);
-  cbs_.erase(it);
-  const bool released = admission_.release(id);
-  rebuild_plan();
-  return released;
-}
-
 const core::CbsServer* Network::cbs_server(ConnectionId id) const {
-  const auto it = cbs_.find(id);
-  return it == cbs_.end() ? nullptr : &it->second.server;
+  if (id >= conns_.size() || conns_[id].kind != ConnState::Kind::kCbs) {
+    return nullptr;
+  }
+  return &*conns_[id].server;
 }
 
 void Network::charge_cbs(NodeId g, bool completed) {
-  const auto it = cbs_.find(soa_.bind_conn[g]);
-  if (it == cbs_.end()) return;
-  CbsState& st = it->second;
-  if (completed && st.backlog > 0) --st.backlog;
-  if (st.server.charge_slot()) {
+  const ConnectionId id = soa_.bind_conn[g];
+  if (cbs_server(id) == nullptr) return;
+  ConnState& c = conns_[id];
+  if (completed && c.backlog > 0) --c.backlog;
+  if (c.server->charge_slot()) {
     // Budget exhausted exactly at this slot boundary: the server
     // postponed (c = Q, d += T) and every job still queued behind it --
     // including a partially transmitted one -- follows the deadline.
     ++stats_.cbs.postponements;
-    nodes_[st.server.params().source].queues().reschedule_connection(
-        it->first, st.server.deadline());
+    nodes_[c.source].queues().reschedule_connection(id, c.server->deadline());
   }
 }
 
@@ -464,18 +460,15 @@ bool Network::fail_node(NodeId id) {
   if (soa_.failed.contains(id)) return false;
   mark_plan_diverged();  // the plan's outcomes assumed a healthy ring
   n.queues().clear();
-  if (soa_.holding.contains(id)) {
-    for (ReleaseState& st : releases_) {
-      if (st.params.source == id) drop_held(st);
-    }
+  for (ConnState& c : conns_) {
+    if (c.source != id) continue;
+    drop_held(c);
+    // The failed source's queues were just cleared: its servers have no
+    // backlog any more (the next job after restore recharges afresh).
+    c.backlog = 0;
   }
   soa_.failed.insert(id);
   soa_.queued.erase(id);
-  for (auto& [cid, st] : cbs_) {
-    // The failed source's queues were just cleared: its servers have no
-    // backlog any more (the next job after restore recharges afresh).
-    if (st.server.params().source == id) st.backlog = 0;
-  }
   return true;
 }
 
@@ -519,22 +512,24 @@ NodeId Network::degraded_anchor() const {
   // clock-break link coincides with the severed link (any failed nodes
   // skipped over sit between the cut and the anchor, where no record
   // travels anyway).
-  NodeId anchor = topo_.downstream(severed_.lowest());
-  NodeId tried = 0;
-  while (tried < nodes() && soa_.failed.contains(anchor)) {
-    anchor = topo_.downstream(anchor);
-    ++tried;
+  return first_live_from(topo_.downstream(severed_.lowest()));
+}
+
+NodeId Network::first_live_from(NodeId from) const {
+  for (NodeId tried = 0; tried < nodes(); ++tried) {
+    if (!soa_.failed.contains(from)) return from;
+    from = topo_.downstream(from);
   }
-  return tried == nodes() ? kInvalidNode : anchor;
+  return kInvalidNode;
 }
 
 std::vector<Network::OpenConnectionInfo> Network::connections_of(
     NodeId src) const {
   std::vector<OpenConnectionInfo> out;
-  for (ConnectionId id = 0; id < releases_.size(); ++id) {
-    const ReleaseState& st = releases_[id];
-    if (st.open && st.params.source == src) {
-      out.push_back(OpenConnectionInfo{id, st.params});
+  for (ConnectionId id = 0; id < conns_.size(); ++id) {
+    const ConnState& c = conns_[id];
+    if (c.kind == ConnState::Kind::kRealTime && c.source == src) {
+      out.push_back(OpenConnectionInfo{id, c.params});
     }
   }
   return out;
@@ -542,15 +537,12 @@ std::vector<Network::OpenConnectionInfo> Network::connections_of(
 
 std::vector<Network::OpenCbsInfo> Network::cbs_servers_of(NodeId src) const {
   std::vector<OpenCbsInfo> out;
-  for (const auto& [id, st] : cbs_) {
-    if (st.server.params().source == src) {
-      out.push_back(OpenCbsInfo{id, st.server.params()});
+  for (ConnectionId id = 0; id < conns_.size(); ++id) {
+    const ConnState& c = conns_[id];
+    if (c.kind == ConnState::Kind::kCbs && c.source == src) {
+      out.push_back(OpenCbsInfo{id, c.server->params()});
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const OpenCbsInfo& a, const OpenCbsInfo& b) {
-              return a.id < b.id;
-            });
   return out;
 }
 
@@ -564,7 +556,7 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
     }
     // A plan-bound message is consumed where it is held; anything else
     // must still sit in the source's EDF queues.
-    ReleaseState* holder = bound_holder(g);
+    ConnState* holder = bound_holder(g);
     if (holder == nullptr && !src.queues().contains(soa_.bind_msg[g])) {
       ++stats_.wasted_grants;
       continue;
@@ -587,7 +579,7 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
       holder->held.erase(holder->held.begin());
       if (--soa_.held_count[g] == 0) soa_.holding.erase(g);
     }
-    if (!cbs_.empty()) charge_cbs(g, done.has_value());
+    if (open_cbs_ != 0) charge_cbs(g, done.has_value());
     if (!done) continue;  // more slots of this message remain
     refresh_queued_bit(g);  // the consumed message may have drained g
 
@@ -645,7 +637,7 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
     if (sched_miss) ++cs.scheduling_misses;
     if (user_miss) ++cs.user_misses;
     if (done->connection != kNoConnection) {
-      auto& conn = conn_stats_slot(done->connection);
+      auto& conn = stats_of(done->connection);
       ++conn.delivered;
       conn.bytes += done->payload_bytes;
       conn.latency.add(d.latency());
@@ -1092,13 +1084,8 @@ sim::Duration Network::recover_token_loss(SlotPlan& plan) {
       (timing_->slot() + protocol_->max_gap()) * cfg_.recovery_timeout_slots;
   // The designated restarter takes over; if it is itself down, the first
   // live node downstream of it assumes the role.
-  NodeId restarter = cfg_.designated_restarter;
-  NodeId tried = 0;
-  while (tried < nodes() && soa_.failed.contains(restarter)) {
-    restarter = topo_.downstream(restarter);
-    ++tried;
-  }
-  if (tried == nodes()) {
+  const NodeId restarter = first_live_from(cfg_.designated_restarter);
+  if (restarter == kInvalidNode) {
     // EVERY node is failed: no deputy exists, so nothing restarts the
     // clock -- the ring is dark until a node is restored.  Counting a
     // recovery here would be a phantom restart; the clock is parked at
@@ -1209,7 +1196,7 @@ std::int64_t Network::skip_quiet_slots(std::int64_t max_slots,
 
 bool Network::plan_can_build() const {
   return planner_ != nullptr && protocol_->supports_planning() &&
-         fault_hook_ == nullptr && cbs_.empty() && soa_.failed.empty() &&
+         fault_hook_ == nullptr && open_cbs_ == 0 && soa_.failed.empty() &&
          severed_.empty() && current_granted_.empty() && soa_.queued.empty();
 }
 
@@ -1223,13 +1210,13 @@ void Network::rebuild_plan() {
   const sim::Duration t_slot = timing_->slot();
   planner_->clear();
   bool any = false;
-  for (ConnectionId id = 0; id < releases_.size(); ++id) {
-    const ReleaseState& st = releases_[id];
-    if (!st.open) continue;
-    if (st.released != 0) return;  // mid-stream: stay on TCMA
-    const sim::Duration off = st.base - sim::TimePoint::origin();
+  for (ConnectionId id = 0; id < conns_.size(); ++id) {
+    const ConnState& c = conns_[id];
+    if (c.kind != ConnState::Kind::kRealTime) continue;
+    if (c.released != 0) return;  // mid-stream: stay on TCMA
+    const sim::Duration off = c.base - sim::TimePoint::origin();
     if (off.ps() % t_slot.ps() != 0) return;  // off the nominal grid
-    planner_->add(id, st.params, off.ps() / t_slot.ps());
+    planner_->add(id, c.params, off.ps() / t_slot.ps());
     any = true;
   }
   if (!any) return;
@@ -1254,21 +1241,21 @@ void Network::plan_adopt_releases() {
   const std::int64_t h = planner_->hyperperiod_slots();
   const sim::Duration t_slot = timing_->slot();
   std::size_t entries = 0;
-  for (const ReleaseState& st : releases_) {
-    if (st.open) {
-      entries += static_cast<std::size_t>(h / st.params.period_slots);
+  for (const ConnState& c : conns_) {
+    if (c.kind == ConnState::Kind::kRealTime) {
+      entries += static_cast<std::size_t>(h / c.params.period_slots);
     }
   }
   if (entries > kMaxPlanReleaseEntries) return;  // keep the events
   plan_releases_.clear();
   plan_releases_.reserve(entries);
-  for (ConnectionId id = 0; id < releases_.size(); ++id) {
-    const ReleaseState& st = releases_[id];
-    if (!st.open) continue;
-    sim_.cancel(st.next_event);
+  for (ConnectionId id = 0; id < conns_.size(); ++id) {
+    const ConnState& c = conns_[id];
+    if (c.kind != ConnState::Kind::kRealTime) continue;
+    sim_.cancel(c.next_event);
     const std::int64_t base =
-        (st.base - sim::TimePoint::origin()).ps() / t_slot.ps();
-    const std::int64_t period = st.params.period_slots;
+        (c.base - sim::TimePoint::origin()).ps() / t_slot.ps();
+    const std::int64_t period = c.params.period_slots;
     for (std::int64_t k = 0; k < h / period; ++k) {
       const std::int64_t first = base + k * period;
       plan_releases_.push_back(PlanRelease{first % h, first, id});
@@ -1315,17 +1302,17 @@ void Network::plan_restore_releases() {
   // FIFO).
   plan_releases_.clear();
   plan_release_at_ = sim::TimePoint::infinity();
-  for (ConnectionId id = 0; id < releases_.size(); ++id) {
-    ReleaseState& st = releases_[id];
-    if (!st.open) continue;
+  for (ConnectionId id = 0; id < conns_.size(); ++id) {
+    ConnState& c = conns_[id];
+    if (c.kind != ConnState::Kind::kRealTime) continue;
     // A connection opened this very call still has its admission-time
     // event pending (adoption never saw it) -- cancel before
     // re-scheduling or two self-rescheduling chains would run at once.
-    sim_.cancel(st.next_event);
+    sim_.cancel(c.next_event);
     const sim::TimePoint next =
-        st.base + timing_->slot() * (st.params.period_slots * st.released);
-    st.next_event = sim_.schedule_at(std::max(next, sim_.now()),
-                                     [this, id] { release_message(id); });
+        c.base + timing_->slot() * (c.params.period_slots * c.released);
+    c.next_event = sim_.schedule_at(std::max(next, sim_.now()),
+                                    [this, id] { release_message(id); });
   }
 }
 
@@ -1339,7 +1326,10 @@ void Network::plan_release_due_slow(sim::TimePoint upto) {
     // Visits below first_abs are the start-up transient of an offset
     // connection (its k-th entry exists in every cycle but only fires
     // from cycle (first_abs - rel) / H on).
-    if (abs >= r.first_abs && releases_[r.conn].open) fire_release(r.conn);
+    if (abs >= r.first_abs &&
+        conns_[r.conn].kind == ConnState::Kind::kRealTime) {
+      fire_release(r.conn);
+    }
     if (plan_releases_.empty()) return;  // a divergence tore the table down
     if (++plan_release_idx_ == plan_releases_.size()) {
       plan_release_idx_ = 0;
@@ -1379,7 +1369,7 @@ SlotPlan Network::plan_next_from_cursor() {
   NodeSet bound;
   for (std::uint32_t i = 0; i < b->grant_count; ++i) {
     const auto& g = gs[i];
-    const std::vector<core::Message>& held = releases_[g.conn].held;
+    const std::vector<core::Message>& held = conns_[g.conn].held;
     if (held.empty()) {
       mark_plan_diverged();
       return plan;  // idle decision; TCMA resumes next slot

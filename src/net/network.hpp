@@ -39,7 +39,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/nodeset.hpp"
@@ -274,7 +273,8 @@ class Network {
   /// scheduled automatically (period/deadline in slots of wall time
   /// P_i * t_slot, matching the units of the analysis).
   OpenResult open_connection(const core::ConnectionParams& params);
-  /// Stops releases and drops this connection's queued messages.
+  /// Closes an RT connection or a CBS server: stops its releases or
+  /// jobs, drops its queued messages and releases its bandwidth.
   bool close_connection(ConnectionId id);
 
   // -- constant-bandwidth servers (soft real-time service class) ----------
@@ -288,8 +288,6 @@ class Network {
   /// failed / full-buffer drop rules as any best-effort send (a dropped
   /// job does not touch the server state).
   MessageId cbs_send(ConnectionId id, std::int64_t size_slots);
-  /// Closes the server: drops its queued jobs, releases its bandwidth.
-  bool close_cbs_server(ConnectionId id);
   /// The live server state machine, or nullptr when `id` is not open.
   [[nodiscard]] const core::CbsServer* cbs_server(ConnectionId id) const;
 
@@ -348,18 +346,16 @@ class Network {
   /// dark (>= 2 cuts) or has no live node downstream of the cut.
   [[nodiscard]] NodeId degraded_anchor() const;
 
-  /// Open hard-RT connections sourced at `src`, sorted by id.  The
-  /// sorted order matters: quarantine (services::ResilienceMonitor)
-  /// enumerates these to close them, and every downstream admission id
-  /// depends on the order -- unordered_map iteration would leak
-  /// nondeterminism into the byte-identical sweep reports.
+  /// Open hard-RT connections sourced at `src`, in id order.  The order
+  /// matters: quarantine (services::ResilienceMonitor) enumerates these
+  /// to close them, and every downstream admission id depends on it.
   struct OpenConnectionInfo {
     ConnectionId id = kNoConnection;
     core::ConnectionParams params;
   };
   [[nodiscard]] std::vector<OpenConnectionInfo> connections_of(
       NodeId src) const;
-  /// Open CBS servers sourced at `src`, sorted by id (same contract).
+  /// Open CBS servers sourced at `src`, in id order (same contract).
   struct OpenCbsInfo {
     ConnectionId id = kNoConnection;
     core::CbsParams params;
@@ -408,7 +404,7 @@ class Network {
     /// the collection phase; kept in sync at every queue mutation).
     NodeSet queued;
     /// Nodes holding planned messages outside their EDF queues
-    /// (ReleaseState::held), and how many each holds.
+    /// (ConnState::held), and how many each holds.
     NodeSet holding;
     std::array<std::size_t, kMaxNodes> held_count{};
     /// Nodes in fail-silent state: a failed node neither requests slots
@@ -436,7 +432,16 @@ class Network {
     /// lookup.
     std::array<ConnectionId, kMaxNodes> bind_conn{};
   };
-  struct ReleaseState {
+  /// Everything the engine keeps for one admitted id: an RT connection
+  /// or a CBS server, open or closed.
+  struct ConnState {
+    enum class Kind : std::uint8_t { kClosed, kRealTime, kCbs };
+    Kind kind = Kind::kClosed;
+    NodeId source = kInvalidNode;
+    /// stats_.per_connection[id], set on the id's first release or
+    /// delivery (map nodes are pointer-stable and never erased).
+    ConnectionStats* stats = nullptr;
+    // RT connection: the periodic release chain.
     core::ConnectionParams params;
     sim::TimePoint base;  // time of release 0
     sim::EventId next_event = 0;
@@ -447,12 +452,9 @@ class Network {
     /// connection).  A plan keeps deadlines within periods, so this holds
     /// one or two messages and, once warm, never allocates again.
     std::vector<core::Message> held;
-    bool open = false;  // ids never opened as RT connections stay closed
-  };
-  /// A live CBS: the pure core::CbsServer plus the engine-side backlog
-  /// tracking that feeds the wake-up rule.
-  struct CbsState {
-    core::CbsServer server;
+    // CBS server: the pure core::CbsServer plus the engine-side backlog
+    // tracking that feeds the wake-up rule.
+    std::optional<core::CbsServer> server;
     std::int64_t backlog = 0;  // jobs queued or in service at the source
     std::int64_t sent = 0;     // accepted jobs (release_index numbering)
   };
@@ -481,6 +483,9 @@ class Network {
   /// first live downstream deputy) restarts the clock after the timeout;
   /// grants are voided.  Sets plan's next master, returns the gap.
   sim::Duration recover_token_loss(SlotPlan& plan);
+  /// The first live node at or downstream of `from`, or kInvalidNode
+  /// when every node has failed.
+  [[nodiscard]] NodeId first_live_from(NodeId from) const;
   /// Severed-link override of the decision (PROTOCOL.md §7.5): two or
   /// more cuts park the ring dark, a single cut re-anchors the master at
   /// its downstream endpoint.  Returns the hand-over gap that results.
@@ -523,19 +528,19 @@ class Network {
   /// Moves every held message into its source's EDF queues (the first
   /// collection phase after the plan stopped driving).
   void flush_held();
-  /// Drops the messages connection `st` holds (close, source failure).
-  void drop_held(ReleaseState& st);
+  /// Drops the messages connection `c` holds (close, source failure).
+  void drop_held(ConnState& c);
   /// The connection whose oldest held message is the one bound at node
   /// `g`, or nullptr when g's binding is not a held message.
-  [[nodiscard]] ReleaseState* bound_holder(NodeId g) {
-    if (!soa_.holding.contains(g) || soa_.bind_conn[g] >= releases_.size()) {
+  [[nodiscard]] ConnState* bound_holder(NodeId g) {
+    if (!soa_.holding.contains(g) || soa_.bind_conn[g] >= conns_.size()) {
       return nullptr;
     }
-    ReleaseState& st = releases_[soa_.bind_conn[g]];
-    if (st.held.empty() || st.held.front().id != soa_.bind_msg[g]) {
+    ConnState& c = conns_[soa_.bind_conn[g]];
+    if (c.held.empty() || c.held.front().id != soa_.bind_msg[g]) {
       return nullptr;
     }
-    return &st;
+    return &c;
   }
   /// Messages waiting at `src`, queued or held (the tail-drop count).
   [[nodiscard]] std::size_t waiting_messages(NodeId src) const {
@@ -580,22 +585,17 @@ class Network {
                     sim::TimePoint arrival);
   [[nodiscard]] core::Priority priority_of(const core::Message& m,
                                            sim::TimePoint sample) const;
-  /// Hot-path accessor for stats_.per_connection[id]: connection ids are
-  /// dense (admission hands them out sequentially from 1) and map nodes
-  /// are pointer-stable and never erased, so a flat pointer cache turns
-  /// the twice-per-message hash lookup into an array index.
-  [[nodiscard]] ConnectionStats& conn_stats_slot(ConnectionId id) {
-    if (id < conn_stats_cache_.size() && conn_stats_cache_[id] != nullptr) {
-      return *conn_stats_cache_[id];
-    }
-    ConnectionStats& slot = stats_.per_connection[id];
-    if (id < kMaxCachedConnections) {
-      if (id >= conn_stats_cache_.size()) {
-        conn_stats_cache_.resize(id + 1, nullptr);
-      }
-      conn_stats_cache_[id] = &slot;
-    }
-    return slot;
+  /// The entry of an id admission handed out (fresh ids only).
+  ConnState& new_conn(ConnectionId id) {
+    if (id >= conns_.size()) conns_.resize(id + std::size_t{1});
+    return conns_[id];
+  }
+  /// stats_.per_connection[id] through the id's entry, so the per-message
+  /// path indexes an array instead of searching the map.
+  [[nodiscard]] ConnectionStats& stats_of(ConnectionId id) {
+    ConnState& c = conns_[id];
+    if (c.stats == nullptr) c.stats = &stats_.per_connection[id];
+    return *c.stats;
   }
 
   NetworkConfig cfg_;
@@ -661,7 +661,7 @@ class Network {
   struct PlanRelease {
     std::int64_t rel = 0;
     std::int64_t first_abs = 0;
-    ConnectionId conn = kNoConnection;  // index into releases_
+    ConnectionId conn = kNoConnection;  // index into conns_
   };
   /// The plan-driven release schedule for one hypercycle, sorted by rel
   /// (non-empty exactly while release events are suppressed).  Bounded:
@@ -676,16 +676,12 @@ class Network {
   /// release event would.
   sim::TimePoint plan_release_at_ = sim::TimePoint::infinity();
 
-  /// Release state of every RT connection ever opened, indexed by its
-  /// (dense, never reused) ConnectionId, so every walk runs in id order.
-  std::vector<ReleaseState> releases_;
-  /// Open constant-bandwidth servers (empty on RT-only runs: every CBS
-  /// hook in the slot path is gated on `!cbs_.empty()`).
-  std::unordered_map<ConnectionId, CbsState> cbs_;
-  /// Flat id -> &per_connection[id] cache (see conn_stats_slot); bounded
-  /// so a pathological id (never produced by admission) cannot balloon it.
-  static constexpr ConnectionId kMaxCachedConnections = 1u << 20;
-  std::vector<ConnectionStats*> conn_stats_cache_;
+  /// Every id admission ever handed out, indexed by its (dense, never
+  /// reused) ConnectionId, so every walk runs in id order.
+  std::vector<ConnState> conns_;
+  /// Open CBS servers (zero on RT-only runs: the CBS hook in the slot
+  /// path is gated on it).
+  std::size_t open_cbs_ = 0;
   /// Sources whose transfers completed last slot (ack bits for the next
   /// distribution packet when with_acks is enabled).
   NodeSet pending_acks_;

@@ -34,7 +34,6 @@ class Node {
   /// Inbox recording toggle (NetworkConfig::record_inboxes); statistics
   /// are unaffected.
   void set_inbox_recording(bool on) { record_inbox_ = on; }
-  [[nodiscard]] bool inbox_recording() const { return record_inbox_; }
 
   void deliver(const core::Delivery& d) {
     if (record_inbox_) inbox_.push_back(d);

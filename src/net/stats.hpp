@@ -9,7 +9,7 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "core/message.hpp"
@@ -20,6 +20,7 @@ namespace ccredf::net {
 
 /// Per-logical-connection accounting (hard-RT connections and CBS
 /// servers share the map; `bytes` is what the fairness index compares).
+/// A record exists from the id's first release or delivery on.
 struct ConnectionStats {
   std::int64_t released = 0;
   std::int64_t delivered = 0;
@@ -216,7 +217,8 @@ struct NetworkStats {
   std::vector<std::int64_t> node_grants;
 
   std::array<ClassStats, 3> per_class;  // indexed by TrafficClass
-  std::unordered_map<ConnectionId, ConnectionStats> per_connection;
+  /// Keyed by connection id, so it iterates in id order.
+  std::map<ConnectionId, ConnectionStats> per_connection;
 
   /// Fault / detection / recovery accounting (zero on clean runs).
   FaultStats faults;

@@ -61,7 +61,7 @@ double CbsFlowSet::jain_index() const {
 }
 
 void CbsFlowSet::close_all() {
-  for (const ConnectionId id : ids_) net_.close_cbs_server(id);
+  for (const ConnectionId id : ids_) net_.close_connection(id);
   ids_.clear();
 }
 

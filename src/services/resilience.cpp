@@ -196,11 +196,7 @@ void ResilienceMonitor::quarantine(NodeSet sources, SlotIndex s,
                   : stats_.connections_quarantined);
     }
     released += weight(p);
-    if (p.is_cbs) {
-      net_.close_cbs_server(id);
-    } else {
-      net_.close_connection(id);
-    }
+    net_.close_connection(id);
     incarnation_[id] = kNoConnection;
     p.node = j;
     p.former_id = id;

@@ -73,9 +73,10 @@ analysis::Table to_table(const SweepResult& result,
                          const std::vector<Metric>& metrics,
                          const std::string& title) {
   analysis::Table t(title);
-  std::vector<std::string> headers{"protocol", "nodes",   "u/U_max", "ber",
-                                   "data_ber", "churn",   "mix",     "service",
-                                   "planner",  "seed"};
+  std::vector<std::string> headers{"protocol",  "nodes",    "u/U_max",
+                                   "ber",       "data_ber", "churn",
+                                   "link_cuts", "mix",      "service",
+                                   "planner",   "seed"};
   for (const Metric m : metrics) headers.emplace_back(metric_name(m));
   t.columns(std::move(headers));
   for (const PointResult& pr : result.points) {
@@ -86,6 +87,7 @@ analysis::Table to_table(const SweepResult& result,
         .cell(pr.point.ber, 6)
         .cell(pr.point.data_ber, 6)
         .cell(pr.point.churn, 0)
+        .cell(pr.point.link_cuts)
         .cell(mix_name(pr.point.mix))
         .cell(service_name(pr.point.service))
         .cell(pr.point.planner ? "on" : "off")

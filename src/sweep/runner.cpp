@@ -97,6 +97,8 @@ const char* metric_name(Metric m) {
       return "cut_detect_slots";
     case Metric::kCutDisjointMisses:
       return "cut_disjoint_misses";
+    case Metric::kCount:
+      break;
   }
   return "?";
 }

@@ -59,10 +59,12 @@ enum class Metric : std::size_t {
   kLinkCuts,              // hard link cuts applied (link_cuts axis)
   kSegmentQuarantines,    // transfers closed by segment-down quarantines
   kCutDetectSlots,        // summed in-protocol cut-detection latency
-  kCutDisjointMisses      // user misses on connections whose segment
+  kCutDisjointMisses,     // user misses on connections whose segment
                           // avoids every cut link (containment gate: 0)
+  kCount                  // number of metrics above; not a metric
 };
-inline constexpr std::size_t kMetricCount = 37;
+inline constexpr std::size_t kMetricCount =
+    static_cast<std::size_t>(Metric::kCount);
 
 [[nodiscard]] const char* metric_name(Metric m);
 

@@ -76,10 +76,8 @@ void AperiodicGenerator::emit(Flow& flow) {
   // does not depend on whether the server is currently quarantined.
   const std::int64_t size =
       flow.rng.uniform_int(params_.min_size_slots, params_.max_size_slots);
-  if (net_.cbs_server(flow.server) == nullptr) {
-    ++orphaned_;  // server closed (resilience quarantine); drop the job
-    return;
-  }
+  // Server closed (resilience quarantine): drop the job.
+  if (net_.cbs_server(flow.server) == nullptr) return;
   net_.cbs_send(flow.server, size);
   ++generated_;
 }

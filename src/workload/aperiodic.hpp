@@ -47,14 +47,10 @@ class AperiodicGenerator final : public sim::ArrivalProcess {
   AperiodicGenerator(net::Network& net, std::vector<ConnectionId> servers,
                      AperiodicParams params, sim::TimePoint until);
 
-  /// Jobs submitted so far (accepted or dropped at the buffer).
+  /// Jobs submitted so far (accepted or dropped at the buffer).  A job
+  /// whose server has closed (a resilience quarantine) is discarded
+  /// uncounted, and the arrival clock keeps running.
   [[nodiscard]] std::int64_t generated() const { return generated_; }
-  /// Jobs discarded because their server was no longer open at emit
-  /// time (quarantined by services::ResilienceMonitor after its source
-  /// failed).  The arrival clock keeps running -- the RNG draw sequence
-  /// is identical with and without quarantines, which the churn sweep's
-  /// paired-seed comparisons rely on.
-  [[nodiscard]] std::int64_t orphaned() const { return orphaned_; }
 
  private:
   struct Flow {
@@ -80,7 +76,6 @@ class AperiodicGenerator final : public sim::ArrivalProcess {
   sim::Duration idle_mean_;   // bursty mode only
   std::vector<Flow> flows_;
   std::int64_t generated_ = 0;
-  std::int64_t orphaned_ = 0;
 };
 
 }  // namespace ccredf::workload

@@ -8,15 +8,14 @@
 //
 // Non-vacuousness is asserted too: the fast-forward run must actually
 // have skipped slots, otherwise the equivalence would hold trivially.
-#include <algorithm>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fault/injector.hpp"
 #include "net/network.hpp"
+#include "support/stats_fingerprint.hpp"
 #include "workload/multimedia.hpp"
 #include "workload/periodic.hpp"
 #include "workload/poisson.hpp"
@@ -24,116 +23,6 @@
 
 namespace ccredf {
 namespace {
-
-using core::TrafficClass;
-
-void put(std::ostream& os, const char* key, double v) {
-  os << key << '=' << std::hexfloat << v << std::defaultfloat << '\n';
-}
-
-void put(std::ostream& os, const char* key, std::int64_t v) {
-  os << key << '=' << v << '\n';
-}
-
-void put_online(std::ostream& os, const char* key,
-                const sim::OnlineStats& st) {
-  os << key << ": ";
-  put(os, "count", st.count());
-  put(os, "mean", st.mean());
-  put(os, "variance", st.variance());
-  put(os, "sum", st.sum());
-  put(os, "min", st.min());
-  put(os, "max", st.max());
-}
-
-void put_exact(std::ostream& os, const char* key, const sim::ExactStats& st) {
-  os << key << ": ";
-  put(os, "count", st.count());
-  put(os, "sum_exact", st.sum_exact());
-  put(os, "mean", st.mean());
-  put(os, "variance", st.variance());
-  put(os, "min", st.min());
-  put(os, "max", st.max());
-}
-
-/// Serializes everything a run can observe about a network, EXCEPT the
-/// fast-forward telemetry itself (ff_slots_skipped / ff_windows differ
-/// between the two engines by design -- they count the skipping).
-std::string fingerprint(const net::Network& n) {
-  const auto& st = n.stats();
-  std::ostringstream os;
-  put(os, "slots", st.slots);
-  put(os, "busy_slots", st.busy_slots);
-  put(os, "total_grants", st.total_grants);
-  put(os, "reuse_slots", st.reuse_slots);
-  put(os, "wasted_grants", st.wasted_grants);
-  put(os, "buffer_drops", st.buffer_drops);
-  put(os, "priority_inversions", st.priority_inversions);
-  put_exact(os, "handover_hops", st.handover_hops);
-  put_exact(os, "gap", st.gap);
-  put(os, "time_in_slots_ps", st.time_in_slots.ps());
-  put(os, "time_in_gaps_ps", st.time_in_gaps.ps());
-  for (NodeId j = 0; j < n.nodes(); ++j) {
-    os << "node " << static_cast<int>(j) << ": ";
-    put(os, "requests", st.node_requests[j]);
-    put(os, "grants", st.node_grants[j]);
-    put(os, "idle", st.node_idle_slots(j));
-  }
-  for (const auto cls : {TrafficClass::kRealTime, TrafficClass::kBestEffort,
-                         TrafficClass::kNonRealTime}) {
-    const auto& c = st.cls(cls);
-    os << "class " << static_cast<int>(cls) << ": ";
-    put(os, "delivered", c.delivered);
-    put(os, "scheduling_misses", c.scheduling_misses);
-    put(os, "user_misses", c.user_misses);
-    put(os, "bytes", c.bytes);
-    put_online(os, "latency", c.latency);
-  }
-  std::vector<ConnectionId> ids;
-  ids.reserve(st.per_connection.size());
-  for (const auto& [id, cs] : st.per_connection) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (const ConnectionId id : ids) {
-    const auto& cs = st.per_connection.at(id);
-    os << "connection " << id << ": ";
-    put(os, "released", cs.released);
-    put(os, "delivered", cs.delivered);
-    put(os, "scheduling_misses", cs.scheduling_misses);
-    put(os, "user_misses", cs.user_misses);
-    put_online(os, "latency", cs.latency);
-  }
-  const auto& f = st.faults;
-  put(os, "token_losses", f.token_losses);
-  put(os, "collection_drops", f.collection_drops);
-  put(os, "collection_corruptions", f.collection_corruptions);
-  put(os, "collection_detected", f.collection_detected);
-  put(os, "collection_silent", f.collection_silent);
-  put(os, "spurious_requests", f.spurious_requests);
-  put(os, "distribution_corruptions", f.distribution_corruptions);
-  put(os, "distribution_detected", f.distribution_detected);
-  put(os, "rearbitration_slots", f.rearbitration_slots);
-  put(os, "silent_misarbitrations", f.silent_misarbitrations);
-  put(os, "recoveries", f.recoveries);
-  put_exact(os, "recovery_gap", f.recovery_gap);
-  put(os, "ring_dark", f.ring_dark);
-  put(os, "payload_corruptions", f.payload_corruptions);
-  put(os, "payload_detected", f.payload_detected);
-  put(os, "payload_undetected", f.payload_undetected);
-  put(os, "payload_nacks", f.payload_nacks);
-  for (NodeId j = 0; j < n.nodes(); ++j) {
-    const auto& nf = st.per_node_faults[j];
-    os << "node_faults " << static_cast<int>(j) << ": ";
-    put(os, "requests_dropped", nf.requests_dropped);
-    put(os, "requests_corrupted", nf.requests_corrupted);
-    put(os, "requests_rejected", nf.requests_rejected);
-    put(os, "spurious_requests", nf.spurious_requests);
-    put(os, "payloads_corrupted", nf.payloads_corrupted);
-  }
-  put(os, "events_fired", static_cast<std::int64_t>(n.sim().events_fired()));
-  put(os, "recoveries_engine", n.recoveries());
-  put(os, "recovery_time_ps", n.recovery_time().ps());
-  return os.str();
-}
 
 struct RunResult {
   std::string fingerprint;
@@ -282,10 +171,7 @@ TEST(FastForward, RunForMatchesSlotBySlot) {
     }
     n.run_for(sim::Duration::microseconds(5'000));
     EXPECT_EQ(n.stats().planned_slots > 0, planner);
-    std::ostringstream os;
-    os << fingerprint(n) << "planned_slots=" << n.stats().planned_slots
-       << "\nplan_wait_slots=" << n.stats().plan_wait_slots << '\n';
-    return RunResult{os.str(), n.stats().ff_slots_skipped};
+    return RunResult{fingerprint(n), n.stats().ff_slots_skipped};
   };
   for (const bool planner : {false, true}) {
     SCOPED_TRACE(planner ? "planner on" : "planner off");

@@ -11,6 +11,7 @@
 
 #include "fault/injector.hpp"
 #include "net/network.hpp"
+#include "support/stats_fingerprint.hpp"
 
 namespace ccredf::net {
 namespace {
@@ -225,15 +226,10 @@ TEST(LinkFault, AnchoredSingleCutFastForwardMatchesSlotBySlot) {
     inj.schedule_link_splice(2, TimePoint::origin() + extent * 120);
     n.send_best_effort(4, NodeSet::single(5), 1, Duration::milliseconds(2));
     n.run_slots(200);
-    const auto& st = n.stats();
     std::ostringstream os;
-    os << st.slots << ' ' << st.total_grants << ' ' << st.wasted_grants
-       << ' ' << st.gap.count() << ' ' << st.gap.sum_exact() << ' '
-       << st.faults.link_cuts << ' ' << st.faults.cut_detect_slots << ' '
-       << st.faults.ring_dark << ' '
-       << st.cls(core::TrafficClass::kBestEffort).delivered << ' '
-       << static_cast<int>(n.current_master()) << ' ' << n.current_slot();
-    return Out{st.ff_windows, os.str()};
+    os << fingerprint(n) << static_cast<int>(n.current_master()) << ' '
+       << n.current_slot();
+    return Out{n.stats().ff_windows, os.str()};
   };
   const Out a = run(true);
   const Out b = run(false);

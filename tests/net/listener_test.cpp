@@ -2,7 +2,6 @@
 // fast-forward, a skipped window is invisible in every statistic and
 // every service output, a function observer still sees every slot, and
 // a listener may die before or after its network.
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -21,12 +20,12 @@
 #include "services/reliable.hpp"
 #include "services/resilience.hpp"
 #include "sim/rng.hpp"
+#include "support/stats_fingerprint.hpp"
 #include "workload/periodic.hpp"
 
 namespace ccredf {
 namespace {
 
-using core::TrafficClass;
 using sim::Duration;
 using sim::TimePoint;
 
@@ -51,48 +50,6 @@ void open_periodic(net::Network& n) {
   for (const auto& c : workload::make_periodic_set(wp)) {
     ASSERT_TRUE(n.open_connection(c).admitted);
   }
-}
-
-/// Every statistic a run can observe except the fast-forward telemetry
-/// (hexfloat doubles: one flipped mantissa bit fails).
-std::string fingerprint(const net::Network& n) {
-  const auto& st = n.stats();
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << st.slots << ' ' << st.busy_slots << ' ' << st.total_grants << ' '
-     << st.reuse_slots << ' ' << st.wasted_grants << ' ' << st.buffer_drops
-     << ' ' << st.priority_inversions << '\n';
-  os << st.handover_hops.count() << ' ' << st.handover_hops.sum_exact() << ' '
-     << st.gap.count() << ' ' << st.gap.sum_exact() << ' '
-     << st.gap.variance() << ' ' << st.time_in_slots.ps() << ' '
-     << st.time_in_gaps.ps() << '\n';
-  for (NodeId j = 0; j < n.nodes(); ++j) {
-    os << st.node_requests[j] << ' ' << st.node_grants[j] << ' ';
-  }
-  os << '\n';
-  for (const auto cls : {TrafficClass::kRealTime, TrafficClass::kBestEffort,
-                         TrafficClass::kNonRealTime}) {
-    const auto& c = st.cls(cls);
-    os << c.delivered << ' ' << c.scheduling_misses << ' ' << c.user_misses
-       << ' ' << c.bytes << ' ' << c.latency.mean() << ' '
-       << c.latency.variance() << ' ' << c.latency.min() << ' '
-       << c.latency.max() << '\n';
-  }
-  std::vector<ConnectionId> ids;
-  for (const auto& [id, cs] : st.per_connection) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (const ConnectionId id : ids) {
-    const auto& cs = st.per_connection.at(id);
-    os << id << ':' << cs.released << ' ' << cs.delivered << ' '
-       << cs.scheduling_misses << ' ' << cs.user_misses << ' '
-       << cs.latency.mean() << ' ' << cs.latency.max() << '\n';
-  }
-  const auto& f = st.faults;
-  os << f.payload_corruptions << ' ' << f.payload_detected << ' '
-     << f.payload_undetected << ' ' << f.payload_nacks << ' '
-     << f.token_losses << ' ' << f.recoveries << ' '
-     << f.admission_renegotiations << ' ' << n.sim().events_fired() << '\n';
-  return os.str();
 }
 
 struct Outcome {

@@ -3,10 +3,8 @@
 // with zero misses, exact divergence back to slot-by-slot TCMA on every
 // event outside the plan's model, and byte-identical statistics between
 // the plan-driven fast-forward and slot-by-slot execution paths.
-#include <algorithm>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +14,7 @@
 #include "fault/injector.hpp"
 #include "net/network.hpp"
 #include "services/resilience.hpp"
+#include "support/stats_fingerprint.hpp"
 
 namespace ccredf::net {
 namespace {
@@ -53,47 +52,6 @@ std::vector<ConnectionParams> past_umax_set() {
     v.push_back(conn(i, static_cast<NodeId>((i + 1) % 8), 1, 8));
   }
   return v;
-}
-
-/// Full statistics fingerprint (hexfloat doubles: one flipped mantissa
-/// bit fails), planner counters included -- the parity gates cover them.
-std::string fingerprint(const Network& n) {
-  const auto& st = n.stats();
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << st.slots << ' ' << st.busy_slots << ' ' << st.total_grants << ' '
-     << st.reuse_slots << ' ' << st.wasted_grants << ' '
-     << st.priority_inversions << ' ' << st.planned_slots << ' '
-     << st.plan_wait_slots << ' ' << st.plan_builds << ' '
-     << st.plan_divergences << '\n';
-  os << st.handover_hops.count() << ' ' << st.handover_hops.sum_exact()
-     << ' ' << st.handover_hops.variance() << ' ' << st.gap.count() << ' '
-     << st.gap.sum_exact() << ' ' << st.gap.variance() << '\n';
-  os << st.time_in_slots.ps() << ' ' << st.time_in_gaps.ps() << '\n';
-  for (NodeId j = 0; j < n.nodes(); ++j) {
-    os << st.node_requests[j] << ' ' << st.node_grants[j] << ' ';
-  }
-  os << '\n';
-  for (const auto cls : {TrafficClass::kRealTime, TrafficClass::kBestEffort,
-                         TrafficClass::kNonRealTime}) {
-    const auto& c = st.cls(cls);
-    os << c.delivered << ' ' << c.scheduling_misses << ' ' << c.user_misses
-       << ' ' << c.bytes << ' ' << c.latency.mean() << ' '
-       << c.latency.variance() << ' ' << c.latency.min() << ' '
-       << c.latency.max() << '\n';
-  }
-  std::vector<ConnectionId> ids;
-  for (const auto& [id, cs] : st.per_connection) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (const ConnectionId id : ids) {
-    const auto& cs = st.per_connection.at(id);
-    os << id << ':' << cs.released << ' ' << cs.delivered << ' '
-       << cs.scheduling_misses << ' ' << cs.user_misses << ' '
-       << cs.latency.mean() << ' ' << cs.latency.max() << '\n';
-  }
-  os << st.faults.token_losses << ' ' << st.faults.recoveries << ' '
-     << n.recoveries() << ' ' << n.sim().events_fired() << '\n';
-  return os.str();
 }
 
 TEST(Planner, AdmitsPastUmaxWithZeroMisses) {

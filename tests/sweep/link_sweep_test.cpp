@@ -5,6 +5,10 @@
 // quarantine -> splice -> re-admit hand-off inside the horizon.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
 
@@ -157,6 +161,24 @@ TEST(LinkSweep, ReportCarriesCutColumnsAndSpecKeys) {
   EXPECT_NE(json.find("\"segment_quarantines\""), std::string::npos);
   EXPECT_NE(json.find("\"cut_detect_slots\""), std::string::npos);
   EXPECT_NE(json.find("\"cut_disjoint_misses\""), std::string::npos);
+}
+
+TEST(LinkSweep, TableShowsTheLinkCutAxis) {
+  // The two points differ only in link_cuts, so without that column
+  // their rows would read the same.
+  SweepResult res;
+  res.spec = cut_grid();
+  for (const GridPoint& p : res.spec.expand()) {
+    PointResult pr;
+    pr.point = p;
+    res.points.push_back(pr);
+  }
+  std::istringstream table(to_table(res, {}, "cuts").str());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(table, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 5u);  // title, header, rule, two rows
+  EXPECT_NE(lines[1].find("link_cuts"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[3], lines[4]);
 }
 
 }  // namespace

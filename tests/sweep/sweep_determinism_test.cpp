@@ -3,6 +3,9 @@
 // count, and stable across repeated runs in one process.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
 
@@ -20,6 +23,18 @@ GridSpec small_grid() {
   spec.slots = 200;
   spec.base_seed = 3;
   return spec;
+}
+
+TEST(SweepDeterminismTest, EveryMetricHasADistinctName) {
+  // The report keys each metric by its name: an unnamed or duplicated
+  // one would vanish from it or collide.
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    const std::string name = metric_name(static_cast<Metric>(i));
+    EXPECT_NE(name, "?") << "metric " << i;
+    EXPECT_TRUE(names.insert(name).second) << name;
+  }
+  EXPECT_STREQ(metric_name(Metric::kCount), "?");
 }
 
 TEST(SweepDeterminismTest, JsonIdenticalAcrossThreadCounts) {
