@@ -16,7 +16,10 @@
 #
 # Fails loudly when a bench binary is missing, exits non-zero (E23b's
 # speed-up gate), or writes a JSON document that does not validate
-# against the bench schema.
+# against the bench schema.  Also fails, naming the entries, when the
+# first preset's ctest list has a name with `byte object <` in it: gtest
+# prints a test parameter that has no PrintTo as its raw bytes, padding
+# included, so such names change from build to build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,6 +63,14 @@ for preset in "${PRESETS[@]}"; do
   cmake --build --preset "${preset}" -j "${JOBS}"
   ctest --preset "${preset}"
 done
+
+RAW_NAMES="$(ctest --preset "${PRESETS[0]}" -N | grep 'byte object <' || true)"
+if [[ -n "${RAW_NAMES}" ]]; then
+  echo "check.sh: ctest names carry raw parameter bytes; give each" \
+       "parameter type a PrintTo:" >&2
+  echo "${RAW_NAMES}" >&2
+  exit 1
+fi
 
 # run_bench NAME [ARGS...]: run a release bench with --json and validate
 # the document it wrote.

@@ -14,148 +14,60 @@ bool edf_before(const Message& a, const Message& b) {
 }
 }  // namespace
 
-std::vector<Message>& EdfQueueSet::queue_of(TrafficClass c) {
-  switch (c) {
-    case TrafficClass::kRealTime:
-      return rt_;
-    case TrafficClass::kBestEffort:
-      return be_;
-    case TrafficClass::kNonRealTime:
-      return nrt_;
-  }
-  return nrt_;
-}
-
-void EdfQueueSet::insert_edf(std::vector<Message>& q, Message msg) {
-  const auto pos = std::upper_bound(q.begin(), q.end(), msg, edf_before);
-  q.insert(pos, std::move(msg));
-}
-
 void EdfQueueSet::push(Message msg) {
   CCREDF_EXPECT(msg.remaining_slots >= 1 && msg.size_slots >= 1,
                 "EdfQueueSet: message must need at least one slot");
-  index_.insert(msg.id,
-                IndexEntry{msg.traffic_class, msg.deadline, msg.arrival});
   if (msg.traffic_class == TrafficClass::kNonRealTime) {
     nrt_.push_back(std::move(msg));  // FIFO
-  } else {
-    insert_edf(queue_of(msg.traffic_class), std::move(msg));
+    return;
   }
-  ++version_;
+  std::vector<Message>& q =
+      msg.traffic_class == TrafficClass::kRealTime ? rt_ : be_;
+  q.insert(std::upper_bound(q.begin(), q.end(), msg, edf_before),
+           std::move(msg));
 }
 
-const Message* EdfQueueSet::first_eligible_scan(const std::vector<Message>& q,
-                                                HeadCache& cache,
-                                                sim::TimePoint sample) const {
-  cache.version = version_;
-  cache.sample = sample;
-  cache.index = kNoHead;
-  cache.min_skipped_arrival = sim::TimePoint::infinity();
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if (q[i].arrival <= sample) {
-      cache.index = i;
-      return &q[i];
-    }
-    cache.min_skipped_arrival =
-        std::min(cache.min_skipped_arrival, q[i].arrival);
-  }
-  return nullptr;
-}
-
-std::size_t EdfQueueSet::locate_sorted(const std::vector<Message>& q,
-                                       const IndexEntry& entry,
-                                       MessageId id) const {
-  Message probe;
-  probe.id = id;
-  probe.deadline = entry.deadline;
-  probe.arrival = entry.arrival;
-  const auto it = std::lower_bound(q.begin(), q.end(), probe, edf_before);
-  CCREDF_ASSERT(it != q.end() && it->id == id);
-  return static_cast<std::size_t>(it - q.begin());
-}
-
-std::optional<Message> EdfQueueSet::consume_at(std::vector<Message>& q,
-                                               std::size_t pos) {
-  Message& m = q[pos];
-  if (--m.remaining_slots > 0) return std::nullopt;
-  Message done = std::move(m);
-  q.erase(q.begin() + static_cast<std::ptrdiff_t>(pos));
-  index_.erase(done.id);
-  ++version_;
-  return done;
+bool EdfQueueSet::contains(MessageId id) const {
+  const auto is_id = [id](const Message& m) { return m.id == id; };
+  return std::ranges::any_of(rt_, is_id) || std::ranges::any_of(be_, is_id) ||
+         std::ranges::any_of(nrt_, is_id);
 }
 
 std::optional<Message> EdfQueueSet::consume_slot(MessageId id) {
-  const IndexEntry* entry = index_.find(id);
-  if (entry == nullptr) {
-    throw ProtocolError("EdfQueueSet: consume_slot for unknown message");
+  for (std::vector<Message>* q : {&rt_, &be_, &nrt_}) {
+    const auto it = std::ranges::find(*q, id, &Message::id);
+    if (it == q->end()) continue;
+    if (--it->remaining_slots > 0) return std::nullopt;
+    Message done = std::move(*it);
+    q->erase(it);
+    return done;
   }
-  std::vector<Message>& q = queue_of(entry->cls);
-  if (entry->cls == TrafficClass::kNonRealTime) {
-    // FIFO queue: the consumed message is almost always the front.
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      if (q[i].id == id) return consume_at(q, i);
-    }
-    throw ProtocolError("EdfQueueSet: consume_slot for unknown message");
-  }
-  return consume_at(q, locate_sorted(q, *entry, id));
-}
-
-std::size_t EdfQueueSet::drop_connection_in(std::vector<Message>& q,
-                                            ConnectionId id) {
-  std::size_t write = 0;
-  for (std::size_t read = 0; read < q.size(); ++read) {
-    if (q[read].connection == id) {
-      index_.erase(q[read].id);
-    } else {
-      if (write != read) q[write] = std::move(q[read]);
-      ++write;
-    }
-  }
-  const std::size_t dropped = q.size() - write;
-  q.erase(q.begin() + static_cast<std::ptrdiff_t>(write), q.end());
-  return dropped;
+  throw ProtocolError("EdfQueueSet: consume_slot for unknown message");
 }
 
 std::size_t EdfQueueSet::drop_connection(ConnectionId id) {
   std::size_t dropped = 0;
-  for (auto* q : {&rt_, &be_, &nrt_}) {
-    dropped += drop_connection_in(*q, id);
+  for (std::vector<Message>* q : {&rt_, &be_, &nrt_}) {
+    dropped += std::erase_if(
+        *q, [id](const Message& m) { return m.connection == id; });
   }
-  if (dropped > 0) ++version_;
   return dropped;
-}
-
-std::size_t EdfQueueSet::reschedule_in(std::vector<Message>& q,
-                                       ConnectionId id,
-                                       sim::TimePoint deadline) {
-  resched_scratch_.clear();
-  std::size_t write = 0;
-  for (std::size_t read = 0; read < q.size(); ++read) {
-    if (q[read].connection == id && q[read].deadline != deadline) {
-      resched_scratch_.push_back(std::move(q[read]));
-    } else {
-      if (write != read) q[write] = std::move(q[read]);
-      ++write;
-    }
-  }
-  q.erase(q.begin() + static_cast<std::ptrdiff_t>(write), q.end());
-  for (Message& m : resched_scratch_) {
-    m.deadline = deadline;
-    index_.erase(m.id);
-    index_.insert(m.id, IndexEntry{m.traffic_class, m.deadline, m.arrival});
-    insert_edf(q, std::move(m));
-  }
-  return resched_scratch_.size();
 }
 
 std::size_t EdfQueueSet::reschedule_connection(ConnectionId id,
                                                sim::TimePoint deadline) {
   std::size_t moved = 0;
-  for (auto* q : {&rt_, &be_}) {  // NRT is FIFO: no EDF key to move
-    moved += reschedule_in(*q, id, deadline);
+  for (std::vector<Message>* q : {&rt_, &be_}) {  // NRT is FIFO: no key
+    std::size_t n = 0;
+    for (Message& m : *q) {
+      if (m.connection == id && m.deadline != deadline) {
+        m.deadline = deadline;
+        ++n;
+      }
+    }
+    if (n > 0) std::sort(q->begin(), q->end(), edf_before);
+    moved += n;
   }
-  if (moved > 0) ++version_;
   return moved;
 }
 
@@ -164,8 +76,6 @@ std::size_t EdfQueueSet::clear() {
   rt_.clear();
   be_.clear();
   nrt_.clear();
-  index_.clear();
-  ++version_;
   return n;
 }
 
@@ -179,18 +89,6 @@ std::size_t EdfQueueSet::size_of(TrafficClass c) const {
       return nrt_.size();
   }
   return 0;
-}
-
-std::optional<sim::TimePoint> EdfQueueSet::earliest_rt_deadline() const {
-  if (rt_.empty()) return std::nullopt;
-  return rt_.front().deadline;
-}
-
-void EdfQueueSet::reserve(std::size_t messages) {
-  rt_.reserve(messages);
-  be_.reserve(messages);
-  nrt_.reserve(messages);
-  index_.reserve(messages);
 }
 
 }  // namespace ccredf::core

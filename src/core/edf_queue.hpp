@@ -7,20 +7,25 @@
 // earliest-deadline-first order (ties broken by arrival, then id, for
 // determinism); the NRT queue is FIFO.
 //
-// The set is indexed: a flat id -> (class, EDF key) map makes `contains`
-// O(1) and lets `consume_slot` binary-search the owning queue instead of
-// scanning all three.  `head` caches its answer per queue; the cache
-// survives across slots while the queue is unmutated and no skipped
-// (not-yet-arrived) message becomes eligible.  Message ids must be unique
-// within one set, which the network guarantees by numbering messages from
-// a single counter.
+// Each class is one plain sorted vector, and every lookup scans it from
+// the front.  That suffices because the engine only ever looks there:
+//   * `net::Network::enqueue` stamps every arrival at or before the
+//     current time, and collection drains the events up to each node's
+//     sample instant before it reads that node's queue, so every queued
+//     message is eligible when sampled and `head` returns a class front;
+//   * a grant consumes the message collection sampled as the head one
+//     slot earlier, and only messages pushed since then with an earlier
+//     EDF key can sit ahead of it, so `contains` and `consume_slot` find
+//     it within a few entries.
+// `head` still skips messages that arrive after the sample, for callers
+// that queue future arrivals.  Message ids must be unique within one set,
+// which the network guarantees by numbering messages from a single
+// counter.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "core/flat_map.hpp"
 #include "core/message.hpp"
 #include "sim/time.hpp"
 
@@ -35,36 +40,38 @@ class EdfQueueSet {
   /// the earliest-deadline *eligible* (arrival <= sample) message of the
   /// highest non-empty class.  Returns nullptr when nothing is eligible.
   /// The pointer stays valid until the next mutating call.  Inline: the
-  /// collection phase calls this once per candidate per slot, and the
-  /// memoised answer (unchanged queue, monotone sample) is a few loads.
+  /// collection phase calls this once per candidate per slot, and in the
+  /// engine the answer is a class front.
   [[nodiscard]] const Message* head(sim::TimePoint sample) const {
     // Class precedence (paper §3): RT strictly before BE before NRT,
     // even if a queued BE message has a tighter deadline.
-    if (const Message* m = first_eligible(rt_, rt_head_, sample)) return m;
-    if (const Message* m = first_eligible(be_, be_head_, sample)) return m;
-    if (const Message* m = first_eligible(nrt_, nrt_head_, sample)) return m;
+    for (const std::vector<Message>* q : {&rt_, &be_, &nrt_}) {
+      for (const Message& m : *q) {
+        if (m.arrival <= sample) return &m;
+      }
+    }
     return nullptr;
   }
 
   /// True iff message `id` is still queued.
-  [[nodiscard]] bool contains(MessageId id) const {
-    return index_.contains(id);
-  }
+  [[nodiscard]] bool contains(MessageId id) const;
 
   /// Marks one slot of message `id` as transmitted; removes the message
   /// when its last slot has been sent and returns the completed Message.
+  /// Throws ProtocolError when `id` is not queued.
   std::optional<Message> consume_slot(MessageId id);
 
   /// Removes every queued message of a closed connection; returns how
   /// many were dropped.
   std::size_t drop_connection(ConnectionId id);
 
-  /// Re-keys every queued message of connection `id` to a new absolute
-  /// deadline (CBS postponement: the server slid its deadline one period
-  /// and its whole backlog must follow).  Re-insertion goes through the
-  /// normal EDF ordering, so the (arrival, id) tie-break keeps the
-  /// server's jobs in FIFO order among themselves.  Returns how many
-  /// messages moved.
+  /// Re-keys every queued RT/BE message of connection `id` to a new
+  /// absolute deadline (CBS postponement: the server slid its deadline
+  /// one period and its whole backlog must follow) and re-sorts the
+  /// class.  EDF order is a total order on (deadline, arrival, id), so
+  /// every message lands where a fresh push would, and the server's jobs
+  /// stay in FIFO order among themselves.  Returns how many messages
+  /// changed deadline.
   std::size_t reschedule_connection(ConnectionId id,
                                     sim::TimePoint deadline);
 
@@ -77,76 +84,13 @@ class EdfQueueSet {
   [[nodiscard]] bool empty() const { return size() == 0; }
   [[nodiscard]] std::size_t size_of(TrafficClass c) const;
 
-  /// Oldest unexpired deadline in the RT queue (for diagnostics).
-  [[nodiscard]] std::optional<sim::TimePoint> earliest_rt_deadline() const;
-
-  /// Pre-sizes queues and index so steady-state operation stays off the
-  /// allocator once the high-water mark is reached.
-  void reserve(std::size_t messages);
-
  private:
-  static constexpr std::size_t kNoHead = static_cast<std::size_t>(-1);
-
-  /// Where `consume_slot` should look for an id, plus the EDF key it was
-  /// inserted with (the key never changes while queued, so a binary
-  /// search with it lands exactly on the message).
-  struct IndexEntry {
-    TrafficClass cls = TrafficClass::kBestEffort;
-    sim::TimePoint deadline;
-    sim::TimePoint arrival;
-  };
-
-  /// Memoised `first_eligible` answer.  Valid while the set is unmutated
-  /// (`version` matches), the sample has not moved backwards, and no
-  /// message that was skipped for being in the future has arrived.
-  struct HeadCache {
-    std::uint64_t version = 0;  // 0 never matches (version_ starts at 1)
-    sim::TimePoint sample;
-    std::size_t index = kNoHead;
-    sim::TimePoint min_skipped_arrival = sim::TimePoint::infinity();
-  };
-
   // Sorted vectors (EDF order via insertion; FIFO for NRT).  Traffic is
   // light enough per node that O(n) insertion moves are immaterial, and
   // contiguous storage beats deque chunk churn on the per-slot scan.
   std::vector<Message> rt_;
   std::vector<Message> be_;
   std::vector<Message> nrt_;
-  FlatMap64<IndexEntry> index_;
-  std::uint64_t version_ = 1;
-  mutable HeadCache rt_head_;
-  mutable HeadCache be_head_;
-  mutable HeadCache nrt_head_;
-
-  void insert_edf(std::vector<Message>& q, Message msg);
-  [[nodiscard]] const Message* first_eligible(const std::vector<Message>& q,
-                                              HeadCache& cache,
-                                              sim::TimePoint sample) const {
-    if (cache.version == version_ && sample >= cache.sample &&
-        sample < cache.min_skipped_arrival) {
-      // Unmutated, and nothing skipped last time has arrived by
-      // `sample`: the answer cannot have changed.
-      return cache.index == kNoHead ? nullptr : &q[cache.index];
-    }
-    return first_eligible_scan(q, cache, sample);
-  }
-  [[nodiscard]] const Message* first_eligible_scan(
-      const std::vector<Message>& q, HeadCache& cache,
-      sim::TimePoint sample) const;
-  std::optional<Message> consume_at(std::vector<Message>& q,
-                                    std::size_t pos);
-  [[nodiscard]] std::size_t locate_sorted(const std::vector<Message>& q,
-                                          const IndexEntry& entry,
-                                          MessageId id) const;
-  std::size_t drop_connection_in(std::vector<Message>& q, ConnectionId id);
-  std::size_t reschedule_in(std::vector<Message>& q, ConnectionId id,
-                            sim::TimePoint deadline);
-
-  [[nodiscard]] std::vector<Message>& queue_of(TrafficClass c);
-
-  /// Scratch for reschedule_connection (postponements can fire once per
-  /// granted slot at budget 1; keep them off the allocator).
-  std::vector<Message> resched_scratch_;
 };
 
 }  // namespace ccredf::core

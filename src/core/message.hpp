@@ -32,15 +32,9 @@ struct Message {
   sim::TimePoint deadline = sim::TimePoint::infinity();
   /// Owning logical real-time connection, or kNoConnection.
   ConnectionId connection = kNoConnection;
-  /// Release index within the connection (0, 1, 2, ...).
-  std::int64_t release_index = 0;
   /// Payload byte count, for throughput accounting (defaults to the full
   /// slots' worth; set by the sender for accounting only).
   std::int64_t payload_bytes = 0;
-
-  [[nodiscard]] bool is_real_time() const {
-    return traffic_class == TrafficClass::kRealTime;
-  }
 
   /// Laxity in whole slots at time `now` with the given slot length;
   /// negative when the deadline has passed.

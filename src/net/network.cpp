@@ -199,14 +199,17 @@ core::Priority Network::priority_of(const core::Message& m,
 
 MessageId Network::enqueue(NodeId src, NodeSet dests, core::TrafficClass cls,
                            std::int64_t size_slots, sim::TimePoint deadline,
-                           ConnectionId conn, std::int64_t release_index,
-                           sim::TimePoint arrival) {
+                           ConnectionId conn, sim::TimePoint arrival) {
   CCREDF_EXPECT(src < nodes_.size(), "enqueue: bad source");
   CCREDF_EXPECT(size_slots >= 1, "enqueue: size must be >= 1 slot");
   CCREDF_EXPECT(!dests.empty() && dests.is_subset_of(topo_.all_nodes()) &&
                     !dests.contains(src),
                 "enqueue: destinations must be non-empty ring nodes other "
                 "than src");
+  // No message is queued ahead of its arrival, so every sample finds its
+  // node's queued messages eligible and EdfQueueSet looks only near the
+  // front of each class.
+  CCREDF_ASSERT(arrival <= sim_.now());
   bool hold = false;
   if (plan_engaged()) {
     // A planned release stays with its connection; any other traffic
@@ -233,7 +236,6 @@ MessageId Network::enqueue(NodeId src, NodeSet dests, core::TrafficClass cls,
   m.arrival = arrival;
   m.deadline = deadline;
   m.connection = conn;
-  m.release_index = release_index;
   m.payload_bytes = size_slots * timing_->payload_bytes();
   if (hold) {
     conns_[conn].held.push_back(std::move(m));
@@ -276,7 +278,7 @@ MessageId Network::send(NodeId src, NodeSet dests, core::TrafficClass cls,
       relative_deadline >= sim::Duration::infinity()
           ? sim::TimePoint::infinity()
           : sim_.now() + relative_deadline;
-  return enqueue(src, dests, cls, size_slots, deadline, kNoConnection, 0,
+  return enqueue(src, dests, cls, size_slots, deadline, kNoConnection,
                  sim_.now());
 }
 
@@ -347,7 +349,7 @@ void Network::fire_release(ConnectionId id) {
   // exactly there, and the plan-driven table may catch up at the next
   // slot boundary without skewing latency accounting.
   (void)enqueue(p.source, p.dests, core::TrafficClass::kRealTime,
-                p.size_slots, deadline, id, c.released, release_t);
+                p.size_slots, deadline, id, release_t);
   ++stats_of(id).released;
   ++c.released;
 }
@@ -417,15 +419,14 @@ MessageId Network::cbs_send(ConnectionId id, std::int64_t size_slots) {
     // must not recharge the budget or move the server deadline (the
     // enqueue call still does the drop accounting and burns the id).
     return enqueue(p.source, p.dests, core::TrafficClass::kBestEffort,
-                   size_slots, sim_.now(), id, c.sent, sim_.now());
+                   size_slots, sim_.now(), id, sim_.now());
   }
   const sim::TimePoint deadline =
       c.server->on_arrival(sim_.now(), c.backlog > 0);
   const MessageId mid =
       enqueue(p.source, p.dests, core::TrafficClass::kBestEffort, size_slots,
-              deadline, id, c.sent, sim_.now());
+              deadline, id, sim_.now());
   ++c.backlog;
-  ++c.sent;
   ++stats_.cbs.jobs;
   ++stats_of(id).released;
   return mid;

@@ -456,7 +456,6 @@ class Network {
     // tracking that feeds the wake-up rule.
     std::optional<core::CbsServer> server;
     std::int64_t backlog = 0;  // jobs queued or in service at the source
-    std::int64_t sent = 0;     // accepted jobs (release_index numbering)
   };
 
   /// The one loop behind run_slots and run_for: runs up to `max_slots`
@@ -581,8 +580,7 @@ class Network {
   void charge_cbs(NodeId g, bool completed);
   MessageId enqueue(NodeId src, NodeSet dests, core::TrafficClass cls,
                     std::int64_t size_slots, sim::TimePoint deadline,
-                    ConnectionId conn, std::int64_t release_index,
-                    sim::TimePoint arrival);
+                    ConnectionId conn, sim::TimePoint arrival);
   [[nodiscard]] core::Priority priority_of(const core::Message& m,
                                            sim::TimePoint sample) const;
   /// The entry of an id admission handed out (fresh ids only).

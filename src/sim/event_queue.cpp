@@ -17,12 +17,6 @@ EventQueue::~EventQueue() {
   }
 }
 
-void EventQueue::reserve(std::size_t n) {
-  slots_.reserve(n);
-  free_.reserve(n);
-  heap_.reserve(n);
-}
-
 EventId EventQueue::schedule(TimePoint at, Callback fn) {
   std::uint32_t index;
   if (!free_.empty()) {

@@ -98,9 +98,6 @@ class EventQueue {
   /// returns) or drops it on infinity.  Throws ConfigError when empty.
   void fire_next(TimePoint& now);
 
-  /// Reserves slab/heap capacity for `n` simultaneously pending events.
-  void reserve(std::size_t n);
-
   /// Number of slab slots ever allocated (capacity diagnostics; slots are
   /// recycled, so this plateaus at the peak number of pending events).
   [[nodiscard]] std::size_t slab_slots() const { return slots_.size(); }

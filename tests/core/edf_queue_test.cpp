@@ -179,16 +179,6 @@ TEST(EdfQueue, SizeOfPerClass) {
   EXPECT_EQ(q.size_of(TrafficClass::kNonRealTime), 0u);
 }
 
-TEST(EdfQueue, EarliestRtDeadline) {
-  EdfQueueSet q;
-  EXPECT_FALSE(q.earliest_rt_deadline().has_value());
-  q.push(make_msg(1, TrafficClass::kRealTime, 500));
-  q.push(make_msg(2, TrafficClass::kRealTime, 100));
-  ASSERT_TRUE(q.earliest_rt_deadline().has_value());
-  EXPECT_EQ(*q.earliest_rt_deadline(),
-            TimePoint::origin() + Duration::nanoseconds(100));
-}
-
 TEST(EdfQueue, NrtConsumeLeavesRtAndBeOrderUntouched) {
   // Regression for the old triple-scan consume_slot: consuming an NRT
   // message must not disturb the RT/BE queues or their iteration order.

@@ -45,13 +45,6 @@ TEST(Message, InfiniteDeadlineLaxityIsHuge) {
             std::int64_t{1} << 60);
 }
 
-TEST(Message, IsRealTime) {
-  Message m = rt_msg(10);
-  EXPECT_TRUE(m.is_real_time());
-  m.traffic_class = TrafficClass::kBestEffort;
-  EXPECT_FALSE(m.is_real_time());
-}
-
 TEST(Delivery, LatencyAndDeadlineChecks) {
   Delivery d;
   d.arrival = TimePoint::origin() + Duration::nanoseconds(100);

@@ -2,7 +2,9 @@
 // loads (TEST_P across node counts x seeds x utilisation).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
+#include <string>
 #include <tuple>
 
 #include "core/schedulability.hpp"
@@ -23,6 +25,20 @@ struct SweepParam {
   std::uint64_t seed;
   double utilisation_fraction;  // of U_max
 };
+
+/// `n4_s1_u30`: the test-name suffix, and what gtest prints for the
+/// parameter (without a printer it dumps the raw bytes, padding
+/// included, into the ctest names).
+std::string param_name(const SweepParam& p) {
+  // Built via ostringstream: chained operator+ on temporaries trips a
+  // GCC 12 -Wrestrict false positive at -O3.
+  std::ostringstream name;
+  name << 'n' << p.nodes << "_s" << p.seed << "_u"
+       << static_cast<int>(p.utilisation_fraction * 100);
+  return name.str();
+}
+
+void PrintTo(const SweepParam& p, std::ostream* os) { *os << param_name(p); }
 
 class CcrEdfProperties
     : public ::testing::TestWithParam<SweepParam> {};
@@ -99,12 +115,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{16, 7, 0.7}, SweepParam{32, 8, 0.5},
         SweepParam{12, 9, 0.85}, SweepParam{6, 10, 0.75}),
     [](const ::testing::TestParamInfo<SweepParam>& tpi) {
-      // Built via ostringstream: chained operator+ on temporaries trips a
-      // GCC 12 -Wrestrict false positive at -O3.
-      std::ostringstream name;
-      name << 'n' << tpi.param.nodes << "_s" << tpi.param.seed << "_u"
-           << static_cast<int>(tpi.param.utilisation_fraction * 100);
-      return name.str();
+      return param_name(tpi.param);
     });
 
 class MixedTrafficProperties
