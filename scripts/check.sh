@@ -19,7 +19,11 @@
 # against the bench schema.  Also fails, naming the entries, when the
 # first preset's ctest list has a name with `byte object <` in it: gtest
 # prints a test parameter that has no PrintTo as its raw bytes, padding
-# included, so such names change from build to build.
+# included, so such names change from build to build.  Before building,
+# fails naming the lines where a file under src/ outside src/sim/ calls
+# schedule_at, schedule_in or schedule(: a timed action in the library
+# is a key of the sim::ArrivalProcess that owns it, so that destroying
+# the owner disarms it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,6 +57,14 @@ if [[ -n "${PARENT}" ]] &&
    ! git rev-parse --quiet --verify "${PARENT}^{commit}" > /dev/null; then
   echo "check.sh: --parent: not a commit: ${PARENT}" >&2
   exit 2
+fi
+
+CLOSURES="$(grep -rnE '\<schedule(_at|_in)?\(' src | grep -v '^src/sim/' || true)"
+if [[ -n "${CLOSURES}" ]]; then
+  echo "check.sh: the library schedules closures outside src/sim/; arm a" \
+       "key of the owning sim::ArrivalProcess instead:" >&2
+  echo "${CLOSURES}" >&2
+  exit 1
 fi
 
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"

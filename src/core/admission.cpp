@@ -9,6 +9,7 @@ namespace ccredf::core {
 void AdmissionController::set_capacity_factor(double factor) {
   CCREDF_EXPECT(factor >= 0.0 && factor <= 1.0,
                 "AdmissionController: capacity factor out of [0,1]");
+  if (factor != capacity_factor_) ++renegotiations_;
   capacity_factor_ = factor;
 }
 

@@ -68,6 +68,12 @@ class AdmissionController {
   /// overhead eats into the schedulable capacity.  1 = full capacity.
   void set_capacity_factor(double factor);
   [[nodiscard]] double capacity_factor() const { return capacity_factor_; }
+  /// Degraded-mode renegotiations: calls of set_capacity_factor that
+  /// changed the factor (services::AdmissionAgent,
+  /// services::ResilienceMonitor).
+  [[nodiscard]] std::int64_t renegotiations() const {
+    return renegotiations_;
+  }
   /// The bound actually enforced: U_max scaled by the capacity factor.
   [[nodiscard]] double effective_u_max() const {
     return u_max_ * capacity_factor_;
@@ -91,6 +97,7 @@ class AdmissionController {
   std::unordered_map<ConnectionId, Connection> ma_;
   std::int64_t requests_ = 0;
   std::int64_t rejections_ = 0;
+  std::int64_t renegotiations_ = 0;
 };
 
 }  // namespace ccredf::core

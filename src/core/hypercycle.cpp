@@ -108,7 +108,7 @@ bool HypercyclePlanner::build(sim::TimePoint anchor_start,
   cycle_.clear();
   grants_.clear();
   slot_table_.clear();
-  conn_index_.clear();
+  planned_.clear();
 
   if (conns_.empty()) return fail("no planned connections");
   // The bundle tie-break keys below use connection ids, so the plan is
@@ -139,12 +139,9 @@ bool HypercyclePlanner::build(sim::TimePoint anchor_start,
   if (!extract_steady_state(bundles, grants, grant_jobs)) return false;
   if (!feasible(anchor_start, anchor_master)) return false;
 
-  ConnectionId max_id = 0;
-  for (const ConnInfo& c : conns_) max_id = std::max(max_id, c.id);
-  conn_index_.assign(static_cast<std::size_t>(max_id) + 1, -1);
-  for (std::size_t i = 0; i < conns_.size(); ++i) {
-    conn_index_[conns_[i].id] = static_cast<std::int32_t>(i);
-  }
+  // conns_ is sorted by id, so the last id is the largest.
+  planned_.assign(static_cast<std::size_t>(conns_.back().id) + 1, false);
+  for (const ConnInfo& c : conns_) planned_[c.id] = true;
   valid_ = true;
   reason_ = "";
   return true;

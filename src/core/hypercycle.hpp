@@ -1,4 +1,4 @@
-// Hypercycle reservation planner (ROADMAP item 4).
+// Hypercycle reservation planner (PROTOCOL.md §8, DESIGN.md §13).
 //
 // Per-slot greedy EDF arbitration leaves throughput on the table for
 // periodic traffic whose entire future is known at admission: Eq. 5
@@ -142,12 +142,7 @@ class HypercyclePlanner {
 
   /// True iff `id` is covered by the current *valid* plan.
   [[nodiscard]] bool is_planned(ConnectionId id) const {
-    return planned_index(id) >= 0;
-  }
-  /// Dense per-plan index of `id` (pending-queue slot), or -1.
-  [[nodiscard]] std::int32_t planned_index(ConnectionId id) const {
-    if (!valid_ || id >= conn_index_.size()) return -1;
-    return conn_index_[id];
+    return valid_ && id < planned_.size() && planned_[id];
   }
 
   /// Transient bundles (absolute coordinates), in execution order.
@@ -205,7 +200,7 @@ class HypercyclePlanner {
   std::vector<Bundle> cycle_;
   std::vector<Grant> grants_;
   std::vector<std::int32_t> slot_table_;
-  std::vector<std::int32_t> conn_index_;
+  std::vector<bool> planned_;  // by ConnectionId
 };
 
 }  // namespace ccredf::core

@@ -76,19 +76,45 @@ void FaultInjector::set_random_token_loss(double p) {
 }
 
 void FaultInjector::schedule_node_failure(NodeId id, sim::TimePoint at) {
-  net_.sim().schedule_at(at, [this, id] { net_.fail_node(id); });
+  arm_event(Action::kFail, id, at);
 }
 
 void FaultInjector::schedule_node_restore(NodeId id, sim::TimePoint at) {
-  net_.sim().schedule_at(at, [this, id] { net_.restore_node(id); });
+  arm_event(Action::kRestore, id, at);
 }
 
 void FaultInjector::schedule_link_cut(LinkId l, sim::TimePoint at) {
-  net_.sim().schedule_at(at, [this, l] { net_.cut_link(l); });
+  arm_event(Action::kCut, l, at);
 }
 
 void FaultInjector::schedule_link_splice(LinkId l, sim::TimePoint at) {
-  net_.sim().schedule_at(at, [this, l] { net_.splice_link(l); });
+  arm_event(Action::kSplice, l, at);
+}
+
+void FaultInjector::arm_event(Action a, std::uint32_t id,
+                              sim::TimePoint at) {
+  CCREDF_EXPECT(id < net_.nodes(),
+                "FaultInjector: node or link out of range");
+  net_.sim().arm(at, *this, static_cast<std::uint32_t>(a) * kMaxNodes + id);
+}
+
+sim::TimePoint FaultInjector::arrive(std::uint32_t key) {
+  const std::uint32_t id = key % kMaxNodes;
+  switch (static_cast<Action>(key / kMaxNodes)) {
+    case Action::kFail:
+      net_.fail_node(id);
+      break;
+    case Action::kRestore:
+      net_.restore_node(id);
+      break;
+    case Action::kCut:
+      net_.cut_link(id);
+      break;
+    case Action::kSplice:
+      net_.splice_link(id);
+      break;
+  }
+  return sim::TimePoint::infinity();
 }
 
 void FaultInjector::set_control_ber(double ber) {

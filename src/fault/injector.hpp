@@ -49,9 +49,12 @@
 
 namespace ccredf::fault {
 
-class FaultInjector final : public net::FaultHook {
+class FaultInjector final : public net::FaultHook,
+                            private sim::ArrivalProcess {
  public:
-  /// Attaches to `net` as its fault hook until destroyed.
+  /// Attaches to `net` as its fault hook until destroyed; its scheduled
+  /// node and link events are keys armed on `net`'s simulator, so they
+  /// are disarmed with it.
   explicit FaultInjector(net::Network& net, std::uint64_t seed = 1);
 
   // -- token loss ---------------------------------------------------------
@@ -153,6 +156,11 @@ class FaultInjector final : public net::FaultHook {
     NodeId node = 0;
     int bits = 1;
   };
+  /// A scheduled node or link event; key = action * kMaxNodes + id.
+  enum class Action : std::uint32_t { kFail, kRestore, kCut, kSplice };
+  void arm_event(Action a, std::uint32_t id, sim::TimePoint at);
+  /// Applies the event key `key` names; nothing repeats.
+  sim::TimePoint arrive(std::uint32_t key) override;
 
   /// Keyed generator for this slot and logical channel.
   [[nodiscard]] sim::Rng rng_at(SlotIndex slot, std::uint64_t channel) const;

@@ -98,7 +98,7 @@ struct NetworkConfig {
   /// to benchmark the slot-by-slot path or to debug the engine itself.
   bool fast_forward = true;
 
-  /// Hypercycle reservation planner (ROADMAP item 4, PROTOCOL.md §9):
+  /// Hypercycle reservation planner (PROTOCOL.md §8):
   /// at connection admit/close time the engine lays the whole grant
   /// schedule out over the hyperperiod H = lcm(P_i) and, while the plan
   /// is in effect, skips the collection phase and arbitration for

@@ -323,12 +323,12 @@ Network::OpenResult Network::open_connection(
   c.source = params.source;
   c.params = params;
   c.base = sim_.now() + timing_->slot() * params.offset_slots;
-  c.next_event = sim_.schedule_at(c.base, [this, id] { release_message(id); });
+  sim_.arm(c.base, *this, id);
   rebuild_plan();
   if (planner_admit) {
     if (!plan_valid_) {
       // The layout/feasibility proof failed: the Eq. 5 rejection stands.
-      sim_.cancel(c.next_event);
+      sim_.disarm(*this, id);
       c.kind = ConnState::Kind::kClosed;
       admission_.release(id);
       rebuild_plan();
@@ -341,29 +341,24 @@ Network::OpenResult Network::open_connection(
 void Network::fire_release(ConnectionId id) {
   ConnState& c = conns_[id];
   const core::ConnectionParams& p = c.params;
-  const sim::TimePoint release_t =
-      c.base + timing_->slot() * (p.period_slots * c.released);
+  const sim::TimePoint release_t = next_release(c);
   const sim::TimePoint deadline =
       release_t + timing_->slot() * p.effective_deadline_slots();
-  // The arrival is the nominal release instant: the event path fires
-  // exactly there, and the plan-driven table may catch up at the next
-  // slot boundary without skewing latency accounting.
+  // The arrival is the nominal release instant: the key fires exactly
+  // there, and the plan-driven table may catch up at the next slot
+  // boundary without skewing latency accounting.
   (void)enqueue(p.source, p.dests, core::TrafficClass::kRealTime,
                 p.size_slots, deadline, id, release_t);
   ++stats_of(id).released;
   ++c.released;
 }
 
-void Network::release_message(ConnectionId id) {
-  ConnState& c = conns_[id];
-  if (c.kind != ConnState::Kind::kRealTime) return;
+sim::TimePoint Network::arrive(std::uint32_t id) {
+  CCREDF_ASSERT(conns_[id].kind == ConnState::Kind::kRealTime);
   fire_release(id);
-  // The clamp only bites when a restored event is catching up on more
-  // than one deferred release; on the steady event path next > now.
-  const sim::TimePoint next =
-      c.base + timing_->slot() * (c.params.period_slots * c.released);
-  c.next_event = sim_.schedule_at(std::max(next, sim_.now()),
-                                  [this, id] { release_message(id); });
+  // The clamp only bites when a restored key is catching up on more than
+  // one deferred release; on the steady path the next release is later.
+  return std::max(next_release(conns_[id]), sim_.now());
 }
 
 bool Network::close_connection(ConnectionId id) {
@@ -372,7 +367,7 @@ bool Network::close_connection(ConnectionId id) {
   }
   ConnState& c = conns_[id];
   if (c.kind == ConnState::Kind::kRealTime) {
-    sim_.cancel(c.next_event);
+    sim_.disarm(*this, id);
     drop_held(c);
   } else {
     --open_cbs_;
@@ -1117,9 +1112,9 @@ std::int64_t Network::skip_quiet_slots(std::int64_t max_slots,
   // Only slots ending STRICTLY before the next event are skippable: an
   // event landing inside (or exactly at the end of) a slot could release
   // a message a later collection sample of that slot would see, so that
-  // slot is simulated normally.  With the release events suppressed by
-  // an adopted plan, the table cursor is the release "event".  A slot
-  // ends before that instant exactly when it starts before start_bound.
+  // slot is simulated normally.  With the release keys disarmed by an
+  // adopted plan, the table cursor is the release "event".  A slot ends
+  // before that instant exactly when it starts before start_bound.
   const sim::Duration t_slot = timing_->slot();
   const sim::TimePoint start_bound =
       std::min(sim_.next_event_time(), plan_release_at_) - t_slot;
@@ -1202,8 +1197,8 @@ bool Network::plan_can_build() const {
 }
 
 void Network::rebuild_plan() {
-  // A previously adopted plan may have suppressed the release events;
-  // bring them back before re-deriving (a successful build re-adopts).
+  // A previously adopted plan may have disarmed the release keys; bring
+  // them back before re-deriving (a successful build re-adopts).
   plan_restore_releases();
   plan_valid_ = false;
   plan_diverged_ = false;
@@ -1232,13 +1227,13 @@ void Network::rebuild_plan() {
 
 void Network::plan_adopt_releases() {
   // While the plan drives the engine, the event heap would hold exactly
-  // one self-rescheduling release event per connection (everything else
-  // is gated off by the rebuild preconditions).  The plan knows the
-  // whole periodic schedule, so those events collapse into a sorted
-  // cyclic table walked by a cursor -- no schedule/sift/pop/dispatch
-  // per message on the planned hot path.  Purely an engine strategy:
-  // plan_release_due fires the same releases, in the same grid order,
-  // with the same arrival instants, as the events it replaces.
+  // one armed release key per connection (everything else is gated off
+  // by the rebuild preconditions).  The plan knows the whole periodic
+  // schedule, so those keys collapse into a sorted cyclic table walked
+  // by a cursor -- no heap re-key per message on the planned hot path.
+  // Purely an engine strategy: plan_release_due fires the same releases,
+  // in the same grid order, with the same arrival instants, as the keys
+  // it replaces.
   const std::int64_t h = planner_->hyperperiod_slots();
   const sim::Duration t_slot = timing_->slot();
   std::size_t entries = 0;
@@ -1247,13 +1242,13 @@ void Network::plan_adopt_releases() {
       entries += static_cast<std::size_t>(h / c.params.period_slots);
     }
   }
-  if (entries > kMaxPlanReleaseEntries) return;  // keep the events
+  if (entries > kMaxPlanReleaseEntries) return;  // keep the keys
+  sim_.disarm(*this);
   plan_releases_.clear();
   plan_releases_.reserve(entries);
   for (ConnectionId id = 0; id < conns_.size(); ++id) {
     const ConnState& c = conns_[id];
     if (c.kind != ConnState::Kind::kRealTime) continue;
-    sim_.cancel(c.next_event);
     const std::int64_t base =
         (c.base - sim::TimePoint::origin()).ps() / t_slot.ps();
     const std::int64_t period = c.params.period_slots;
@@ -1291,29 +1286,20 @@ void Network::plan_adopt_releases() {
 
 void Network::plan_restore_releases() {
   if (plan_releases_.empty()) return;
-  // Hand each open connection back to its self-rescheduling event.  A
-  // release the table still owes (a mid-slot deferral) is scheduled at
-  // max(nominal, now) -- it fires on the next event drain, and
-  // fire_release stamps the nominal release instant either way, so the
-  // message is bit-identical to the one the event path would have made.
-  // Nothing fires inline: a release due exactly at now stays pending,
-  // just as its original event would have been.  Events are scheduled in
-  // connection-id order, so simultaneous releases enqueue in opening
-  // order, as on a ring that never planned (same-instant events fire
-  // FIFO).
+  // Hand each open connection back to its key.  A release the table
+  // still owes (a mid-slot deferral) is armed at max(nominal, now): it
+  // fires on the next event drain, stamped with its nominal instant, and
+  // nothing fires inline.  A connection opened this very call still has
+  // its admission-time key armed, hence the disarm.  Re-arming in id
+  // order makes simultaneous releases enqueue in opening order, as on a
+  // ring that never planned (same-instant entries fire FIFO).
   plan_releases_.clear();
   plan_release_at_ = sim::TimePoint::infinity();
+  sim_.disarm(*this);
   for (ConnectionId id = 0; id < conns_.size(); ++id) {
-    ConnState& c = conns_[id];
+    const ConnState& c = conns_[id];
     if (c.kind != ConnState::Kind::kRealTime) continue;
-    // A connection opened this very call still has its admission-time
-    // event pending (adoption never saw it) -- cancel before
-    // re-scheduling or two self-rescheduling chains would run at once.
-    sim_.cancel(c.next_event);
-    const sim::TimePoint next =
-        c.base + timing_->slot() * (c.params.period_slots * c.released);
-    c.next_event = sim_.schedule_at(std::max(next, sim_.now()),
-                                    [this, id] { release_message(id); });
+    sim_.arm(std::max(next_release(c), sim_.now()), *this, id);
   }
 }
 

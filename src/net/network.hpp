@@ -2,8 +2,8 @@
 //
 // Every slot k (master m_k, start T_k, fixed data time t_slot) runs one
 // pipeline of fixed phases:
-//   1. events and releases: queued events up to T_k fire (message
-//      releases, user actions), and so do plan-table releases due by T_k;
+//   1. events and releases: queued events up to T_k fire (releases,
+//      faults, arrivals), and so do plan-table releases due by T_k;
 //   2. deliver: the grants decided during slot k-1 move one slot of each
 //      granted message; completed messages are delivered with timestamp
 //      T_k + t_slot + propagation to the furthest destination;
@@ -28,6 +28,11 @@
 // nobody, keep the master" -- the idle fixed point, or the plan waiting
 // for its next bundle's release -- and then accounts the whole window
 // arithmetically (NetworkConfig::fast_forward).
+//
+// Each open RT connection's periodic release is key `id` of the network
+// (a sim::ArrivalProcess on its own simulator), re-armed one period later
+// each time it fires.  An adopted plan disarms the keys for its release
+// table; divergence or a rebuild re-arms them.
 //
 // While a plan drives, a node's EDF queues do not hold its planned
 // messages: each connection holds its released messages itself, the plan
@@ -208,7 +213,7 @@ class FaultHook : public SlotListener {
   }
 };
 
-class Network {
+class Network : private sim::ArrivalProcess {
  public:
   explicit Network(NetworkConfig cfg);
   /// Detaches every listener still attached (they outlive it safely).
@@ -235,7 +240,6 @@ class Network {
   [[nodiscard]] Node& node(NodeId id);
   [[nodiscard]] NodeId nodes() const { return cfg_.nodes; }
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
-  [[nodiscard]] NetworkStats& mutable_stats() { return stats_; }
   /// Per-connection accounting (empty record if never released);
   /// reading an id without a record leaves the statistics unchanged.
   [[nodiscard]] const ConnectionStats& connection_stats(
@@ -269,9 +273,9 @@ class Network {
     bool admitted = false;
     ConnectionId id = kNoConnection;
   };
-  /// Runs the Eq. 5-6 admission test; on success, periodic releases are
-  /// scheduled automatically (period/deadline in slots of wall time
-  /// P_i * t_slot, matching the units of the analysis).
+  /// Runs the Eq. 5-6 admission test; on success the connection's key
+  /// is armed for its periodic releases (period/deadline in slots of
+  /// wall time P_i * t_slot, matching the units of the analysis).
   OpenResult open_connection(const core::ConnectionParams& params);
   /// Closes an RT connection or a CBS server: stops its releases or
   /// jobs, drops its queued messages and releases its bandwidth.
@@ -441,10 +445,9 @@ class Network {
     /// stats_.per_connection[id], set on the id's first release or
     /// delivery (map nodes are pointer-stable and never erased).
     ConnectionStats* stats = nullptr;
-    // RT connection: the periodic release chain.
+    // RT connection: the periodic releases (the network's key `id`).
     core::ConnectionParams params;
     sim::TimePoint base;  // time of release 0
-    sim::EventId next_event = 0;
     std::int64_t released = 0;
     /// Messages released while a plan drives, oldest first, kept out of
     /// the source's EDF queues: the cursor binds the front and
@@ -512,8 +515,8 @@ class Network {
   /// its feasibility sim releases every job at its nominal instant).
   [[nodiscard]] bool plan_can_build() const;
   /// Sticky divergence: the plan stays valid but stops driving slots
-  /// until the next successful rebuild.  Release generation falls back
-  /// to the event heap (plan_restore_releases) in the same breath.  The
+  /// until the next successful rebuild.  Releases fall back to the
+  /// connections' keys (plan_restore_releases) in the same breath.  The
   /// held messages stay held: the slot whose decision source is already
   /// latched to the plan may still bind them, so they join the EDF
   /// queues only when collection decides again (flush_held).
@@ -556,18 +559,21 @@ class Network {
   /// loop leaves a hole that is skipped, then compacted.
   template <typename F>
   void notify(F&& f);
-  void release_message(ConnectionId id);
+  /// Releases connection `id`'s next message; returns max(next, now).
+  sim::TimePoint arrive(std::uint32_t id) override;
+  [[nodiscard]] sim::TimePoint next_release(const ConnState& c) const {
+    return c.base + timing_->slot() * (c.params.period_slots * c.released);
+  }
   /// Releases open connection `id`'s next periodic message (shared by
-  /// the event path and the plan-driven release table).
+  /// the key and the plan-driven release table).
   void fire_release(ConnectionId id);
-  /// Plan adoption: cancels every connection's self-rescheduling release
-  /// event and replaces it with the precomputed cyclic release table --
-  /// the plan knows the whole periodic schedule, so the per-message heap
-  /// round trip (schedule + sift + pop + callback dispatch) vanishes
+  /// Plan adoption: disarms every connection's key and replaces the keys
+  /// with the precomputed cyclic release table -- the plan knows the
+  /// whole periodic schedule, so the per-message heap re-key vanishes
   /// from the planned hot path.
   void plan_adopt_releases();
-  /// Hands each open connection back to its release event, in id order,
-  /// and tears the table down (divergence / plan teardown).
+  /// Disarms the network's keys, re-arms every open connection's key in
+  /// id order and tears the table down (divergence / plan teardown).
   void plan_restore_releases();
   /// Fires every table release due at or before `upto`, in grid order.
   void plan_release_due(sim::TimePoint upto) {
@@ -662,16 +668,16 @@ class Network {
     ConnectionId conn = kNoConnection;  // index into conns_
   };
   /// The plan-driven release schedule for one hypercycle, sorted by rel
-  /// (non-empty exactly while release events are suppressed).  Bounded:
-  /// adoption skips (keeping the events) when sum H/P_i exceeds
+  /// (non-empty exactly while the keys are disarmed).  Bounded: adoption
+  /// skips (keeping the keys) when sum H/P_i exceeds
   /// kMaxPlanReleaseEntries, so a pathological grid cannot balloon it.
   static constexpr std::size_t kMaxPlanReleaseEntries = std::size_t{1} << 20;
   std::vector<PlanRelease> plan_releases_;
   std::size_t plan_release_idx_ = 0;
   std::int64_t plan_release_cycle_ = 0;
   /// Grid instant of the table cursor's next candidate (infinity while
-  /// the table is inactive); bounds a skip window exactly like a pending
-  /// release event would.
+  /// the table is inactive); bounds a skip window exactly like an armed
+  /// release key would.
   sim::TimePoint plan_release_at_ = sim::TimePoint::infinity();
 
   /// Every id admission ever handed out, indexed by its (dense, never

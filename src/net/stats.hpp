@@ -129,18 +129,11 @@ struct FaultStats {
   std::int64_t payload_undetected = 0;
   /// NACK bits that rode a distribution packet back to a source.
   std::int64_t payload_nacks = 0;
-  /// Degraded-mode renegotiations: a health monitor changed the
-  /// admission capacity factor (services::AdmissionAgent).
-  std::int64_t admission_renegotiations = 0;
 
   // -- severed-segment (hard link cut) axis -------------------------------
   /// Hard link cuts applied (Network::cut_link transitions; splices are
   /// the complementary transition and are not separately counted).
   std::int64_t link_cuts = 0;
-  /// Connections and CBS servers closed by a segment-down quarantine
-  /// (services::ResilienceMonitor's third quarantine kind: the source is
-  /// alive but the transfer's segment crosses a severed link).
-  std::int64_t segment_quarantines = 0;
   /// Summed in-protocol detection latency, in slots: for every cut, the
   /// distance from the cut event to the first slot whose collection
   /// phase ran with the cut in effect (the slot whose truncated heard
@@ -246,13 +239,6 @@ struct NetworkStats {
     return slots == 0 ? 0.0
                       : static_cast<double>(planned_slots) /
                             static_cast<double>(slots);
-  }
-
-  /// Slots in which node `j` had nothing sampled: the per-node idle
-  /// accounting the fast-forward path advances arithmetically (a skipped
-  /// slot increments `slots` and no node_requests entry).
-  [[nodiscard]] std::int64_t node_idle_slots(NodeId j) const {
-    return slots - node_requests[j];
   }
 
   /// Fraction of wall time spent inside slots (upper-bounds throughput;

@@ -129,7 +129,6 @@ void AdmissionAgent::close_window() {
   if (target == factor_) return;
   factor_ = target;
   ++renegotiations_;
-  ++net_.mutable_stats().faults.admission_renegotiations;
   net_.admission().set_capacity_factor(factor_);
 }
 

@@ -67,8 +67,9 @@ class AdmissionAgent final : public net::SlotListener {
   [[nodiscard]] double capacity_factor() const { return factor_; }
   /// Corruption ratio measured over the last completed window.
   [[nodiscard]] double observed_corruption_rate() const { return last_rate_; }
-  /// Times the capacity factor changed (mirrors
-  /// FaultStats::admission_renegotiations for this agent).
+  /// Times the capacity factor changed (equals the network's
+  /// AdmissionController::renegotiations() while the agent is the only
+  /// party setting the factor).
   [[nodiscard]] std::int64_t renegotiations() const { return renegotiations_; }
   /// Last-window corruption ratio of transfers SOURCED at `node` --
   /// localises a failing link to the upstream transmitter.

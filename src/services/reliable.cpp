@@ -111,27 +111,28 @@ void ReliableChannel::on_slot(const net::SlotRecord& rec) {
     Transfer* tp = claim_attempt(d.id);
     if (tp == nullptr) continue;
     ++nacks_;
-    const MessageId transfer_id = tp->transfer_id;
-    net_.sim().schedule_in(net_.timing().slot_plus_max_gap(),
-                           [this, transfer_id] { on_resolve(transfer_id); });
+    resolving_.push_back(tp->transfer_id);
+    net_.sim().arm(net_.sim().now() + net_.timing().slot_plus_max_gap(),
+                   *this, 0);
   }
 }
 
-void ReliableChannel::on_resolve(MessageId transfer_id) {
+sim::TimePoint ReliableChannel::arrive(std::uint32_t /*key*/) {
+  const MessageId transfer_id = resolving_.front();
+  resolving_.pop_front();
   const auto it = live_.find(transfer_id);
-  if (it == live_.end()) return;
+  if (it == live_.end()) return sim::TimePoint::infinity();
   Transfer& t = it->second;
   if (params_.max_attempts > 0 && t.attempts >= params_.max_attempts) {
     finish(t, false, false, net_.sim().now());
-    return;
-  }
-  if (!budget_covers_attempt(t)) {
+  } else if (!budget_covers_attempt(t)) {
     // Hopeless: the remaining laxity cannot cover one more attempt.
     // Abandon now rather than burn slots other messages still need.
     finish(t, false, true, net_.sim().now());
-    return;
+  } else {
+    attempt(t);
   }
-  attempt(t);
+  return sim::TimePoint::infinity();
 }
 
 }  // namespace ccredf::services

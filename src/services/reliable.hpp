@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <unordered_map>
 
@@ -25,7 +26,8 @@
 
 namespace ccredf::services {
 
-class ReliableChannel final : public net::SlotListener {
+class ReliableChannel final : public net::SlotListener,
+                              private sim::ArrivalProcess {
  public:
   struct Params {
     /// Give up after this many attempts (0 = never).
@@ -55,7 +57,8 @@ class ReliableChannel final : public net::SlotListener {
   };
   using CompletionCallback = std::function<void(const TransferResult&)>;
 
-  /// Attaches to `net` until destroyed.
+  /// Attaches to `net` until destroyed; a pending NACK resolution is a
+  /// key armed on `net`'s simulator and is disarmed with the channel.
   ReliableChannel(net::Network& net, Params params);
 
   /// Sends `size_slots` of data from `src` to `dst` reliably as
@@ -100,9 +103,10 @@ class ReliableChannel final : public net::SlotListener {
   };
 
   void attempt(Transfer& t);
-  /// Fires when the sender learns an attempt failed (NACK arrival):
-  /// retransmit, or abandon if the budget ran out.
-  void on_resolve(MessageId transfer_id);
+  /// A NACK resolution is due: the sender learns the oldest NACKed
+  /// attempt failed, and retransmits or, when the budget ran out,
+  /// abandons.  Nothing repeats.
+  sim::TimePoint arrive(std::uint32_t key) override;
   void finish(Transfer& t, bool delivered, bool abandoned,
               sim::TimePoint completed);
   /// Claims the live transfer owning in-flight attempt `id` (nullptr if
@@ -116,6 +120,10 @@ class ReliableChannel final : public net::SlotListener {
   /// Keyed by transfer id; `by_attempt_` maps in-flight message ids back.
   std::unordered_map<MessageId, Transfer> live_;
   std::unordered_map<MessageId, MessageId> by_attempt_;
+  /// NACKed transfers awaiting resolution, oldest first.  Every
+  /// resolution is armed one slot extent after its NACK, so they fire in
+  /// this order.
+  std::deque<MessageId> resolving_;
   std::int64_t started_ = 0;
   std::int64_t delivered_ = 0;
   std::int64_t failed_ = 0;

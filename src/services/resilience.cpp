@@ -190,7 +190,6 @@ void ResilienceMonitor::quarantine(NodeSet sources, SlotIndex s,
           severed_seen_;
       if (p.cut_links.empty()) return;
       ++stats_.segment_quarantines;
-      ++net_.mutable_stats().faults.segment_quarantines;
     } else {
       ++(p.is_cbs ? stats_.servers_quarantined
                   : stats_.connections_quarantined);
@@ -248,7 +247,6 @@ void ResilienceMonitor::renegotiate_capacity() {
   }
   if (f == capacity_factor_) return;
   capacity_factor_ = f;
-  ++net_.mutable_stats().faults.admission_renegotiations;
   net_.admission().set_capacity_factor(f);
 }
 

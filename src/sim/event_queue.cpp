@@ -17,23 +17,17 @@ EventQueue::~EventQueue() {
   }
 }
 
-EventId EventQueue::schedule(TimePoint at, Callback fn) {
-  std::uint32_t index;
-  if (!free_.empty()) {
-    index = free_.back();
-    free_.pop_back();
+void EventQueue::schedule(TimePoint at, Callback fn) {
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(closures_.size());
+    closures_.push_back(std::move(fn));
   } else {
-    CCREDF_EXPECT(slots_.size() < (std::uint64_t{1} << kIndexBits),
-                  "EventQueue: slab index space exhausted");
-    index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slot = free_.back();
+    free_.pop_back();
+    closures_[slot] = std::move(fn);
   }
-  Slot& slot = slots_[index];
-  slot.fn = std::move(fn);
-  slot.seq = next_seq_++;
-  heap_push(HeapEntry{at, slot.seq, index, 0});
-  ++live_;
-  return make_id(slot.gen, index);
+  heap_push(HeapEntry{at, next_seq_++, slot, 0});
 }
 
 void EventQueue::arm(TimePoint at, ArrivalProcess& process,
@@ -41,7 +35,31 @@ void EventQueue::arm(TimePoint at, ArrivalProcess& process,
   if (at == TimePoint::infinity()) return;
   if (process.queue_ != this) attach(process);
   heap_push(HeapEntry{at, next_seq_++, key, process.index_});
-  ++live_;
+}
+
+template <typename Match>
+bool EventQueue::purge(Match match) {
+  const std::size_t before = heap_.size();
+  std::erase_if(heap_, match);
+  if (heap_.size() == before) return false;
+  // Rebuild bottom-up.  Firing order depends only on the strict
+  // (time, seq) order, never on the heap's layout.
+  for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
+  return true;
+}
+
+bool EventQueue::disarm(ArrivalProcess& process, std::uint32_t key) {
+  if (process.queue_ != this) return false;
+  const std::uint32_t index = process.index_;
+  return purge([index, key](const HeapEntry& e) {
+    return e.process == index && e.ref == key;
+  });
+}
+
+bool EventQueue::disarm(ArrivalProcess& process) {
+  if (process.queue_ != this) return false;
+  const std::uint32_t index = process.index_;
+  return purge([index](const HeapEntry& e) { return e.process == index; });
 }
 
 void EventQueue::attach(ArrivalProcess& p) {
@@ -55,62 +73,33 @@ void EventQueue::attach(ArrivalProcess& p) {
 }
 
 void EventQueue::detach(ArrivalProcess& p) {
-  const std::uint32_t index = p.index_;
-  const std::size_t before = heap_.size();
-  std::erase_if(heap_,
-                [index](const HeapEntry& e) { return e.process == index; });
-  if (heap_.size() != before) {
-    live_ -= before - heap_.size();
-    // Rebuild bottom-up.  Firing order depends only on the strict
-    // (time, seq) order, never on the heap's layout.
-    for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
-  }
-  processes_[index] = nullptr;
+  disarm(p);
+  processes_[p.index_] = nullptr;
   p.queue_ = nullptr;
 }
 
-void EventQueue::free_slot(std::uint32_t index) {
-  Slot& slot = slots_[index];
-  slot.fn.reset();
-  slot.seq = 0;
-  ++slot.gen;  // invalidates outstanding EventIds for this slot
-  free_.push_back(index);
-}
-
-bool EventQueue::cancel(EventId id) {
-  const std::uint32_t index = id_index(id);
-  if (index >= slots_.size()) return false;
-  Slot& slot = slots_[index];
-  if (slot.seq == 0 || slot.gen != id_gen(id)) return false;
-  free_slot(index);
-  --live_;
-  return true;
-}
-
 void EventQueue::fire_next(TimePoint& now) {
-  CCREDF_EXPECT(live_ > 0, "EventQueue::fire_next on empty queue");
-  drop_stale_heads();
+  CCREDF_EXPECT(!heap_.empty(), "EventQueue::fire_next on empty queue");
   const HeapEntry top = heap_.front();
   now = top.time;
   if (top.process == 0) {
     heap_pop_top();
-    // Move the callback out and recycle its slot first: while it runs it
-    // may schedule, which can reuse that slot or grow the slab.
-    Callback fn = std::move(slots_[top.ref].fn);
-    free_slot(top.ref);
-    --live_;
+    // Move the closure out and recycle its slot first: while it runs it
+    // may schedule, which can reuse that slot or grow the store.
+    Callback fn = std::move(closures_[top.ref]);
+    closures_[top.ref] = nullptr;
+    free_.push_back(top.ref);
     fn();
     return;
   }
   const TimePoint next = processes_[top.process]->arrive(top.ref);
   // Whatever arrive() pushed sorts after `top` (nothing precedes now,
-  // and every new seq is larger), and purging a destroyed process's
-  // entries keeps the minimum at the root -- so `top` is still the head
-  // unless its own process was destroyed.
+  // and every new seq is larger), and a purge re-heapifies with the
+  // minimum at the root -- so `top` is still the head unless arrive()
+  // disarmed it (its key, or its whole process).
   if (heap_.empty() || heap_.front().seq != top.seq) return;
   if (next == TimePoint::infinity()) {
     heap_pop_top();
-    --live_;
     return;
   }
   CCREDF_EXPECT(next >= top.time,

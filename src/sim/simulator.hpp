@@ -1,13 +1,16 @@
 // The discrete-event simulator driving all experiments.
 //
 // The protocol engines (net::Network and the MAC drivers) advance the clock
-// slot by slot.  Releases, timeouts, faults and churn are closure events
-// on this queue; workload generators are arrival processes armed on it
-// (sim::ArrivalProcess).  Network::run_*() interleaves the two: before
-// each slot boundary it fires every event with timestamp <= that boundary.
+// slot by slot.  Every timed action of the library -- periodic releases,
+// scheduled faults, NACK resolutions, workload arrivals -- is a key of the
+// sim::ArrivalProcess that owns it, armed on this queue; closures are for
+// tests, examples and replay drivers.  Network::run_*() interleaves the
+// queue with the slots: before each slot boundary it fires every entry
+// with timestamp <= that boundary.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "common/error.hpp"
 #include "sim/event_queue.hpp"
@@ -20,19 +23,17 @@ class Simulator {
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedules `fn` after `delay` from now.
-  EventId schedule_in(Duration delay, EventQueue::Callback fn) {
+  void schedule_in(Duration delay, EventQueue::Callback fn) {
     CCREDF_EXPECT(delay >= Duration::zero(),
                   "Simulator: cannot schedule into the past");
-    return queue_.schedule(now_ + delay, std::move(fn));
+    queue_.schedule(now_ + delay, std::move(fn));
   }
 
   /// Schedules `fn` at absolute time `at` (must not precede now()).
-  EventId schedule_at(TimePoint at, EventQueue::Callback fn) {
+  void schedule_at(TimePoint at, EventQueue::Callback fn) {
     CCREDF_EXPECT(at >= now_, "Simulator: cannot schedule into the past");
-    return queue_.schedule(at, std::move(fn));
+    queue_.schedule(at, std::move(fn));
   }
-
-  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Arms `key` of `process` at absolute time `at` (must not precede
   /// now(); infinity arms nothing).  See ArrivalProcess.
@@ -40,6 +41,13 @@ class Simulator {
     CCREDF_EXPECT(at >= now_, "Simulator: cannot arm into the past");
     queue_.arm(at, process, key);
   }
+
+  /// Disarms `key` of `process`, or all of `process`'s keys; false when
+  /// nothing was armed.  See EventQueue::disarm.
+  bool disarm(ArrivalProcess& process, std::uint32_t key) {
+    return queue_.disarm(process, key);
+  }
+  bool disarm(ArrivalProcess& process) { return queue_.disarm(process); }
 
   /// Runs all events with time <= horizon, advancing now() to each event
   /// time; finally sets now() = horizon.  Returns the number of events run.
@@ -63,8 +71,10 @@ class Simulator {
     now_ = t;
   }
 
-  [[nodiscard]] bool idle() { return queue_.empty(); }
-  [[nodiscard]] TimePoint next_event_time() { return queue_.next_time(); }
+  [[nodiscard]] bool idle() const { return queue_.empty(); }
+  [[nodiscard]] TimePoint next_event_time() const {
+    return queue_.next_time();
+  }
 
   /// Cumulative number of events fired since construction, closures and
   /// arrivals alike (throughput accounting for the bench harness).

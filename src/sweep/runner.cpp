@@ -341,7 +341,7 @@ ShardMetrics run_shard_impl(const GridSpec& spec, const GridPoint& point,
   if (point.link_cuts > 0) {
     m[Metric::kLinkCuts] = static_cast<double>(n.stats().faults.link_cuts);
     m[Metric::kSegmentQuarantines] =
-        static_cast<double>(n.stats().faults.segment_quarantines);
+        static_cast<double>(monitor->stats().segment_quarantines);
     m[Metric::kCutDetectSlots] =
         static_cast<double>(n.stats().faults.cut_detect_slots);
     std::int64_t cut_disjoint_misses = 0;

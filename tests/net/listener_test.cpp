@@ -274,10 +274,18 @@ TEST(SlotListener, ListenersMayAttachAndDetachDuringANotification) {
 }
 
 TEST(SlotListener, DestroyedListenersAreDetached) {
-  // Each kind holds state its slot callback reads within the run (the
-  // reliable transfer completes after the first three slots), so a
-  // dangling registration would touch freed memory.
-  const std::vector<std::pair<const char*, Make>> kinds = {
+  // Each kind holds state its slot callback reads within the run, so a
+  // dangling registration would touch freed memory.  Two kinds also own
+  // timed actions still pending when they die: the reliable channel a
+  // NACK resolution (its transfer's only data slot, slot 1, fails the
+  // payload CRC), the injector node and link events due after slot 3.
+  // Destroying the owner must disarm them, so nothing fires afterwards.
+  struct Kind {
+    const char* name;
+    Make make;
+    bool timers = false;  // a timed action is pending at the reset
+  };
+  const std::vector<Kind> kinds = {
       {"barrier",
        [](net::Network& n) {
          auto b = std::make_shared<services::BarrierService>(n);
@@ -294,11 +302,18 @@ TEST(SlotListener, DestroyedListenersAreDetached) {
        }},
       {"reliable",
        [](net::Network& n) {
-         auto ch = std::make_shared<services::ReliableChannel>(
-             n, services::ReliableChannel::Params{});
-         ch->send(0, 3, 8, Duration::milliseconds(1), nullptr);
-         return ch;
-       }},
+         struct Reliable {
+           fault::FaultInjector inj;
+           services::ReliableChannel ch;
+           explicit Reliable(net::Network& n)
+               : inj(n, 3), ch(n, services::ReliableChannel::Params{}) {}
+         };
+         auto r = std::make_shared<Reliable>(n);
+         r->ch.send(0, 3, 1, Duration::milliseconds(1), nullptr);
+         r->inj.schedule_payload_corruption(1, 0);
+         return r;
+       },
+       true},
       {"agent",
        [](net::Network& n) {
          services::AdmissionAgent::Params p;
@@ -316,18 +331,35 @@ TEST(SlotListener, DestroyedListenersAreDetached) {
        [](net::Network& n) {
          auto inj = std::make_shared<fault::FaultInjector>(n, 3);
          inj->set_control_ber(1e-4);
+         const auto at = [&n](std::int64_t extents) {
+           return n.sim().now() + n.timing().slot_plus_max_gap() * extents;
+         };
+         inj->schedule_node_failure(5, at(6));
+         inj->schedule_node_restore(5, at(7));
+         inj->schedule_link_cut(2, at(8));
+         inj->schedule_link_splice(2, at(9));
          return inj;
-       }},
+       },
+       true},
   };
-  for (const auto& [name, make] : kinds) {
+  for (const auto& [name, make, timers] : kinds) {
     SCOPED_TRACE(name);
     {  // The listener dies first; the network runs on without it.
       net::Network n(cfg8());
       std::shared_ptr<void> listener = make(n);
       n.run_slots(3);
+      if (timers) {
+        ASSERT_FALSE(n.sim().idle());
+      }
       listener.reset();
       EXPECT_TRUE(n.listeners().empty());
+      const std::uint64_t fired = n.sim().events_fired();
       n.run_slots(20);
+      if (timers) {
+        // Its timers were the only armed entries, and they died with it.
+        EXPECT_TRUE(n.sim().idle());
+        EXPECT_EQ(n.sim().events_fired(), fired);
+      }
     }
     {  // The network dies first; the listener must not touch it.
       auto n = std::make_unique<net::Network>(cfg8());

@@ -167,13 +167,12 @@ TEST(AdmissionAgent, HealthMonitorDeratesUnderCorruptionAndRecovers) {
   EXPECT_NEAR(agent.capacity_factor(),
               1.0 - agent.observed_corruption_rate(), 1e-12);
   EXPECT_GE(agent.renegotiations(), 1);
-  // The factor is actually enforced on the controller, and the
-  // renegotiations are mirrored into the network's fault accounting.
+  // The factor is actually enforced on the controller, which counts the
+  // same renegotiations.
   EXPECT_DOUBLE_EQ(n.admission().capacity_factor(),
                    agent.capacity_factor());
   EXPECT_LT(n.admission().effective_u_max(), n.admission().u_max());
-  EXPECT_EQ(n.stats().faults.admission_renegotiations,
-            agent.renegotiations());
+  EXPECT_EQ(n.admission().renegotiations(), agent.renegotiations());
   // Per-link localisation: the sources of the probe traffic show a
   // non-zero corruption rate.
   double worst = 0.0;
@@ -203,7 +202,7 @@ TEST(AdmissionAgent, HealthMonitorOffByDefault) {
   EXPECT_DOUBLE_EQ(agent.capacity_factor(), 1.0);
   EXPECT_EQ(agent.renegotiations(), 0);
   EXPECT_DOUBLE_EQ(n.admission().effective_u_max(), n.admission().u_max());
-  EXPECT_EQ(n.stats().faults.admission_renegotiations, 0);
+  EXPECT_EQ(n.admission().renegotiations(), 0);
   EXPECT_GT(n.stats().faults.payload_corruptions, 0);  // faults did occur
 }
 

@@ -87,7 +87,6 @@ TEST(SegmentQuarantine, ClosesExactlyTheCrossersAndReclaimsTheirWeight) {
   f.n.run_slots(3);
   EXPECT_EQ(f.m.stats().segment_downs, 1);
   EXPECT_EQ(f.m.stats().segment_quarantines, 2);  // crosser + cbs_crosser
-  EXPECT_EQ(f.n.stats().faults.segment_quarantines, 2);
   EXPECT_EQ(f.m.readmit_queue_depth(), 2u);
   // Exactly their Eq. 5/6 weight came back: 1/20 + 1/25.
   const double released = u_before - f.n.admission().utilisation();
@@ -103,20 +102,19 @@ TEST(SegmentQuarantine, ClosesExactlyTheCrossersAndReclaimsTheirWeight) {
 TEST(SegmentQuarantine, SingleCutDeratesCapacityToHalfAndSpliceRestores) {
   Fixture f;
   const double u_max = f.n.admission().u_max();
-  const std::int64_t renegs_before =
-      f.n.stats().faults.admission_renegotiations;
+  const std::int64_t renegs_before = f.n.admission().renegotiations();
   ASSERT_TRUE(f.n.cut_link(2));
   f.n.run_slots(3);
   // Surviving-region ordered-pair fraction: exactly 0.5 for any single
   // cut on any ring size (closed form, src/services/resilience.cpp).
   EXPECT_DOUBLE_EQ(f.n.admission().capacity_factor(), 0.5);
   EXPECT_DOUBLE_EQ(f.n.admission().effective_u_max(), 0.5 * u_max);
-  EXPECT_EQ(f.n.stats().faults.admission_renegotiations, renegs_before + 1);
+  EXPECT_EQ(f.n.admission().renegotiations(), renegs_before + 1);
   ASSERT_TRUE(f.n.splice_link(2));
   f.n.run_slots(3);
   EXPECT_DOUBLE_EQ(f.n.admission().capacity_factor(), 1.0);
   EXPECT_DOUBLE_EQ(f.n.admission().effective_u_max(), u_max);
-  EXPECT_EQ(f.n.stats().faults.admission_renegotiations, renegs_before + 2);
+  EXPECT_EQ(f.n.admission().renegotiations(), renegs_before + 2);
 }
 
 TEST(SegmentQuarantine, EntriesStayParkedWhileTheCutPersists) {

@@ -4,9 +4,10 @@
 // reference keys every pending entry by (time, seq), where seq counts
 // schedules, arms and re-keys in the order the queue performs them -- a
 // re-keyed arrival draws its seq after arrive() returns.  Arrivals come
-// from FuzzProcesses whose arrive() may itself schedule and cancel
-// closures, arm keys and destroy processes (its own included), all
-// mirrored into the reference as they happen.
+// from FuzzProcesses whose arrive() may itself schedule closures, arm
+// and disarm keys (its own included), disarm whole processes and destroy
+// processes (its own included), all mirrored into the reference as they
+// happen.  The top level disarms keys and processes too.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -60,8 +61,6 @@ TEST_P(EventQueueFuzz, MatchesReferenceOrdering) {
   Rng rng(GetParam());
   EventQueue real;
   std::multimap<Key, Entry> ref;
-  std::vector<EventId> live_ids;
-  std::vector<Key> id_keys;  // by index into live_ids
   std::vector<Entry> fired_real;
   std::vector<std::unique_ptr<FuzzProcess>> procs(kProcesses);
   std::uint64_t seq = 0;
@@ -74,21 +73,10 @@ TEST_P(EventQueueFuzz, MatchesReferenceOrdering) {
 
   const auto schedule = [&](std::int64_t t_ps) {
     const int tag = payload++;
-    live_ids.push_back(real.schedule(at_ps(t_ps), [tag, &fired_real] {
+    real.schedule(at_ps(t_ps), [tag, &fired_real] {
       fired_real.push_back(Entry{-1, 0, tag});
-    }));
-    id_keys.push_back({t_ps, seq});
+    });
     ref.emplace(Key{t_ps, seq++}, Entry{-1, 0, tag});
-  };
-  const auto cancel_random = [&] {
-    if (live_ids.empty()) return;
-    const auto idx =
-        static_cast<std::size_t>(rng.uniform_u64(live_ids.size()));
-    const bool ok = real.cancel(live_ids[idx]);
-    // The key is unique because seq is unique.
-    const auto it = ref.find(id_keys[idx]);
-    EXPECT_EQ(ok, it != ref.end());
-    if (it != ref.end()) ref.erase(it);
   };
   Handler on_arrive;
   const auto proc = [&](int p) -> std::unique_ptr<FuzzProcess>& {
@@ -110,22 +98,47 @@ TEST_P(EventQueueFuzz, MatchesReferenceOrdering) {
   const auto random_key = [&] {
     return static_cast<std::uint32_t>(rng.uniform_u64(kKeys));
   };
+  // Disarms `key` of process `p`, or all of `p` when `key` is empty.
+  std::int64_t disarmed = 0;
+  const auto disarm = [&](int p, std::optional<std::uint32_t> key) {
+    if (!proc(p)) return;  // never armed, or destroyed: nothing to disarm
+    const bool ok = key ? real.disarm(*proc(p), *key) : real.disarm(*proc(p));
+    const auto erased = std::erase_if(ref, [p, key](const auto& kv) {
+      return kv.second.process == p && (!key || kv.second.key == *key);
+    });
+    EXPECT_EQ(ok, erased > 0);
+    disarmed += static_cast<std::int64_t>(erased);
+  };
+  const auto disarm_random = [&] {
+    const int p = random_process();
+    if (rng.bernoulli(0.25)) {
+      disarm(p, std::nullopt);
+    } else {
+      disarm(p, random_key());
+    }
+  };
 
   // An arrival fires: record it, act on the queue from inside arrive()
   // (never before now), then return the key's next instant.  The narrow
   // window makes the returned instant often equal one just scheduled or
   // armed, which must then fire first: the re-key's seq is drawn last.
+  // A disarm of the firing key itself makes the queue drop the returned
+  // instant.
   std::optional<TimePoint> returned;
+  std::int64_t self_disarms = 0;
   on_arrive = [&](int p, std::uint32_t key) {
     fired_real.push_back(Entry{p, key, -1});
     for (auto i = rng.uniform_u64(4); i > 0; --i) {
       const auto what = rng.uniform_u64(8);
       if (what < 3) {
         schedule(later(4));
-      } else if (what < 6) {
+      } else if (what < 5) {
         arm(later(4), random_process(), random_key());
+      } else if (what < 6) {
+        if (proc(p)) ++self_disarms;
+        disarm(p, key);  // its own key
       } else if (what < 7) {
-        cancel_random();
+        disarm_random();
       } else {
         destroy(random_process());
       }
@@ -146,7 +159,7 @@ TEST_P(EventQueueFuzz, MatchesReferenceOrdering) {
     returned.reset();
     real.fire_next(now);
     ASSERT_EQ(now.since_origin().ps(), key.first);
-    // Exactly the head fired: arrive() only schedules and arms.
+    // Exactly the head fired: arrive() never fires another entry.
     ASSERT_EQ(fired_real.size(), fired_before + 1);
     ASSERT_EQ(fired_real.back(), expected);
     const bool closure = expected.process < 0;
@@ -155,7 +168,7 @@ TEST_P(EventQueueFuzz, MatchesReferenceOrdering) {
     }
     last = {key.first, closure};
     const auto still = ref.find(key);
-    if (still == ref.end()) return;  // its process destroyed itself
+    if (still == ref.end()) return;  // disarmed or destroyed from within
     ref.erase(still);
     if (!closure) {
       ASSERT_TRUE(returned.has_value());
@@ -186,7 +199,7 @@ TEST_P(EventQueueFuzz, MatchesReferenceOrdering) {
     } else if (action < 9) {
       if (!real.empty()) fire();
     } else if (action < 11) {
-      cancel_random();
+      disarm_random();
     } else {
       destroy(random_process());
     }
@@ -201,8 +214,11 @@ TEST_P(EventQueueFuzz, MatchesReferenceOrdering) {
     check();
   }
   EXPECT_TRUE(ref.empty());
-  // The run must have fired a closure and an arrival at one instant.
+  // The run must have fired a closure and an arrival at one instant,
+  // disarmed entries and had an arrival disarm its own key.
   EXPECT_GT(mixed_ties, 0);
+  EXPECT_GT(disarmed, 0);
+  EXPECT_GT(self_disarms, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz,

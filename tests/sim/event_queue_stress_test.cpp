@@ -1,6 +1,6 @@
-// Stress the pooled event queue: long interleavings of schedule / cancel
-// / fire must preserve (time, scheduling-order) firing, and the slab must
-// recycle slots instead of growing without bound.
+// Stress the event queue: long interleavings of arm / disarm / fire must
+// preserve (time, arming-order) firing, and the closure store must
+// recycle its slots instead of growing without bound.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -17,46 +17,56 @@ TimePoint at_ns(std::int64_t ns) {
   return TimePoint::origin() + Duration::nanoseconds(ns);
 }
 
-struct Scheduled {
-  EventId id = 0;
+struct Armed {
   std::int64_t time_ns = 0;
-  std::uint64_t serial = 0;  // scheduling order, the documented tie-break
-  bool cancelled = false;
+  std::uint32_t serial = 0;  // arming order, the documented tie-break
+};
+
+// Fires each key once, recording the keys in firing order.
+class Recorder final : public ArrivalProcess {
+ public:
+  std::vector<std::uint32_t> fired;
+
+  TimePoint arrive(std::uint32_t key) override {
+    fired.push_back(key);
+    return TimePoint::infinity();
+  }
 };
 
 TEST(EventQueueStress, InterleavedScheduleCancelPopKeepsOrder) {
   EventQueue q;
+  Recorder p;
   Rng rng(0xC0FFEE);
-  std::vector<Scheduled> pending;
-  std::vector<std::uint64_t> fired;  // serials, in firing order
-  std::vector<Scheduled> expected;
-  std::uint64_t next_serial = 0;
+  std::vector<Armed> pending;
+  std::vector<Armed> expected;
+  std::uint32_t next_serial = 0;
   std::int64_t now_ns = 0;
+  const auto in_order = [](const Armed& a, const Armed& b) {
+    if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
+    return a.serial < b.serial;
+  };
 
   for (int round = 0; round < 2'000; ++round) {
-    // Schedule a burst; a narrow time range forces plenty of ties.
+    // Arm a burst of fresh keys; a narrow time range forces plenty of
+    // ties.
     const int burst = static_cast<int>(rng.uniform_int(1, 6));
     for (int i = 0; i < burst; ++i) {
-      Scheduled s;
-      s.time_ns = now_ns + rng.uniform_int(0, 40);
-      s.serial = next_serial++;
-      s.id = q.schedule(at_ns(s.time_ns), [&fired, serial = s.serial] {
-        fired.push_back(serial);
-      });
-      pending.push_back(s);
+      Armed a;
+      a.time_ns = now_ns + rng.uniform_int(0, 40);
+      a.serial = next_serial++;
+      q.arm(at_ns(a.time_ns), p, a.serial);
+      pending.push_back(a);
     }
-    // Cancel a few pending events at random.
-    const int cancels = static_cast<int>(rng.uniform_int(0, 2));
-    for (int i = 0; i < cancels && !pending.empty(); ++i) {
+    // Disarm a few pending keys at random.
+    const int disarms = static_cast<int>(rng.uniform_int(0, 2));
+    for (int i = 0; i < disarms && !pending.empty(); ++i) {
       const auto pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(pending.size()) - 1));
-      Scheduled& victim = pending[pick];
-      EXPECT_TRUE(q.cancel(victim.id));
-      EXPECT_FALSE(q.cancel(victim.id));  // second cancel must fail
-      victim.cancelled = true;
+      EXPECT_TRUE(q.disarm(p, pending[pick].serial));
+      EXPECT_FALSE(q.disarm(p, pending[pick].serial));  // already gone
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
     }
-    // Fire a few events; the queue decides which fire first.
+    // Fire a few entries; the queue decides which fire first.
     const int pops = static_cast<int>(rng.uniform_int(0, 4));
     for (int i = 0; i < pops && !q.empty(); ++i) {
       TimePoint t;
@@ -64,74 +74,51 @@ TEST(EventQueueStress, InterleavedScheduleCancelPopKeepsOrder) {
       now_ns = std::max(now_ns, (t - TimePoint::origin()).ps() / 1000);
     }
     // Firing consumes from `pending` in (time, serial) order.
-    std::sort(pending.begin(), pending.end(),
-              [](const Scheduled& a, const Scheduled& b) {
-                if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
-                return a.serial < b.serial;
-              });
-    while (expected.size() < fired.size() && !pending.empty()) {
+    std::sort(pending.begin(), pending.end(), in_order);
+    while (expected.size() < p.fired.size() && !pending.empty()) {
       expected.push_back(pending.front());
       pending.erase(pending.begin());
     }
+    ASSERT_EQ(q.size(), pending.size());
   }
   TimePoint t;
   while (!q.empty()) q.fire_next(t);
-  std::sort(pending.begin(), pending.end(),
-            [](const Scheduled& a, const Scheduled& b) {
-              if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
-              return a.serial < b.serial;
-            });
-  for (const Scheduled& s : pending) expected.push_back(s);
+  std::sort(pending.begin(), pending.end(), in_order);
+  for (const Armed& a : pending) expected.push_back(a);
 
-  ASSERT_EQ(fired.size(), expected.size());
-  for (std::size_t i = 0; i < fired.size(); ++i) {
-    EXPECT_EQ(fired[i], expected[i].serial) << "position " << i;
+  ASSERT_EQ(p.fired.size(), expected.size());
+  for (std::size_t i = 0; i < p.fired.size(); ++i) {
+    EXPECT_EQ(p.fired[i], expected[i].serial) << "position " << i;
   }
 }
 
 TEST(EventQueueStress, SlabPlateausUnderSteadyChurn) {
   EventQueue q;
   Rng rng(42);
-  std::vector<std::pair<EventId, std::uint64_t>> live;  // (handle, serial)
-  std::vector<std::uint64_t> fired;
-  std::uint64_t serial = 0;
+  std::size_t live = 0;
   std::int64_t t = 0;
 
+  // Every closure that fires frees a store slot for the next schedule.
   auto churn = [&](int rounds) {
     for (int i = 0; i < rounds; ++i) {
-      live.emplace_back(
-          q.schedule(at_ns(t + rng.uniform_int(1, 100)),
-                     [&fired, s = serial] { fired.push_back(s); }),
-          serial);
-      ++serial;
-      // Retire one event whenever the pending population tops 64; half
-      // the turnover goes through cancel, half through firing.
-      if (live.size() > 64) {
-        if (rng.bernoulli(0.5)) {
-          const auto pick = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-          EXPECT_TRUE(q.cancel(live[pick].first));
-          live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-        } else {
-          fired.clear();
-          TimePoint fired_at;
-          q.fire_next(fired_at);
-          t = std::max(t, (fired_at - TimePoint::origin()).ps() / 1000);
-          ASSERT_EQ(fired.size(), 1u);
-          std::erase_if(live, [&](const auto& e) {
-            return e.second == fired.front();
-          });
-        }
+      q.schedule(at_ns(t + rng.uniform_int(1, 100)), [&live] { --live; });
+      ++live;
+      // Fire one closure whenever the pending population tops 64.
+      if (live > 64) {
+        TimePoint fired_at;
+        q.fire_next(fired_at);
+        t = std::max(t, (fired_at - TimePoint::origin()).ps() / 1000);
       }
-      ASSERT_EQ(q.size(), live.size());
+      ASSERT_EQ(q.size(), live);
     }
   };
 
   churn(2'000);  // warm-up: reach the peak pending population
   const std::size_t plateau = q.slab_slots();
+  EXPECT_EQ(plateau, 65u);
   churn(20'000);
   EXPECT_EQ(q.slab_slots(), plateau)
-      << "slab grew under steady churn: slots are not being recycled";
+      << "closure store grew under steady churn: slots are not recycled";
 }
 
 }  // namespace

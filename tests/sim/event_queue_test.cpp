@@ -61,44 +61,70 @@ TEST(EventQueue, NextTimeTracksEarliest) {
   EXPECT_EQ(q.next_time(), at(20_ns));
 }
 
+// Fires each key once, recording the keys in firing order.
+class Recorder final : public ArrivalProcess {
+ public:
+  std::vector<std::uint32_t> fired;
+
+  TimePoint arrive(std::uint32_t key) override {
+    fired.push_back(key);
+    return TimePoint::infinity();
+  }
+};
+
+// Cancelling a timer is disarming its key.
 TEST(EventQueue, CancelPreventsExecution) {
   EventQueue q;
-  bool ran = false;
-  const EventId id = q.schedule(at(10_ns), [&] { ran = true; });
-  EXPECT_TRUE(q.cancel(id));
+  Recorder p;
+  q.arm(at(10_ns), p, 1);
+  EXPECT_TRUE(q.disarm(p, 1));
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
+  EXPECT_TRUE(p.fired.empty());
 }
 
 TEST(EventQueue, CancelTwiceFails) {
   EventQueue q;
-  const EventId id = q.schedule(at(10_ns), [] {});
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));
+  Recorder p;
+  q.arm(at(10_ns), p, 1);
+  EXPECT_TRUE(q.disarm(p, 1));
+  EXPECT_FALSE(q.disarm(p, 1));
+  q.arm(at(10_ns), p, 2);
+  EXPECT_TRUE(q.disarm(p));
+  EXPECT_FALSE(q.disarm(p));
 }
 
 TEST(EventQueue, CancelUnknownFails) {
   EventQueue q;
-  EXPECT_FALSE(q.cancel(9999));
+  Recorder armed;
+  Recorder never;
+  q.arm(at(10_ns), armed, 1);
+  EXPECT_FALSE(q.disarm(armed, 2));
+  EXPECT_FALSE(q.disarm(never, 1));
+  EXPECT_FALSE(q.disarm(never));
+  EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(EventQueue, CancelledHeadIsSkipped) {
   EventQueue q;
-  std::vector<int> fired;
-  const EventId first = q.schedule(at(10_ns), [&] { fired.push_back(1); });
-  q.schedule(at(20_ns), [&] { fired.push_back(2); });
-  q.cancel(first);
+  Recorder p;
+  q.arm(at(10_ns), p, 1);
+  q.arm(at(20_ns), p, 2);
+  q.disarm(p, 1);
   EXPECT_EQ(q.next_time(), at(20_ns));
   EXPECT_EQ(fire(q), at(20_ns));
-  EXPECT_EQ(fired, std::vector<int>{2});
+  EXPECT_EQ(p.fired, std::vector<std::uint32_t>{2});
 }
 
 TEST(EventQueue, SizeCountsLiveOnly) {
   EventQueue q;
-  const EventId a = q.schedule(at(1_ns), [] {});
-  q.schedule(at(2_ns), [] {});
+  Recorder p;
+  q.arm(at(1_ns), p, 1);
+  q.arm(at(2_ns), p, 2);
+  q.schedule(at(3_ns), [] {});
+  EXPECT_EQ(q.size(), 3u);
+  q.disarm(p, 1);
   EXPECT_EQ(q.size(), 2u);
-  q.cancel(a);
+  q.disarm(p);
   EXPECT_EQ(q.size(), 1u);
 }
 
@@ -109,20 +135,19 @@ TEST(EventQueue, PopOnEmptyThrows) {
 
 TEST(EventQueue, ManyInterleavedOperations) {
   EventQueue q;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 1'000; ++i) {
-    ids.push_back(q.schedule(at(Duration::nanoseconds((i * 7) % 100)), [] {}));
+  Recorder p;
+  for (std::uint32_t i = 0; i < 1'000; ++i) {
+    q.arm(at(Duration::nanoseconds((i * 7) % 100)), p, i);
   }
-  for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
+  for (std::uint32_t i = 0; i < 1'000; i += 3) EXPECT_TRUE(q.disarm(p, i));
   TimePoint last = TimePoint::origin();
-  std::size_t popped = 0;
   while (!q.empty()) {
     const TimePoint t = fire(q);
     EXPECT_GE(t, last);
     last = t;
-    ++popped;
   }
-  EXPECT_EQ(popped, 1'000u - (1'000u + 2) / 3);
+  ASSERT_EQ(p.fired.size(), 1'000u - (1'000u + 2) / 3);
+  for (const std::uint32_t key : p.fired) EXPECT_NE(key % 3, 0u);
 }
 
 }  // namespace

@@ -70,12 +70,18 @@ TEST(Simulator, CannotSchedulePast) {
 }
 
 TEST(Simulator, CancelWorks) {
+  struct Once final : ArrivalProcess {
+    bool ran = false;
+    TimePoint arrive(std::uint32_t /*key*/) override {
+      ran = true;
+      return TimePoint::infinity();
+    }
+  } once;
   Simulator s;
-  bool ran = false;
-  const EventId id = s.schedule_in(10_ns, [&] { ran = true; });
-  EXPECT_TRUE(s.cancel(id));
-  s.run_all();
-  EXPECT_FALSE(ran);
+  s.arm(TimePoint::origin() + 10_ns, once, 0);
+  EXPECT_TRUE(s.disarm(once, 0));
+  EXPECT_EQ(s.run_all(), 0u);
+  EXPECT_FALSE(once.ran);
 }
 
 TEST(Simulator, AdvanceToMovesClockForwardOnly) {

@@ -72,8 +72,7 @@ inline std::string stats_fingerprint(const net::NetworkStats& st) {
      << ' ' << q.quantile(1.0) << '\n';
   os << "payload " << f.payload_corruptions << ' ' << f.payload_detected
      << ' ' << f.payload_undetected << ' ' << f.payload_nacks << '\n';
-  os << "degraded " << f.admission_renegotiations << ' ' << f.link_cuts
-     << ' ' << f.segment_quarantines << ' ' << f.cut_detect_slots << '\n';
+  os << "degraded " << f.link_cuts << ' ' << f.cut_detect_slots << '\n';
   os << "cbs " << st.cbs.servers_opened << ' ' << st.cbs.jobs << ' '
      << st.cbs.postponements << '\n';
   os << "node_faults";
@@ -86,10 +85,12 @@ inline std::string stats_fingerprint(const net::NetworkStats& st) {
   return os.str();
 }
 
-/// stats_fingerprint plus the run's discrete-event count.
+/// stats_fingerprint plus the admission renegotiations and the run's
+/// discrete-event count.
 inline std::string fingerprint(const net::Network& n) {
-  return stats_fingerprint(n.stats()) +
-         "events_fired=" + std::to_string(n.sim().events_fired()) + '\n';
+  return stats_fingerprint(n.stats()) + "renegotiations=" +
+         std::to_string(n.admission().renegotiations()) +
+         "\nevents_fired=" + std::to_string(n.sim().events_fired()) + '\n';
 }
 
 }  // namespace ccredf
