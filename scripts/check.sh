@@ -111,8 +111,10 @@ done
 # idle fast-forward off (DESIGN.md section 8).  The grids cover the
 # plain axes, the BER fault axes, the CBS service class, the churn
 # resilience loop, the hypercycle planner and the severed-segment cycle,
-# each of which changes what the engine does per slot, and the nightly
-# soak's axes all at once at 8,000 slots.
+# each of which changes what the engine does per slot, the nightly
+# soak's axes all at once at 8,000 slots, and the sweep-mixed
+# benchmark's grid (Poisson and queue-capped saturation loads under
+# control BER and churn).
 SWEEP=./build-release/tools/ccredf_sweep
 if [[ ! -x "${SWEEP}" ]]; then
   echo "check.sh: FATAL: tool binary missing: ${SWEEP}" >&2
@@ -136,7 +138,7 @@ if [[ -n "${PARENT}" ]]; then
   PARENT_SWEEP="${TMPDIR_SWEEP}/parent-build/tools/ccredf_sweep"
 fi
 for grid in smoke fault_smoke cbs_smoke churn_smoke planner_smoke \
-            link_fault_smoke soak_smoke; do
+            link_fault_smoke soak_smoke mixed_fault_smoke; do
   echo "==== ${grid}.grid: 1 vs 8 threads, schema, fast-forward ===="
   out="${TMPDIR_SWEEP}/${grid}"
   "${SWEEP}" "tools/grids/${grid}.grid" --threads 1 --out "${out}_t1.json"

@@ -37,6 +37,7 @@ sim::Rng FaultInjector::rng_at(SlotIndex slot,
 
 std::optional<FaultInjector::TargetedFault> FaultInjector::take(
     std::vector<TargetedFault>& v, SlotIndex slot, NodeId node) {
+  if (v.empty()) return std::nullopt;
   const auto key = std::make_pair(slot, node);
   const auto it = std::lower_bound(
       v.begin(), v.end(), key,
@@ -119,12 +120,38 @@ sim::TimePoint FaultInjector::arrive(std::uint32_t key) {
 
 void FaultInjector::set_control_ber(double ber) {
   ber_.emplace(net_.nodes(), ber, seed_);
+  fill_exposures();
 }
 
 void FaultInjector::set_control_ber(std::vector<double> link_ber) {
   CCREDF_EXPECT(link_ber.size() == net_.nodes(),
                 "FaultInjector: one BER per ring link required");
   ber_.emplace(std::move(link_ber), seed_);
+  fill_exposures();
+}
+
+void FaultInjector::fill_exposures() {
+  // A node writes its record `hop` links downstream of the master and
+  // the record rides the rest of the ring back to the master; the
+  // master's own record (hop 0) rides the whole loop.  Its first exposed
+  // link is the writer's own.  The distribution packet is judged at its
+  // worst-case receiver, N-1 links downstream of the master.
+  const NodeId n = net_.nodes();
+  const core::FrameCodec& codec = net_.codec();
+  const auto request_bits = static_cast<std::size_t>(codec.request_bits());
+  const auto distribution_bits =
+      static_cast<std::size_t>(codec.distribution_bits());
+  request_exposure_.clear();
+  distribution_exposure_.clear();
+  for (NodeId j = 0; j < n; ++j) {
+    for (NodeId hop = 0; hop < n; ++hop) {
+      request_exposure_.push_back(phy::BitErrorModel::exposure(
+          ber_->path_error_probability(j, hop == 0 ? n : n - hop),
+          request_bits));
+    }
+    distribution_exposure_.push_back(phy::BitErrorModel::exposure(
+        ber_->path_error_probability(j, n - 1), distribution_bits));
+  }
 }
 
 void FaultInjector::set_data_ber(double ber) {
@@ -196,8 +223,8 @@ SlotIndex FaultInjector::next_deadline_slot(SlotIndex from,
 
   // Random axes: replay the keyed draws of each slot.  Exposure is
   // constant across an idle stretch (master and failure set are frozen
-  // while the engine fast-forwards), so per-node path probabilities are
-  // computed once.
+  // while the engine fast-forwards), so each live record's table entry
+  // is looked up once.
   const bool ber_active = ber_.has_value() && ber_->enabled();
   const NodeSet failed = net_.failed_nodes();
   const bool babble_active = babble_p_ > 0.0 && babbler_ != kInvalidNode &&
@@ -205,22 +232,16 @@ SlotIndex FaultInjector::next_deadline_slot(SlotIndex from,
   if (!ber_active && !babble_active && random_loss_p_ <= 0.0) return lim;
 
   const NodeId master = net_.current_master();
-  std::array<double, kMaxNodes> collection_p{};
+  const NodeId n = net_.nodes();
+  std::array<const phy::BitErrorModel::Exposure*, kMaxNodes> collection{};
   std::size_t live = 0;
   std::array<NodeId, kMaxNodes> live_node{};
-  std::size_t request_bits = 0;
-  std::size_t distribution_bits = 0;
-  double distribution_p = 0.0;
   if (ber_active) {
-    const core::FrameCodec& codec = net_.codec();
-    request_bits = static_cast<std::size_t>(codec.request_bits());
-    distribution_bits = static_cast<std::size_t>(codec.distribution_bits());
-    distribution_p = distribution_exposure();
-    for (NodeId h = 0; h < net_.nodes(); ++h) {
+    for (NodeId h = 0; h < n; ++h) {
       const NodeId j = net_.topology().downstream(master, h);
       if (failed.contains(j)) continue;
       live_node[live] = j;
-      collection_p[live] = request_exposure(h, j);
+      collection[live] = &request_exposure_[std::size_t{j} * n + h];
       ++live;
     }
   }
@@ -237,12 +258,12 @@ SlotIndex FaultInjector::next_deadline_slot(SlotIndex from,
     if (!ber_active) continue;
     for (std::size_t i = 0; i < live; ++i) {
       if (ber_->count_flips(s, kChanCollection + live_node[i],
-                            collection_p[i], request_bits) != 0) {
+                            *collection[i]) != 0) {
         return s;
       }
     }
-    if (ber_->count_flips(s, kChanDistribution, distribution_p,
-                          distribution_bits) != 0) {
+    if (ber_->count_flips(s, kChanDistribution,
+                          distribution_exposure_[master]) != 0) {
       return s;
     }
   }
@@ -281,22 +302,6 @@ void FaultInjector::flip_bits(core::FrameCodec::Encoded& e, int bits,
   }
 }
 
-double FaultInjector::request_exposure(NodeId hop, NodeId node) const {
-  // The node writes its record `hop` links downstream of the master and
-  // the record rides the rest of the ring back to the master; the
-  // master's own record (hop 0) rides the whole loop.  Its first exposed
-  // link is the writer's own.
-  const NodeId n = net_.nodes();
-  return ber_->path_error_probability(node, hop == 0 ? n : n - hop);
-}
-
-double FaultInjector::distribution_exposure() const {
-  // Worst-case receiver: the node N-1 links downstream of the master
-  // sees the packet after its full exposure.
-  return ber_->path_error_probability(net_.current_master(),
-                                      net_.nodes() - 1);
-}
-
 net::FaultHook::RequestFault FaultInjector::filter_request(
     SlotIndex slot, NodeId hop, NodeId node, core::Request& rq) {
   if (take(collection_drops_, slot, node)) return RequestFault::kDropped;
@@ -331,8 +336,10 @@ net::FaultHook::RequestFault FaultInjector::filter_request(
   const auto nbits = static_cast<std::size_t>(codec.request_bits());
   double p = 0.0;
   if (!targeted) {
-    p = request_exposure(hop, node);
-    if (ber_->count_flips(slot, channel, p, nbits) == 0) {
+    const phy::BitErrorModel::Exposure& e =
+        request_exposure_[std::size_t{node} * net_.nodes() + hop];
+    p = e.p;
+    if (ber_->count_flips(slot, channel, e) == 0) {
       codec.check_request(rq);
       return RequestFault::kNone;
     }
@@ -361,9 +368,10 @@ net::FaultHook::DistributionFault FaultInjector::filter_distribution(
   const core::FrameCodec& codec = net_.codec();
   double pb = 0.0;
   if (!targeted) {
-    pb = distribution_exposure();
-    const auto nbits = static_cast<std::size_t>(codec.distribution_bits());
-    if (ber_->count_flips(slot, kChanDistribution, pb, nbits) == 0) {
+    const phy::BitErrorModel::Exposure& e =
+        distribution_exposure_[net_.current_master()];
+    pb = e.p;
+    if (ber_->count_flips(slot, kChanDistribution, e) == 0) {
       codec.check_distribution(p);
       return DistributionFault::kNone;
     }

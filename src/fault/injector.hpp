@@ -14,7 +14,10 @@
 //   * control-channel bit errors -- every control-frame bit is flipped
 //     independently per traversed link with the configured BER
 //     (phy::BitErrorModel); the keyed flip count decides first, and a
-//     frame it misses is only field-checked.  On a hit the injector
+//     frame it misses is only field-checked.  Setting the BER fills one
+//     exposure table per frame kind -- request records by (node, hop),
+//     the distribution packet by master -- whose no-flip floors settle
+//     nearly every draw by hashing alone.  On a hit the injector
 //     encodes the in-flight frame, flips the same bits on the wire
 //     image, and classifies the outcome with the integrity-checked
 //     decoders, so detection depends on the actual guard strength
@@ -164,12 +167,8 @@ class FaultInjector final : public net::FaultHook,
 
   /// Keyed generator for this slot and logical channel.
   [[nodiscard]] sim::Rng rng_at(SlotIndex slot, std::uint64_t channel) const;
-  /// Per-bit control-BER exposure of node `node`'s request record,
-  /// written `hop` links downstream of the master (armed BER only).
-  [[nodiscard]] double request_exposure(NodeId hop, NodeId node) const;
-  /// Per-bit control-BER exposure of the distribution packet at its
-  /// worst-case receiver (armed BER only).
-  [[nodiscard]] double distribution_exposure() const;
+  /// Fills the control-BER exposure tables from ber_.
+  void fill_exposures();
   /// Pops the entry for (slot, node) from a sorted fault list, if any.
   static std::optional<TargetedFault> take(std::vector<TargetedFault>& v,
                                            SlotIndex slot, NodeId node);
@@ -187,6 +186,12 @@ class FaultInjector final : public net::FaultHook,
 
   std::optional<phy::BitErrorModel> ber_;
   std::optional<phy::BitErrorModel> data_ber_;
+  /// Control-BER exposure of node j's request record, written h links
+  /// downstream of the master, at [j * N + h] (armed BER only).
+  std::vector<phy::BitErrorModel::Exposure> request_exposure_;
+  /// Control-BER exposure of the distribution packet at its worst-case
+  /// receiver, by master (armed BER only).
+  std::vector<phy::BitErrorModel::Exposure> distribution_exposure_;
 
   std::vector<TargetedFault> collection_drops_;        // sorted
   std::vector<TargetedFault> collection_corruptions_;  // sorted

@@ -21,6 +21,7 @@ BitErrorModel::BitErrorModel(NodeId nodes, double ber,
   validate_ber(ber);
   link_ber_.assign(nodes, ber);
   enabled_ = ber > 0.0;
+  fill_paths();
 }
 
 BitErrorModel::BitErrorModel(std::vector<double> link_ber,
@@ -32,6 +33,21 @@ BitErrorModel::BitErrorModel(std::vector<double> link_ber,
     validate_ber(b);
     if (b > 0.0) enabled_ = true;
   }
+  fill_paths();
+}
+
+void BitErrorModel::fill_paths() {
+  // One running product per first link: after h factors it is the
+  // survival of an h-hop path, the same product in the same order.
+  const std::size_t n = link_ber_.size();
+  path_p_.assign(n * (n + 1), 0.0);
+  for (std::size_t first = 0; first < n; ++first) {
+    double survive = 1.0;
+    for (std::size_t h = 1; h <= n; ++h) {
+      survive *= 1.0 - link_ber_[(first + h - 1) % n];
+      path_p_[first * (n + 1) + h] = 1.0 - survive;
+    }
+  }
 }
 
 double BitErrorModel::link_ber(LinkId link) const {
@@ -42,12 +58,14 @@ double BitErrorModel::link_ber(LinkId link) const {
 
 double BitErrorModel::path_error_probability(LinkId first,
                                              NodeId hops) const {
+  CCREDF_EXPECT(first < nodes(), "BitErrorModel: link index out of range");
   CCREDF_EXPECT(hops <= nodes(), "BitErrorModel: path longer than ring");
-  double survive = 1.0;
-  for (NodeId i = 0; i < hops; ++i) {
-    survive *= 1.0 - link_ber_[(first + i) % nodes()];
-  }
-  return 1.0 - survive;
+  return path_p_[std::size_t{first} * (nodes() + 1u) + hops];
+}
+
+double BitErrorModel::no_flip_floor(double p, std::size_t nbits) {
+  const double q = -std::expm1(static_cast<double>(nbits) * std::log1p(-p));
+  return q * (1.0 + 1e-6);
 }
 
 int BitErrorModel::corrupt(SlotIndex slot, std::uint64_t channel, double p,
@@ -58,6 +76,15 @@ int BitErrorModel::corrupt(SlotIndex slot, std::uint64_t channel, double p,
 int BitErrorModel::count_flips(SlotIndex slot, std::uint64_t channel,
                                double p, std::size_t nbits) const {
   return sample_flips(slot, channel, p, nullptr, nbits);
+}
+
+int BitErrorModel::count_flips(SlotIndex slot, std::uint64_t channel,
+                               const Exposure& e) const {
+  // The walk's first uniform, without building the generator.
+  const double u = sim::Rng::first_uniform01(sim::Rng::stream_seed(
+      seed_, static_cast<std::uint64_t>(slot), channel));
+  if (u >= e.floor) return 0;
+  return sample_flips(slot, channel, e.p, nullptr, e.nbits);
 }
 
 int BitErrorModel::sample_flips(SlotIndex slot, std::uint64_t channel,

@@ -126,10 +126,8 @@ void AdmissionAgent::close_window() {
   // the channel is considered healthy and full capacity is restored.
   const double target =
       last_rate_ >= params_.derate_threshold ? 1.0 - last_rate_ : 1.0;
-  if (target == factor_) return;
-  factor_ = target;
-  ++renegotiations_;
-  net_.admission().set_capacity_factor(factor_);
+  if (target == net_.admission().capacity_factor()) return;
+  net_.admission().set_capacity_factor(target);
 }
 
 double AdmissionAgent::link_corruption_rate(NodeId node) const {

@@ -63,14 +63,20 @@ class AdmissionAgent final : public net::SlotListener {
   [[nodiscard]] std::int64_t replies_delivered() const { return replied_; }
 
   // -- health monitor -------------------------------------------------------
-  /// The capacity factor currently enforced on the admission bound.
-  [[nodiscard]] double capacity_factor() const { return factor_; }
+  /// The capacity factor currently enforced on the admission bound (the
+  /// network's AdmissionController holds it).
+  [[nodiscard]] double capacity_factor() const {
+    return net_.admission().capacity_factor();
+  }
   /// Corruption ratio measured over the last completed window.
   [[nodiscard]] double observed_corruption_rate() const { return last_rate_; }
-  /// Times the capacity factor changed (equals the network's
-  /// AdmissionController::renegotiations() while the agent is the only
-  /// party setting the factor).
-  [[nodiscard]] std::int64_t renegotiations() const { return renegotiations_; }
+  /// Times the capacity factor changed: the network's
+  /// AdmissionController::renegotiations().  No shipped run attaches a
+  /// services::ResilienceMonitor, which also sets the factor, beside the
+  /// agent.
+  [[nodiscard]] std::int64_t renegotiations() const {
+    return net_.admission().renegotiations();
+  }
   /// Last-window corruption ratio of transfers SOURCED at `node` --
   /// localises a failing link to the upstream transmitter.
   [[nodiscard]] double link_corruption_rate(NodeId node) const;
@@ -118,8 +124,6 @@ class AdmissionAgent final : public net::SlotListener {
   std::vector<std::int64_t> node_corrupt_;
   std::vector<double> node_rate_;
   double last_rate_ = 0.0;
-  double factor_ = 1.0;
-  std::int64_t renegotiations_ = 0;
 };
 
 }  // namespace ccredf::services

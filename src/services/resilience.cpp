@@ -245,8 +245,7 @@ void ResilienceMonitor::renegotiate_capacity() {
     f = static_cast<double>(ok) /
         static_cast<double>(std::int64_t{n} * (n - 1));
   }
-  if (f == capacity_factor_) return;
-  capacity_factor_ = f;
+  if (f == net_.admission().capacity_factor()) return;
   net_.admission().set_capacity_factor(f);
 }
 

@@ -231,7 +231,6 @@ class ResilienceMonitor final : public net::SlotListener {
   /// (next_deadline_slot), making the cut hand-off byte-deterministic
   /// through fast-forward.
   LinkSet severed_seen_;
-  double capacity_factor_ = 1.0;
 };
 
 }  // namespace ccredf::services

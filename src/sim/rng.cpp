@@ -6,12 +6,19 @@
 
 namespace ccredf::sim {
 
-std::uint64_t Rng::splitmix64(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = x;
+namespace {
+constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
+}  // namespace
+
+std::uint64_t Rng::mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
+}
+
+std::uint64_t Rng::splitmix64(std::uint64_t& x) {
+  x += kGolden;
+  return mix64(x);
 }
 
 Rng::Rng(std::uint64_t seed) {
@@ -23,7 +30,7 @@ Rng::Rng(std::uint64_t seed) {
 }
 
 std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t result = scramble(s_[1]);
   const std::uint64_t t = s_[1] << 17;
   s_[2] ^= s_[0];
   s_[3] ^= s_[1];
@@ -36,11 +43,15 @@ std::uint64_t Rng::next_u64() {
 
 std::uint64_t Rng::uniform_u64(std::uint64_t bound) {
   CCREDF_EXPECT(bound > 0, "Rng::uniform_u64: bound must be positive");
-  // Lemire-style rejection to avoid modulo bias.
-  const std::uint64_t threshold = (~bound + 1) % bound;
+  // Rejection against threshold (2^64 - bound) % bound avoids modulo
+  // bias.  A power of two divides 2^64, so its threshold is 0.
+  if ((bound & (bound - 1)) == 0) return next_u64() & (bound - 1);
   for (;;) {
     const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
+    // threshold < bound <= r: accepted without computing the threshold.
+    if (r >= bound) return r % bound;
+    // r < bound, so r % bound == r.
+    if (r >= (~bound + 1) % bound) return r;
   }
 }
 
@@ -51,9 +62,12 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(uniform_u64(span));
 }
 
-double Rng::uniform01() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+double Rng::uniform01() { return to_unit(next_u64()); }
+
+double Rng::first_uniform01(std::uint64_t seed) {
+  // The constructor's second splitmix64 output is s_[1]; its all-zero
+  // guard writes only s_[0], which the first output does not read.
+  return to_unit(scramble(mix64(seed + 2 * kGolden)));
 }
 
 double Rng::uniform_real(double lo, double hi) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -23,7 +24,11 @@ class Rng {
   /// Next raw 64-bit value.
   std::uint64_t next_u64();
 
-  /// Uniform in [0, bound), bias-free (rejection sampling).
+  /// Uniform in [0, bound), bias-free (rejection sampling).  A draw r is
+  /// accepted when r >= (2^64 - bound) % bound and yields r % bound.  A
+  /// power-of-two bound accepts every draw and masks it; any other bound
+  /// accepts r >= bound before it computes that threshold, which is
+  /// always below bound, so each try costs at most one division.
   std::uint64_t uniform_u64(std::uint64_t bound);
 
   /// Uniform integer in [lo, hi] inclusive.
@@ -31,6 +36,11 @@ class Rng {
 
   /// Uniform real in [0, 1).
   double uniform01();
+
+  /// Equals Rng(seed).uniform01(), but computes only the state word the
+  /// first output reads (one splitmix64 finaliser): a keyed draw that
+  /// needs a single uniform costs a hash, not a generator.
+  static double first_uniform01(std::uint64_t seed);
 
   /// Uniform real in [lo, hi).
   double uniform_real(double lo, double hi);
@@ -69,6 +79,16 @@ class Rng {
 
  private:
   static std::uint64_t splitmix64(std::uint64_t& x);
+  /// The splitmix64 output function of counter value `z`.
+  static std::uint64_t mix64(std::uint64_t z);
+  /// The xoshiro256** output of state word s_[1].
+  static std::uint64_t scramble(std::uint64_t s1) {
+    return std::rotl(s1 * 5, 7) * 9;
+  }
+  /// 53 high bits -> double in [0, 1).
+  static double to_unit(std::uint64_t r) {
+    return static_cast<double>(r >> 11) * 0x1.0p-53;
+  }
   std::array<std::uint64_t, 4> s_{};
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -47,6 +48,68 @@ TEST(BitErrorModel, PathErrorProbabilityCompounds) {
   EXPECT_DOUBLE_EQ(mixed.path_error_probability(1, 1), 0.5);
   EXPECT_DOUBLE_EQ(mixed.path_error_probability(2, 2), 0.0);
   EXPECT_DOUBLE_EQ(mixed.path_error_probability(3, 3), 0.5);
+}
+
+/// The product loop path_error_probability ran per call before the
+/// constructors tabulated it.
+double product_loop(const std::vector<double>& ber, LinkId first,
+                    NodeId hops) {
+  double survive = 1.0;
+  for (NodeId i = 0; i < hops; ++i) {
+    survive *= 1.0 - ber[(first + i) % ber.size()];
+  }
+  return 1.0 - survive;
+}
+
+TEST(BitErrorModel, PathTableIsBitwiseTheProductLoop) {
+  for (const NodeId n : {NodeId{2}, NodeId{7}, NodeId{64}}) {
+    std::vector<double> unequal(n);
+    for (NodeId l = 0; l < n; ++l) {
+      unequal[l] = l % 5 == 0 ? 0.0 : 1e-7 * (1 + (l * 37) % 11) * (l + 1);
+    }
+    unequal[n - 1] = 0.3;
+    const std::vector<double> uniform(n, 3e-5);
+    for (const auto& ber : {uniform, unequal}) {
+      const BitErrorModel m(ber, kSeed);
+      for (LinkId first = 0; first < n; ++first) {
+        for (NodeId hops = 0; hops <= n; ++hops) {
+          EXPECT_EQ(m.path_error_probability(first, hops),
+                    product_loop(ber, first, hops))
+              << n << " nodes, first " << first << ", hops " << hops;
+        }
+      }
+    }
+  }
+  // The uniform constructor fills the same table.
+  const BitErrorModel by_rate(7, 3e-5, kSeed);
+  EXPECT_EQ(by_rate.path_error_probability(3, 7),
+            product_loop(std::vector<double>(7, 3e-5), 3, 7));
+}
+
+TEST(BitErrorModel, FirstDrawsFromTheFloorUpFindNoFlip) {
+  // The walk's first step, as the sampler computes it: zero flips
+  // exactly when the first skip reaches past the frame.  Every 2^-53
+  // grid value from the floor up must satisfy it.
+  const std::array<double, 10> ps{1e-15, 1e-12, 1e-9, 3e-5, 2.6e-4,
+                                   1e-3,  1e-2,  0.1,  0.5,  0.9};
+  const std::array<std::size_t, 6> nbits_list{1, 7, 45, 200, 2720, 1'000'000};
+  int checked = 0;
+  for (const double p : ps) {
+    for (const std::size_t nbits : nbits_list) {
+      const double floor = BitErrorModel::no_flip_floor(p, nbits);
+      if (floor >= 1.0) continue;  // no uniform settles this frame early
+      const double first = std::ceil(std::ldexp(floor, 53));
+      int violations = 0;
+      for (int k = 0; k < 2000 && first + k < 0x1p53; ++k) {
+        const double u = std::ldexp(first + k, -53);
+        const double skip = std::floor(std::log1p(-u) / std::log1p(-p));
+        if (skip < static_cast<double>(nbits)) ++violations;
+        ++checked;
+      }
+      EXPECT_EQ(violations, 0) << "p " << p << ", nbits " << nbits;
+    }
+  }
+  EXPECT_EQ(checked, 43 * 2000);  // 43 of the 60 cells have a floor below 1
 }
 
 TEST(BitErrorModel, ZeroProbabilityNeverFlips) {
@@ -128,6 +191,25 @@ TEST(BitErrorModel, CountFlipsMatchesCorruptExactly) {
     auto buf = zeroes(nbits);
     const int flipped = m.corrupt(s, 7, 1e-3, buf.data(), nbits);
     EXPECT_EQ(m.count_flips(s, 7, 1e-3, nbits), flipped) << "slot " << s;
+  }
+  // The floor form settles most keys by hash alone and must give the
+  // walk's count on every one of them.
+  for (const double p : {1e-7, 3e-5, 2.6e-4, 1e-3, 1e-2}) {
+    for (const std::size_t bits : std::array<std::size_t, 4>{8, 45, 61, 2720}) {
+      const BitErrorModel::Exposure e = BitErrorModel::exposure(p, bits);
+      int mismatches = 0;
+      std::int64_t hit = 0;
+      for (SlotIndex s = 0; s < 200'000; ++s) {
+        const auto channel = static_cast<std::uint64_t>(0x200 + s % 16);
+        const int walked = m.count_flips(s, channel, p, bits);
+        if (m.count_flips(s, channel, e) != walked) ++mismatches;
+        if (walked != 0) ++hit;
+      }
+      EXPECT_EQ(mismatches, 0) << "p " << p << ", nbits " << bits;
+      if (p >= 3e-5) {
+        EXPECT_GT(hit, 0) << "p " << p << ", nbits " << bits;
+      }
+    }
   }
 }
 

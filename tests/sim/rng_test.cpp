@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <set>
 
 #include "common/error.hpp"
@@ -65,6 +67,56 @@ TEST(Rng, UniformU64CoversAllResidues) {
 TEST(Rng, UniformU64RejectsZeroBound) {
   Rng r(1);
   EXPECT_THROW((void)r.uniform_u64(0), ConfigError);
+}
+
+TEST(Rng, FirstUniform01EqualsAFreshGeneratorsFirstDraw) {
+  // Edge seeds: 0, ~0, and the seeds whose second splitmix64 counter
+  // value, seed + 2 * golden, is 0, 2^64 - 1 or 1.
+  constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
+  const std::array<std::uint64_t, 5> edges{0, ~0ull, 0 - 2 * kGolden,
+                                           0 - 2 * kGolden - 1,
+                                           0 - 2 * kGolden + 1};
+  for (const std::uint64_t s : edges) {
+    EXPECT_EQ(Rng::first_uniform01(s), Rng(s).uniform01()) << s;
+  }
+  // Half a million consecutive seeds, half a million scattered ones.
+  Rng scatter(47);
+  int mismatches = 0;
+  for (std::uint64_t i = 0; i < 500'000; ++i) {
+    for (const std::uint64_t s : {i, scatter.next_u64()}) {
+      if (Rng::first_uniform01(s) != Rng(s).uniform01()) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+/// uniform_u64 as it was written with two divisions per draw: the
+/// threshold first, then the remainder of every accepted draw.
+std::uint64_t two_division_uniform(Rng& r, std::uint64_t bound) {
+  const std::uint64_t threshold = (~bound + 1) % bound;
+  for (;;) {
+    const std::uint64_t v = r.next_u64();
+    if (v >= threshold) return v % bound;
+  }
+}
+
+TEST(Rng, UniformU64MatchesTheTwoDivisionLoop) {
+  // Same values, and the same number of raw draws consumed: after each
+  // bound's run the twin generators are still in step.
+  const std::array<std::uint64_t, 14> bounds{
+      1, 2, 3, 6, 8, 16, 32, 33, 1901, 1ull << 32, (1ull << 32) + 1,
+      1ull << 63, (1ull << 63) + 1, ~0ull};
+  for (const std::uint64_t bound : bounds) {
+    Rng fast(bound), slow(bound);
+    int mismatches = 0;
+    for (int i = 0; i < 100'000; ++i) {
+      if (fast.uniform_u64(bound) != two_division_uniform(slow, bound)) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "bound " << bound;
+    EXPECT_EQ(fast.next_u64(), slow.next_u64()) << "bound " << bound;
+  }
 }
 
 TEST(Rng, UniformIntInclusiveRange) {
