@@ -11,8 +11,9 @@
 #                 `--presets release` to only smoke the benches.
 #   --parent REV  also build REV's Release ccredf_sweep (from `git
 #                 archive REV` in a temporary directory) and `cmp` each
-#                 smoke grid's 1-thread report against the working
-#                 tree's; fails naming every grid whose report differs.
+#                 smoke grid's (tools/grids/*smoke.grid) 1-thread report
+#                 against the working tree's; fails naming every grid
+#                 whose report differs.
 #
 # Fails loudly when a bench binary is missing, exits non-zero (E23b's
 # speed-up gate), or writes a JSON document that does not validate
@@ -104,17 +105,18 @@ for bench in bench_slot_throughput bench_sweep bench_hypercycle; do
   run_bench "${bench}" ${QUICK}
 done
 
-# Every smoke grid passes the same three gates: byte-identical reports
-# at 1 and 8 worker threads (on a single-core host the 8-thread run
-# exercises only the claiming logic, but the byte-equality gate still
-# runs), a valid report schema, and a byte-identical report with the
-# idle fast-forward off (DESIGN.md section 8).  The grids cover the
+# Every smoke grid -- each tools/grids/*smoke.grid, so a new one joins
+# by its name alone -- passes the same three gates: byte-identical
+# reports at 1 and 8 worker threads (on a single-core host the 8-thread
+# run exercises only the claiming logic, but the byte-equality gate
+# still runs), a valid report schema, and a byte-identical report with
+# the idle fast-forward off (DESIGN.md section 8).  The grids cover the
 # plain axes, the BER fault axes, the CBS service class, the churn
 # resilience loop, the hypercycle planner and the severed-segment cycle,
 # each of which changes what the engine does per slot, the nightly
 # soak's axes all at once at 8,000 slots, and the sweep-mixed
 # benchmark's grid (Poisson and queue-capped saturation loads under
-# control BER and churn).
+# control BER and churn).  nightly_soak.grid is not a smoke grid.
 SWEEP=./build-release/tools/ccredf_sweep
 if [[ ! -x "${SWEEP}" ]]; then
   echo "check.sh: FATAL: tool binary missing: ${SWEEP}" >&2
@@ -137,8 +139,8 @@ if [[ -n "${PARENT}" ]]; then
     -j "${JOBS}" > /dev/null
   PARENT_SWEEP="${TMPDIR_SWEEP}/parent-build/tools/ccredf_sweep"
 fi
-for grid in smoke fault_smoke cbs_smoke churn_smoke planner_smoke \
-            link_fault_smoke soak_smoke mixed_fault_smoke; do
+for grid_file in tools/grids/*smoke.grid; do
+  grid="$(basename "${grid_file}" .grid)"
   echo "==== ${grid}.grid: 1 vs 8 threads, schema, fast-forward ===="
   out="${TMPDIR_SWEEP}/${grid}"
   "${SWEEP}" "tools/grids/${grid}.grid" --threads 1 --out "${out}_t1.json"

@@ -27,68 +27,26 @@ double AdmissionController::weight(const ConnectionParams& params) const {
   return params.utilisation();
 }
 
-AdmissionController::Decision AdmissionController::request(
-    const ConnectionParams& params, sim::TimePoint now) {
+AdmissionController::Decision AdmissionController::admit(
+    const ConnectionParams& params, bool bounded) {
   params.validate();
   ++requests_;
-  Decision d;
-  const double u_new = weight(params);
+  const double w = weight(params);
   // Eq. 5 against Eq. 6's bound (derated in degraded mode).  A small
   // epsilon forgives accumulated floating-point error when many
   // connections sum exactly to the bound.
   constexpr double kEps = 1e-12;
-  if (utilisation_ + u_new <= effective_u_max() + kEps) {
-    Connection c;
-    c.id = next_id_++;
-    c.params = params;
-    c.admitted = now;
-    utilisation_ += u_new;
-    d.admitted = true;
-    d.id = c.id;
-    ma_.emplace(c.id, std::move(c));
-  } else {
+  if (bounded && utilisation_ + w > effective_u_max() + kEps) {
     ++rejections_;
+    return Decision{};
   }
-  d.utilisation_after = utilisation_;
-  return d;
+  utilisation_ += w;
+  return Decision{true, next_id_++};
 }
 
-AdmissionController::Decision AdmissionController::admit_unchecked(
-    const ConnectionParams& params, sim::TimePoint now) {
-  params.validate();
-  ++requests_;
-  Decision d;
-  Connection c;
-  c.id = next_id_++;
-  c.params = params;
-  c.admitted = now;
-  utilisation_ += weight(params);
-  d.admitted = true;
-  d.id = c.id;
-  ma_.emplace(c.id, std::move(c));
-  d.utilisation_after = utilisation_;
-  return d;
-}
-
-bool AdmissionController::release(ConnectionId id) {
-  auto it = ma_.find(id);
-  if (it == ma_.end()) return false;
-  utilisation_ -= weight(it->second.params);
+void AdmissionController::release(const ConnectionParams& params) {
+  utilisation_ -= weight(params);
   if (utilisation_ < 0.0) utilisation_ = 0.0;  // guard rounding drift
-  ma_.erase(it);
-  return true;
-}
-
-const Connection* AdmissionController::find(ConnectionId id) const {
-  const auto it = ma_.find(id);
-  return it == ma_.end() ? nullptr : &it->second;
-}
-
-std::vector<Connection> AdmissionController::snapshot() const {
-  std::vector<Connection> v;
-  v.reserve(ma_.size());
-  for (const auto& [id, c] : ma_) v.push_back(c);
-  return v;
 }
 
 }  // namespace ccredf::core

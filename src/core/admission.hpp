@@ -5,16 +5,17 @@
 // admitted iff U(Ma) + e/P <= U_max, with U_max from Eq. 6.  Connections
 // are "well behaved": sources honour the agreed parameters (enforced by
 // the traffic generators, checked by tests).
+//
+// The controller is a ledger: Eq. 5 needs only the sum over the accepted
+// set Ma, so it keeps that sum and nothing per id.  The caller that owns
+// the admitted ids (net::Network's connection table) hands the weighed
+// parameters back on release.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "common/types.hpp"
 #include "core/connection.hpp"
-#include "sim/time.hpp"
 
 namespace ccredf::core {
 
@@ -43,24 +44,25 @@ class AdmissionController {
   struct Decision {
     bool admitted = false;
     ConnectionId id = kNoConnection;
-    /// Utilisation of the accepted set after the decision.
-    double utilisation_after = 0.0;
   };
 
-  /// Runs the admission test at time `now`; on success the connection
-  /// enters the accepted set Ma and receives a fresh id.
-  Decision request(const ConnectionParams& params, sim::TimePoint now);
+  /// Runs the admission test; on success the connection's weight joins
+  /// the sum over Ma and the connection receives a fresh id.
+  Decision request(const ConnectionParams& params) {
+    return admit(params, /*bounded=*/true);
+  }
 
   /// Admits WITHOUT the Eq. 5 bound test: the caller holds a stronger
   /// feasibility proof (the hypercycle planner's exact constructive
-  /// schedule, core/hypercycle.hpp).  The connection still enters Ma
-  /// and its weight still counts toward utilisation(), which may then
-  /// legitimately exceed effective_u_max().
-  Decision admit_unchecked(const ConnectionParams& params,
-                           sim::TimePoint now);
+  /// schedule, core/hypercycle.hpp).  The weight still counts toward
+  /// utilisation(), which may then legitimately exceed effective_u_max().
+  Decision admit_unchecked(const ConnectionParams& params) {
+    return admit(params, /*bounded=*/false);
+  }
 
-  /// Removes a connection from Ma; returns false if unknown.
-  bool release(ConnectionId id);
+  /// Removes an admitted connection's weight from the sum.  `params`
+  /// must be the parameters its admission weighed.
+  void release(const ConnectionParams& params);
 
   [[nodiscard]] double u_max() const { return u_max_; }
   /// Degraded-mode capacity scaling in [0,1] (graceful degradation): a
@@ -78,23 +80,21 @@ class AdmissionController {
   [[nodiscard]] double effective_u_max() const {
     return u_max_ * capacity_factor_;
   }
+  /// Summed weight of the accepted set Ma.
   [[nodiscard]] double utilisation() const { return utilisation_; }
-  [[nodiscard]] std::size_t active_connections() const { return ma_.size(); }
-  [[nodiscard]] const Connection* find(ConnectionId id) const;
-
-  /// Snapshot of the accepted set (for analysis and reporting).
-  [[nodiscard]] std::vector<Connection> snapshot() const;
 
   [[nodiscard]] std::int64_t requests_seen() const { return requests_; }
   [[nodiscard]] std::int64_t rejections() const { return rejections_; }
 
  private:
+  /// The one admit path: `bounded` runs the Eq. 5 test first.
+  Decision admit(const ConnectionParams& params, bool bounded);
+
   double u_max_;
   double capacity_factor_ = 1.0;
   AdmissionPolicy policy_ = AdmissionPolicy::kUtilisation;
   double utilisation_ = 0.0;
   ConnectionId next_id_ = 1;
-  std::unordered_map<ConnectionId, Connection> ma_;
   std::int64_t requests_ = 0;
   std::int64_t rejections_ = 0;
   std::int64_t renegotiations_ = 0;

@@ -63,16 +63,16 @@ struct CbsParams {
                   "cbs: source cannot be a destination");
   }
 
-  /// The connection record the admission controller tests: a server of
-  /// budget Q per period T weighs exactly like a periodic connection
-  /// e = Q, P = T (utilisation policy) -- the CBS admission hook.
+  /// The parameters the admission controller weighs: a server of budget
+  /// Q per period T weighs exactly like a periodic connection e = Q,
+  /// P = T -- the CBS admission hook.  The network keeps them in the
+  /// server's connection-table entry and releases them on close.
   [[nodiscard]] ConnectionParams admission_params() const {
     ConnectionParams p;
     p.source = source;
     p.dests = dests;
     p.size_slots = budget_slots;
     p.period_slots = period_slots;
-    p.service = ServiceClass::kConstantBandwidth;
     return p;
   }
 };

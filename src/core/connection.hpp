@@ -11,19 +11,8 @@
 #include "common/error.hpp"
 #include "common/nodeset.hpp"
 #include "common/types.hpp"
-#include "sim/time.hpp"
 
 namespace ccredf::core {
-
-/// Which of the paper's service classes a connection record represents.
-/// Hard-RT connections are the periodic guaranteed streams of §5-6; a
-/// constant-bandwidth record is the admission-side shadow of a CBS
-/// (core/cbs.hpp): size = budget Q, period = replenishment period T, so
-/// the Eq. 5 utilisation test covers servers and connections uniformly.
-enum class ServiceClass : std::uint8_t {
-  kHardRealTime = 0,
-  kConstantBandwidth = 1,
-};
 
 struct ConnectionParams {
   NodeId source = kInvalidNode;
@@ -37,9 +26,6 @@ struct ConnectionParams {
   std::int64_t deadline_slots = 0;  // 0 => equal to period
   /// Release offset of the first message, in slots.
   std::int64_t offset_slots = 0;
-  /// Service class of the record (admission treats both alike; only the
-  /// release machinery differs -- periodic vs server-paced).
-  ServiceClass service = ServiceClass::kHardRealTime;
 
   [[nodiscard]] std::int64_t effective_deadline_slots() const {
     return deadline_slots == 0 ? period_slots : deadline_slots;
@@ -60,15 +46,6 @@ struct ConnectionParams {
     CCREDF_EXPECT(offset_slots >= 0, "connection: negative offset");
     CCREDF_EXPECT(!dests.empty(), "connection: no destinations");
   }
-};
-
-/// An admitted connection (element of the set Ma, paper §6).
-struct Connection {
-  ConnectionId id = kNoConnection;
-  ConnectionParams params;
-  /// Time of admission.
-  sim::TimePoint admitted;
-  bool active = true;
 };
 
 }  // namespace ccredf::core

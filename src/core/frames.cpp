@@ -1,5 +1,7 @@
 #include "core/frames.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace ccredf::core {
@@ -141,29 +143,16 @@ CollectionPacket FrameCodec::decode_collection(const Encoded& e) const {
       CCREDF_EXPECT(crc == crc8_bits(e.bytes, first, field_bits),
                     "CollectionPacket: request CRC mismatch");
     }
+    check_request(rq);
     p.requests.push_back(rq);
   }
   return p;
 }
 
 DistributionPacket FrameCodec::decode_distribution(const Encoded& e) const {
-  CCREDF_EXPECT(e.bit_count == static_cast<std::size_t>(distribution_bits()),
-                "DistributionPacket: wrong frame length");
-  BitReader r(e.bytes, e.bit_count);
-  CCREDF_EXPECT(r.pop_bit(), "DistributionPacket: missing start bit");
-  DistributionPacket p;
-  p.granted = NodeSet::from_mask(read_mask(r, n_));
-  p.hp_node = static_cast<NodeId>(r.read(idx_bits_));
-  p.has_acks = with_acks_;
-  if (with_acks_) p.acks = NodeSet::from_mask(read_mask(r, n_));
-  p.has_nacks = with_nacks_;
-  if (with_nacks_) p.nacks = NodeSet::from_mask(read_mask(r, n_));
-  if (with_crc_) {
-    const auto crc = static_cast<std::uint8_t>(r.read(8));
-    CCREDF_EXPECT(crc == crc8_bits(e.bytes, 0, e.bit_count - 8),
-                  "DistributionPacket: CRC mismatch");
-  }
-  return p;
+  const CheckedDistribution d = decode_distribution_checked(e);
+  CCREDF_EXPECT(d.ok, std::string("DistributionPacket: ") + d.reason);
+  return d.packet;
 }
 
 FrameCodec::CheckedRequest FrameCodec::decode_request_checked(

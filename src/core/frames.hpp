@@ -106,14 +106,19 @@ class FrameCodec {
   [[nodiscard]] Encoded encode(const DistributionPacket& p) const;
   /// Wire image of a single request record (no start bit).
   [[nodiscard]] Encoded encode_request(const Request& rq) const;
+  /// The plain decoders return only frames the encoders accept and
+  /// throw ConfigError on anything else: a wrong length, a missing start
+  /// bit, a CRC mismatch, and every field the encoder checks refuse.
+  /// decode_distribution is decode_distribution_checked throwing its
+  /// reason.
   [[nodiscard]] CollectionPacket decode_collection(const Encoded& e) const;
   [[nodiscard]] DistributionPacket decode_distribution(const Encoded& e)
       const;
 
   // -- integrity-checked decoding (fault paths) ---------------------------
   //
-  // The plain decoders above CCREDF_EXPECT on malformed frames -- right
-  // for trusted in-process round trips, wrong for a receiver that must
+  // The plain decoders above throw on malformed frames -- right for
+  // trusted in-process round trips, wrong for a receiver that must
   // survive corruption.  The checked decoders classify instead of throw:
   // ok == false means the guards rejected the frame and the receiver
   // must fall back to its containment action (treat the request as idle,

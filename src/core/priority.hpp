@@ -9,12 +9,13 @@
 // Within a class, *numerically larger* means shorter laxity (more urgent);
 // RT always beats BE which always beats NRT.  The paper assumes a
 // logarithmic laxity mapping ("higher resolution of laxity, the closer to
-// its deadline a packet gets") and leaves alternatives open; we provide
-// the logarithmic mapper plus a linear one for the E8 ablation.
+// its deadline a packet gets") and leaves alternatives open; map_laxity
+// provides it plus a linear mapping for the E8 ablation.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <memory>
 
 #include "common/error.hpp"
 #include "sim/time.hpp"
@@ -81,50 +82,26 @@ struct PriorityLayout {
 
 /// Maps a message's laxity (time to deadline, in whole slots) to a level in
 /// the class band.  Laxity may be negative for an already-late message; it
-/// is clamped to zero (maximally urgent).
-class LaxityMapper {
- public:
-  virtual ~LaxityMapper() = default;
-
-  [[nodiscard]] Priority map(const PriorityLayout& layout, TrafficClass cls,
-                             std::int64_t laxity_slots) const;
-
-  [[nodiscard]] virtual const char* name() const = 0;
-
- protected:
-  /// Returns the urgency *step count* down from the top of the band for a
-  /// non-negative laxity.  0 => maximal priority in band.
-  [[nodiscard]] virtual std::int64_t steps(std::int64_t laxity_slots)
-      const = 0;
-};
-
-/// The paper's logarithmic mapping: one level per doubling of laxity, so
-/// resolution is finest near the deadline.
-class LogarithmicMapper final : public LaxityMapper {
- public:
-  [[nodiscard]] const char* name() const override { return "logarithmic"; }
-
- protected:
-  [[nodiscard]] std::int64_t steps(std::int64_t laxity_slots) const override;
-};
-
-/// Linear mapping with a fixed slots-per-level quantum (ablation baseline).
-class LinearMapper final : public LaxityMapper {
- public:
-  explicit LinearMapper(std::int64_t slots_per_level)
-      : quantum_(slots_per_level) {
-    CCREDF_EXPECT(slots_per_level > 0,
-                  "LinearMapper: quantum must be positive");
-  }
-  [[nodiscard]] const char* name() const override { return "linear"; }
-
- protected:
-  [[nodiscard]] std::int64_t steps(std::int64_t laxity_slots) const override {
-    return laxity_slots / quantum_;
-  }
-
- private:
-  std::int64_t quantum_;
-};
+/// is clamped to zero (maximally urgent).  `linear_quantum_slots` 0 is the
+/// paper's logarithmic mapping: one level per doubling of laxity, so
+/// resolution is finest near the deadline.  A value k > 0 is the linear
+/// E8 ablation with k slots per level.
+[[nodiscard]] inline Priority map_laxity(const PriorityLayout& layout,
+                                         TrafficClass cls,
+                                         std::int64_t laxity_slots,
+                                         std::int64_t linear_quantum_slots) {
+  const std::int64_t clamped = std::max<std::int64_t>(laxity_slots, 0);
+  // Logarithmic: floor(log2(1 + laxity)), so laxity 0 => 0 steps, 1..2 =>
+  // 1, 3..6 => 2, 7..14 => 3, ...; bit_width(v) - 1 == floor(log2(v)).
+  const std::int64_t down =
+      linear_quantum_slots > 0
+          ? clamped / linear_quantum_slots
+          : static_cast<std::int64_t>(std::bit_width(
+                static_cast<std::uint64_t>(1 + clamped))) -
+                1;
+  const Priority lo = layout.class_lo(cls);
+  const Priority hi = layout.class_hi(cls);
+  return static_cast<Priority>(hi - std::min<std::int64_t>(down, hi - lo));
+}
 
 }  // namespace ccredf::core

@@ -71,10 +71,10 @@ struct NetworkConfig {
   /// payload.  See PROTOCOL.md §7.3.
   bool with_payload_crc = false;
 
-  enum class Mapper { kLogarithmic, kLinear };
-  Mapper mapper = Mapper::kLogarithmic;
-  /// Slots per priority level for the linear mapper ablation.
-  std::int64_t linear_quantum_slots = 8;
+  /// Laxity-to-priority mapping (core::map_laxity): 0 is the paper's
+  /// logarithmic mapping; k > 0 is the linear E8 ablation with k slots
+  /// per priority level.  Negative values are rejected.
+  std::int64_t linear_quantum_slots = 0;
 
   /// Node designated to restart the clock after token loss (paper §8
   /// suggests "a designated node that always will start").

@@ -9,16 +9,6 @@
 namespace ccredf::net {
 
 namespace {
-std::unique_ptr<core::LaxityMapper> make_mapper(const NetworkConfig& cfg) {
-  switch (cfg.mapper) {
-    case NetworkConfig::Mapper::kLinear:
-      return std::make_unique<core::LinearMapper>(cfg.linear_quantum_slots);
-    case NetworkConfig::Mapper::kLogarithmic:
-      break;
-  }
-  return std::make_unique<core::LogarithmicMapper>();
-}
-
 std::unique_ptr<phy::RingPhy> make_phy(const NetworkConfig& cfg) {
   if (!cfg.link_lengths_m.empty()) {
     return std::make_unique<phy::RingPhy>(cfg.link, cfg.link_lengths_m);
@@ -55,6 +45,8 @@ Network::Network(NetworkConfig cfg)
                 "Network: designated restarter out of range");
   CCREDF_EXPECT(cfg_.recovery_timeout_slots >= 1,
                 "Network: recovery timeout must be at least one slot");
+  CCREDF_EXPECT(cfg_.linear_quantum_slots >= 0,
+                "Network: linear laxity quantum must not be negative");
 
   // The NACK bits extend the ack field, so they exist only when both the
   // payload CRC and the ack wire are enabled (config.hpp).
@@ -77,7 +69,6 @@ Network::Network(NetworkConfig cfg)
   timing_ = std::make_unique<core::SlotTiming>(*phy_, payload);
   control_ = std::make_unique<core::ControlTiming>(
       phy_.get(), codec_->collection_bits(), codec_->distribution_bits());
-  mapper_ = make_mapper(cfg_);
   if (cfg_.protocol_factory) {
     protocol_ = cfg_.protocol_factory(*phy_, topo_, cfg_);
   } else {
@@ -194,7 +185,8 @@ NodeSet Network::broadcast_dests(NodeId src) const {
 core::Priority Network::priority_of(const core::Message& m,
                                     sim::TimePoint sample) const {
   const std::int64_t laxity = m.laxity_slots(sample, timing_->slot());
-  return mapper_->map(cfg_.priority, m.traffic_class, laxity);
+  return core::map_laxity(cfg_.priority, m.traffic_class, laxity,
+                          cfg_.linear_quantum_slots);
 }
 
 MessageId Network::enqueue(NodeId src, NodeSet dests, core::TrafficClass cls,
@@ -303,9 +295,7 @@ Network::OpenResult Network::open_connection(
                 "connection: destinations must be non-empty ring nodes");
   CCREDF_EXPECT(!params.dests.contains(params.source),
                 "connection: source cannot be a destination");
-  CCREDF_EXPECT(params.service == core::ServiceClass::kHardRealTime,
-                "connection: CBS records go through open_cbs_server");
-  auto decision = admission_.request(params, sim_.now());
+  auto decision = admission_.request(params);
   bool planner_admit = false;
   if (!decision.admitted) {
     if (!plan_can_build()) return OpenResult{false, kNoConnection};
@@ -313,7 +303,7 @@ Network::OpenResult Network::open_connection(
     // spatial reuse packs several segment-disjoint grants into one slot
     // -- so the planner may still find an exact schedule past U_max.
     // Admit tentatively; the constructive proof below decides.
-    decision = admission_.admit_unchecked(params, sim_.now());
+    decision = admission_.admit_unchecked(params);
     planner_admit = true;
   }
 
@@ -330,7 +320,7 @@ Network::OpenResult Network::open_connection(
       // The layout/feasibility proof failed: the Eq. 5 rejection stands.
       sim_.disarm(*this, id);
       c.kind = ConnState::Kind::kClosed;
-      admission_.release(id);
+      admission_.release(c.params);
       rebuild_plan();
       return OpenResult{false, kNoConnection};
     }
@@ -375,11 +365,11 @@ bool Network::close_connection(ConnectionId id) {
   c.kind = ConnState::Kind::kClosed;
   nodes_[c.source].queues().drop_connection(id);
   refresh_queued_bit(c.source);
-  const bool released = admission_.release(id);
+  admission_.release(c.params);
   // Any in-effect plan covered the closed connection: re-derive (a
   // mid-run close leaves released>0 peers, so this lands on TCMA).
   rebuild_plan();
-  return released;
+  return true;
 }
 
 Network::OpenResult Network::open_cbs_server(const core::CbsParams& params) {
@@ -387,12 +377,13 @@ Network::OpenResult Network::open_cbs_server(const core::CbsParams& params) {
   CCREDF_EXPECT(params.source < nodes_.size(), "cbs: bad source");
   CCREDF_EXPECT(params.dests.is_subset_of(topo_.all_nodes()),
                 "cbs: destinations must be ring nodes");
-  const auto decision =
-      admission_.request(params.admission_params(), sim_.now());
+  const core::ConnectionParams weighed = params.admission_params();
+  const auto decision = admission_.request(weighed);
   if (!decision.admitted) return OpenResult{false, kNoConnection};
   ConnState& c = new_conn(decision.id);
   c.kind = ConnState::Kind::kCbs;
   c.source = params.source;
+  c.params = weighed;
   c.server.emplace(params, timing_->slot());
   ++open_cbs_;
   ++stats_.cbs.servers_opened;
@@ -621,24 +612,16 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
     for (const NodeId dst : soa_.bind_dests[g]) {
       if (!soa_.failed.contains(dst)) nodes_[dst].deliver(d);
     }
-    auto& cs = stats_.cls(done->traffic_class);
-    ++cs.delivered;
-    cs.bytes += done->payload_bytes;
-    cs.latency.add(d.latency());
     const bool sched_miss = !d.met_deadline();
     // Eq. 3: the user-level bound adds the protocol latency (Eq. 4).
     const bool user_miss =
         sched_miss &&
         d.completed > d.deadline + timing_->worst_case_latency();
-    if (sched_miss) ++cs.scheduling_misses;
-    if (user_miss) ++cs.user_misses;
+    stats_.cls(done->traffic_class)
+        .record(done->payload_bytes, d.latency(), sched_miss, user_miss);
     if (done->connection != kNoConnection) {
-      auto& conn = stats_of(done->connection);
-      ++conn.delivered;
-      conn.bytes += done->payload_bytes;
-      conn.latency.add(d.latency());
-      if (sched_miss) ++conn.scheduling_misses;
-      if (user_miss) ++conn.user_misses;
+      stats_of(done->connection)
+          .record(done->payload_bytes, d.latency(), sched_miss, user_miss);
     }
   }
   if (executed > 0) {

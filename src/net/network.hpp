@@ -278,7 +278,8 @@ class Network : private sim::ArrivalProcess {
   /// wall time P_i * t_slot, matching the units of the analysis).
   OpenResult open_connection(const core::ConnectionParams& params);
   /// Closes an RT connection or a CBS server: stops its releases or
-  /// jobs, drops its queued messages and releases its bandwidth.
+  /// jobs, drops its queued messages and releases its bandwidth.  An
+  /// unknown or already closed id returns false and changes nothing.
   bool close_connection(ConnectionId id);
 
   // -- constant-bandwidth servers (soft real-time service class) ----------
@@ -445,8 +446,10 @@ class Network : private sim::ArrivalProcess {
     /// stats_.per_connection[id], set on the id's first release or
     /// delivery (map nodes are pointer-stable and never erased).
     ConnectionStats* stats = nullptr;
-    // RT connection: the periodic releases (the network's key `id`).
+    /// What admission weighed (a CBS server's admission_params()); the
+    /// close releases exactly these.
     core::ConnectionParams params;
+    // RT connection: the periodic releases (the network's key `id`).
     sim::TimePoint base;  // time of release 0
     std::int64_t released = 0;
     /// Messages released while a plan drives, oldest first, kept out of
@@ -608,7 +611,6 @@ class Network : private sim::ArrivalProcess {
   std::unique_ptr<core::SlotTiming> timing_;
   std::unique_ptr<core::ControlTiming> control_;
   std::unique_ptr<core::FrameCodec> codec_;
-  std::unique_ptr<core::LaxityMapper> mapper_;
   std::unique_ptr<MacProtocol> protocol_;
   core::AdmissionController admission_;
   sim::Simulator sim_;

@@ -18,34 +18,24 @@
 
 namespace ccredf::net {
 
-/// Per-logical-connection accounting (hard-RT connections and CBS
-/// servers share the map; `bytes` is what the fairness index compares).
-/// A record exists from the id's first release or delivery on.
-struct ConnectionStats {
-  std::int64_t released = 0;
+/// The delivery record: what a traffic class and a connection each
+/// account per completed message.
+struct DeliveryStats {
   std::int64_t delivered = 0;
   std::int64_t scheduling_misses = 0;
   std::int64_t user_misses = 0;
   std::int64_t bytes = 0;
   sim::OnlineStats latency;  // arrival -> completion, ps
-};
 
-/// Constant-Bandwidth-Server accounting (zero unless servers are open).
-struct CbsStats {
-  /// Servers admitted over the run (open_cbs_server successes).
-  std::int64_t servers_opened = 0;
-  /// Jobs accepted into server queues (cbs_send minus drops).
-  std::int64_t jobs = 0;
-  /// Budget-exhaustion postponements across all servers (c = Q, d += T).
-  std::int64_t postponements = 0;
-};
-
-struct ClassStats {
-  std::int64_t delivered = 0;
-  std::int64_t scheduling_misses = 0;
-  std::int64_t user_misses = 0;
-  std::int64_t bytes = 0;
-  sim::OnlineStats latency;  // arrival -> completion, ps
+  /// Accounts one delivered message; the engine decides both misses.
+  void record(std::int64_t payload_bytes, sim::Duration arrival_to_completion,
+              bool scheduling_miss, bool user_miss) {
+    ++delivered;
+    bytes += payload_bytes;
+    latency.add(arrival_to_completion);
+    if (scheduling_miss) ++scheduling_misses;
+    if (user_miss) ++user_misses;
+  }
 
   [[nodiscard]] double scheduling_miss_ratio() const {
     return delivered == 0
@@ -58,6 +48,26 @@ struct ClassStats {
                           : static_cast<double>(user_misses) /
                                 static_cast<double>(delivered);
   }
+};
+
+/// Per-traffic-class accounting.
+using ClassStats = DeliveryStats;
+
+/// Per-logical-connection accounting (hard-RT connections and CBS
+/// servers share the map; `bytes` is what the fairness index compares).
+/// A record exists from the id's first release or delivery on.
+struct ConnectionStats : DeliveryStats {
+  std::int64_t released = 0;
+};
+
+/// Constant-Bandwidth-Server accounting (zero unless servers are open).
+struct CbsStats {
+  /// Servers admitted over the run (open_cbs_server successes).
+  std::int64_t servers_opened = 0;
+  /// Jobs accepted into server queues (cbs_send minus drops).
+  std::int64_t jobs = 0;
+  /// Budget-exhaustion postponements across all servers (c = Q, d += T).
+  std::int64_t postponements = 0;
 };
 
 /// Per-node fault containment accounting (fault experiments).  Indexed by

@@ -106,8 +106,6 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
   return p;
 }
 
-Rng Rng::fork() { return Rng(next_u64()); }
-
 std::uint64_t Rng::stream_seed(std::uint64_t base, std::uint64_t a,
                                std::uint64_t b) {
   // Each word passes through the full splitmix64 finaliser before the next

@@ -60,9 +60,6 @@ class Rng {
   /// Uniformly random index permutation of size n (Fisher-Yates).
   std::vector<std::size_t> permutation(std::size_t n);
 
-  /// Derives an independent child generator (for per-node streams).
-  Rng fork();
-
   /// A generator for substream (a, b) of `base` (see stream_seed).
   static Rng stream(std::uint64_t base, std::uint64_t a, std::uint64_t b) {
     return Rng(stream_seed(base, a, b));
@@ -70,10 +67,10 @@ class Rng {
 
   /// SplitMix-style counter-based stream derivation: maps (base, a, b) to
   /// a seed whose generators are statistically independent across distinct
-  /// (a, b) pairs.  Unlike fork(), derivation is stateless, so parallel
-  /// workers can key their streams on (grid-point index, repetition)
-  /// without any shared generator -- the foundation of the sweep runner's
-  /// thread-count-independent determinism.
+  /// (a, b) pairs.  Derivation is stateless, so parallel workers can key
+  /// their streams on (grid-point index, repetition) without any shared
+  /// generator -- the foundation of the sweep runner's thread-count-
+  /// independent determinism.
   static std::uint64_t stream_seed(std::uint64_t base, std::uint64_t a,
                                    std::uint64_t b);
 

@@ -105,19 +105,8 @@ const char* metric_name(Metric m) {
 
 namespace {
 
-/// Per-worker allocation pool: buffers that every shard needs but none
-/// may share concurrently.  One instance lives on each worker thread's
-/// stack, so a grid of S shards on W workers performs O(W) workload-set
-/// allocations instead of O(S).  Shard RESULTS never touch the scratch;
-/// reuse cannot leak state between shards (the set is rebuilt from the
-/// shard seed each time).
-struct ShardScratch {
-  workload::PeriodicScratch periodic;
-  std::vector<core::ConnectionParams> set;
-};
-
 ShardMetrics run_shard_impl(const GridSpec& spec, const GridPoint& point,
-                            int repetition, ShardScratch& scratch) {
+                            int repetition) {
   net::Network n(make_network_config(spec, point));
   const std::uint64_t seed = shard_seed(spec, point, repetition);
 
@@ -192,9 +181,10 @@ ShardMetrics run_shard_impl(const GridSpec& spec, const GridPoint& point,
     wp.max_period_slots = spec.max_period_slots;
     wp.multicast_fraction = spec.multicast_fraction;
     wp.seed = seed;
-    workload::make_periodic_set(wp, scratch.periodic, scratch.set);
-    requested = static_cast<int>(scratch.set.size());
-    for (const auto& c : scratch.set) {
+    const std::vector<core::ConnectionParams> set =
+        workload::make_periodic_set(wp);
+    requested = static_cast<int>(set.size());
+    for (const auto& c : set) {
       const net::Network::OpenResult r = n.open_connection(c);
       if (!r.admitted) continue;
       ++admitted;
@@ -356,9 +346,9 @@ ShardMetrics run_shard_impl(const GridSpec& spec, const GridPoint& point,
 }
 
 ShardMetrics run_shard_guarded(const GridSpec& spec, const GridPoint& point,
-                               int repetition, ShardScratch& scratch) {
+                               int repetition) {
   try {
-    return run_shard_impl(spec, point, repetition, scratch);
+    return run_shard_impl(spec, point, repetition);
   } catch (const std::exception&) {
     return ShardMetrics{};  // ok == false
   }
@@ -368,8 +358,7 @@ ShardMetrics run_shard_guarded(const GridSpec& spec, const GridPoint& point,
 
 ShardMetrics run_shard(const GridSpec& spec, const GridPoint& point,
                        int repetition) {
-  ShardScratch scratch;
-  return run_shard_guarded(spec, point, repetition, scratch);
+  return run_shard_guarded(spec, point, repetition);
 }
 
 SweepResult run_sweep(const GridSpec& spec, const RunOptions& opts) {
@@ -394,13 +383,11 @@ SweepResult run_sweep(const GridSpec& spec, const RunOptions& opts) {
   // claiming order leaves no trace in the output.
   std::atomic<std::size_t> next{0};
   const auto worker = [&] {
-    ShardScratch scratch;  // pooled across every shard this worker claims
     for (;;) {
       const std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
       if (s >= shards) return;
       shard_results[s] = run_shard_guarded(spec, points[s / reps],
-                                           static_cast<int>(s % reps),
-                                           scratch);
+                                           static_cast<int>(s % reps));
     }
   };
   if (threads <= 1) {

@@ -8,13 +8,10 @@
 
 namespace ccredf::workload {
 
-namespace {
-
-void uunifast_fill(int n, double total, sim::Rng& rng,
-                   std::vector<double>& u) {
+std::vector<double> uunifast(int n, double total, sim::Rng& rng) {
   CCREDF_EXPECT(n >= 1, "uunifast: need at least one share");
   CCREDF_EXPECT(total > 0.0, "uunifast: total must be positive");
-  u.assign(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> u(static_cast<std::size_t>(n), 0.0);
   double sum = total;
   for (int i = 0; i < n - 1; ++i) {
     const double next =
@@ -24,27 +21,11 @@ void uunifast_fill(int n, double total, sim::Rng& rng,
     sum = next;
   }
   u[static_cast<std::size_t>(n - 1)] = sum;
-}
-
-}  // namespace
-
-std::vector<double> uunifast(int n, double total, sim::Rng& rng) {
-  std::vector<double> u;
-  uunifast_fill(n, total, rng, u);
   return u;
 }
 
 std::vector<core::ConnectionParams> make_periodic_set(
     const PeriodicSetParams& params) {
-  PeriodicScratch scratch;
-  std::vector<core::ConnectionParams> set;
-  make_periodic_set(params, scratch, set);
-  return set;
-}
-
-void make_periodic_set(const PeriodicSetParams& params,
-                       PeriodicScratch& scratch,
-                       std::vector<core::ConnectionParams>& set) {
   CCREDF_EXPECT(params.nodes >= 2, "make_periodic_set: need >= 2 nodes");
   CCREDF_EXPECT(params.min_period_slots >= 2 &&
                     params.max_period_slots >= params.min_period_slots,
@@ -53,11 +34,10 @@ void make_periodic_set(const PeriodicSetParams& params,
                     params.multicast_fraction <= 1.0,
                 "make_periodic_set: bad multicast fraction");
   sim::Rng rng(params.seed);
-  uunifast_fill(params.connections, params.total_utilisation, rng,
-                scratch.shares);
-  const std::vector<double>& shares = scratch.shares;
+  const std::vector<double> shares =
+      uunifast(params.connections, params.total_utilisation, rng);
 
-  set.clear();
+  std::vector<core::ConnectionParams> set;
   set.reserve(shares.size());
   const double log_lo = std::log(static_cast<double>(params.min_period_slots));
   const double log_hi = std::log(static_cast<double>(params.max_period_slots));
@@ -102,6 +82,7 @@ void make_periodic_set(const PeriodicSetParams& params,
     c.validate();
     set.push_back(c);
   }
+  return set;
 }
 
 }  // namespace ccredf::workload

@@ -32,21 +32,6 @@ struct PeriodicSetParams {
 [[nodiscard]] std::vector<core::ConnectionParams> make_periodic_set(
     const PeriodicSetParams& params);
 
-/// Reusable allocation scratch for the pooling overload below.
-struct PeriodicScratch {
-  std::vector<double> shares;
-};
-
-/// Pooling overload: clears and fills `out` with exactly the set the
-/// value-returning form would produce (same RNG draw order, so the
-/// results are identical element for element), but reuses the capacity
-/// of `out` and `scratch` across calls.  The sweep runner keeps one
-/// scratch per worker thread so a long grid performs O(workers), not
-/// O(shards), workload-set allocations.
-void make_periodic_set(const PeriodicSetParams& params,
-                       PeriodicScratch& scratch,
-                       std::vector<core::ConnectionParams>& out);
-
 /// UUniFast: unbiased split of `total` utilisation into `n` shares.
 [[nodiscard]] std::vector<double> uunifast(int n, double total,
                                            sim::Rng& rng);

@@ -8,8 +8,6 @@
 namespace ccredf::core {
 namespace {
 
-using sim::TimePoint;
-
 ConnectionParams conn(std::int64_t e, std::int64_t p, std::int64_t d = 0) {
   ConnectionParams c;
   c.source = 0;
@@ -41,18 +39,17 @@ TEST(AdmissionPolicy, DensityRejectsWhatUtilisationWronglyAccepts) {
   AdmissionController util(0.8, AdmissionPolicy::kUtilisation);
   AdmissionController dens(0.8, AdmissionPolicy::kDensity);
   for (int i = 0; i < 2; ++i) {
-    EXPECT_TRUE(util.request(conn(2, 10, 4), TimePoint::origin()).admitted);
+    EXPECT_TRUE(util.request(conn(2, 10, 4)).admitted);
   }
-  EXPECT_TRUE(dens.request(conn(2, 10, 4), TimePoint::origin()).admitted);
-  EXPECT_FALSE(dens.request(conn(2, 10, 4), TimePoint::origin()).admitted);
+  EXPECT_TRUE(dens.request(conn(2, 10, 4)).admitted);
+  EXPECT_FALSE(dens.request(conn(2, 10, 4)).admitted);
 }
 
 TEST(AdmissionPolicy, DensityReleaseRestoresBudget) {
   AdmissionController dens(0.6, AdmissionPolicy::kDensity);
-  const auto r = dens.request(conn(2, 10, 4), TimePoint::origin());
-  ASSERT_TRUE(r.admitted);
+  ASSERT_TRUE(dens.request(conn(2, 10, 4)).admitted);
   EXPECT_NEAR(dens.utilisation(), 0.5, 1e-12);
-  EXPECT_TRUE(dens.release(r.id));
+  dens.release(conn(2, 10, 4));
   EXPECT_NEAR(dens.utilisation(), 0.0, 1e-12);
 }
 

@@ -24,7 +24,6 @@ TEST_P(ArbitrationSweep, SafetyAndLivenessInvariants) {
   PriorityLayout layout;
   layout.field_bits = bits;
   layout.validate();
-  const LogarithmicMapper mapper;
   sim::Rng rng(seed);
 
   for (int trial = 0; trial < 200; ++trial) {
@@ -41,7 +40,7 @@ TEST_P(ArbitrationSweep, SafetyAndLivenessInvariants) {
           static_cast<std::int64_t>(rng.uniform_u64(10'000));
       const auto seg =
           ring::Segment::for_transmission(topo, i, NodeSet::single(dst));
-      reqs[i].priority = mapper.map(layout, cls, laxity);
+      reqs[i].priority = map_laxity(layout, cls, laxity, 0);
       reqs[i].links = seg.links();
       reqs[i].dests = NodeSet::single(dst);
     }

@@ -40,8 +40,9 @@ TEST(CbsParams, AdmissionRecordWeighsLikePeriodicQOverT) {
   const ConnectionParams rec = p.admission_params();
   EXPECT_EQ(rec.size_slots, 2);
   EXPECT_EQ(rec.period_slots, 50);
-  EXPECT_EQ(rec.service, ServiceClass::kConstantBandwidth);
+  EXPECT_DOUBLE_EQ(rec.utilisation(), p.utilisation());
   EXPECT_EQ(rec.source, p.source);
+  EXPECT_EQ(rec.dests, p.dests);
 }
 
 TEST(CbsServer, FirstArrivalRecharges) {

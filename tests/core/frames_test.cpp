@@ -94,6 +94,20 @@ TEST(FrameCodec, IdleRequestMustBeZeroed) {
   EXPECT_THROW((void)c.encode(p), ConfigError);
 }
 
+TEST(FrameCodec, DecodedIdleRequestMustBeZeroed) {
+  // The decoder applies the same idle rule: a record with priority 0 and
+  // one link bit set is not a frame the encoder produces.
+  const FrameCodec c = codec_n(4);
+  CollectionPacket p;
+  p.requests.resize(4);
+  auto enc = c.encode(p);
+  // Record 1 starts after the start bit and record 0 (5 + 4 + 4 bits);
+  // its first link bit follows its 5 priority bits.
+  const std::size_t bit = 1 + 13 + 5;
+  enc.bytes[bit / 8] |= static_cast<std::uint8_t>(0x80u >> (bit % 8));
+  EXPECT_THROW((void)c.decode_collection(enc), ConfigError);
+}
+
 TEST(FrameCodec, PriorityWiderThanFieldRejected) {
   const FrameCodec c = codec_n(4);
   CollectionPacket p;
@@ -340,6 +354,7 @@ TEST(FrameCrc, HpRangeGuardWorksWithoutCrc) {
   }
   const auto checked = c.decode_distribution_checked(enc);
   EXPECT_FALSE(checked.ok);
+  EXPECT_THROW((void)c.decode_distribution(enc), ConfigError);
 }
 
 // -- payload-NACK extension (data-channel reliability) -------------------

@@ -590,16 +590,15 @@ std::pair<std::int64_t, double> mixed_laxity_run(Network& n) {
 // 512 slots, which cannot separate urgencies closer than ~512 slots,
 // misses 0.96 %.
 TEST(PaperClaims, E8cLogarithmicMapperNeedsNoTuning) {
-  const auto run = [](NetworkConfig::Mapper mapper, std::int64_t quantum) {
+  const auto run = [](std::int64_t quantum) {
     NetworkConfig cfg = ring_config(8);
-    cfg.mapper = mapper;
-    if (quantum > 0) cfg.linear_quantum_slots = quantum;
+    cfg.linear_quantum_slots = quantum;
     Network n(cfg);
     return mixed_laxity_run(n);
   };
-  const auto log = run(NetworkConfig::Mapper::kLogarithmic, 0);
-  const auto q64 = run(NetworkConfig::Mapper::kLinear, 64);
-  const auto q512 = run(NetworkConfig::Mapper::kLinear, 512);
+  const auto log = run(0);
+  const auto q64 = run(64);
+  const auto q512 = run(512);
   EXPECT_LE(log.second, q64.second);
   EXPECT_LT(q64.second, q512.second);
   for (const auto& r : {log, q64, q512}) EXPECT_EQ(r.first, 5097);

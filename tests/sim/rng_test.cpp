@@ -207,22 +207,5 @@ TEST(Rng, PermutationShuffles) {
   EXPECT_LT(fixed, 10u);
 }
 
-TEST(Rng, ForkIsIndependent) {
-  Rng parent(41);
-  Rng child = parent.fork();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.next_u64() == child.next_u64()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
-TEST(Rng, ForkIsDeterministic) {
-  Rng a(43), b(43);
-  Rng ca = a.fork();
-  Rng cb = b.fork();
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(ca.next_u64(), cb.next_u64());
-}
-
 }  // namespace
 }  // namespace ccredf::sim
