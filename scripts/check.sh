@@ -17,7 +17,10 @@
 #
 # Fails loudly when a bench binary is missing, exits non-zero (E23b's
 # speed-up gate), or writes a JSON document that does not validate
-# against the bench schema.  Also fails, naming the entries, when the
+# against the bench schema.  Last, runs the repository benchmark
+# (perfbench/run.py, one second per run) for each workload at both seeds
+# recorded in perfbench/digests.json, and fails naming every run whose
+# statistics digest or other correctness check does not hold.  Also fails, naming the entries, when the
 # first preset's ctest list has a name with `byte object <` in it: gtest
 # prints a test parameter that has no PrintTo as its raw bytes, padding
 # included, so such names change from build to build.  Before building,
@@ -164,6 +167,27 @@ for grid_file in tools/grids/*smoke.grid; do
 done
 if [[ ${#PARENT_DIFFS[@]} -gt 0 ]]; then
   echo "check.sh: reports differ from ${PARENT}'s: ${PARENT_DIFFS[*]}" >&2
+  exit 1
+fi
+
+# The recorded digests: run.py exits 0 only when every check of the run
+# passed (its result line then reads "correct": true).
+DIGEST_FAILS=()
+for workload in tcma32 planned32 sweep-mixed; do
+  for seed in 1 20021015; do
+    echo "==== perfbench ${workload} seed ${seed}: recorded digest ===="
+    log="${TMPDIR_SWEEP}/perfbench_${workload}_${seed}.log"
+    if python3 perfbench/run.py --workload "${workload}" --seed "${seed}" \
+         --seconds 1 --trace 0 > "${log}" 2>&1; then
+      tail -n 1 "${log}"
+    else
+      tail -n 5 "${log}" >&2
+      DIGEST_FAILS+=("${workload}/seed=${seed}")
+    fi
+  done
+done
+if [[ ${#DIGEST_FAILS[@]} -gt 0 ]]; then
+  echo "check.sh: perfbench runs not correct: ${DIGEST_FAILS[*]}" >&2
   exit 1
 fi
 

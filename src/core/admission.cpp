@@ -27,20 +27,23 @@ double AdmissionController::weight(const ConnectionParams& params) const {
   return params.utilisation();
 }
 
-AdmissionController::Decision AdmissionController::admit(
-    const ConnectionParams& params, bool bounded) {
-  params.validate();
-  ++requests_;
-  const double w = weight(params);
+bool AdmissionController::fits(const ConnectionParams& params) const {
   // Eq. 5 against Eq. 6's bound (derated in degraded mode).  A small
   // epsilon forgives accumulated floating-point error when many
   // connections sum exactly to the bound.
   constexpr double kEps = 1e-12;
-  if (bounded && utilisation_ + w > effective_u_max() + kEps) {
+  return utilisation_ + weight(params) <= effective_u_max() + kEps;
+}
+
+AdmissionController::Decision AdmissionController::admit(
+    const ConnectionParams& params, bool bounded) {
+  params.validate();
+  ++requests_;
+  if (bounded && !fits(params)) {
     ++rejections_;
     return Decision{};
   }
-  utilisation_ += w;
+  utilisation_ += weight(params);
   return Decision{true, next_id_++};
 }
 

@@ -52,6 +52,10 @@ class AdmissionController {
     return admit(params, /*bounded=*/true);
   }
 
+  /// The Eq. 5 test alone: true when `params` would join the accepted set
+  /// within effective_u_max().  Counts nothing.
+  [[nodiscard]] bool fits(const ConnectionParams& params) const;
+
   /// Admits WITHOUT the Eq. 5 bound test: the caller holds a stronger
   /// feasibility proof (the hypercycle planner's exact constructive
   /// schedule, core/hypercycle.hpp).  The weight still counts toward
@@ -63,6 +67,14 @@ class AdmissionController {
   /// Removes an admitted connection's weight from the sum.  `params`
   /// must be the parameters its admission weighed.
   void release(const ConnectionParams& params);
+
+  /// Takes back an admission that the caller's stronger test then
+  /// refused (the planner found no schedule): the weight leaves the sum
+  /// and the request counts as a rejection.
+  void revoke(const ConnectionParams& params) {
+    release(params);
+    ++rejections_;
+  }
 
   [[nodiscard]] double u_max() const { return u_max_; }
   /// Degraded-mode capacity scaling in [0,1] (graceful degradation): a

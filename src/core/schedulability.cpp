@@ -30,10 +30,6 @@ std::int64_t SlotTiming::min_payload_bytes(const phy::RingPhy& phy) {
   return (t_minslot.ps() + byte_time.ps() - 1) / byte_time.ps();
 }
 
-bool edf_feasible(std::span<const ConnectionParams> set, double u_max) {
-  return total_utilisation(set) <= u_max;
-}
-
 double total_utilisation(std::span<const ConnectionParams> set) {
   double u = 0.0;
   for (const auto& c : set) u += c.utilisation();

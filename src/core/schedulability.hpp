@@ -21,13 +21,6 @@
 
 namespace ccredf::core {
 
-/// Bit cost of the TCMA control frames, needed to size the slot so both
-/// phases complete in time (see frames.hpp for the layouts).
-struct ControlFrameBits {
-  std::int64_t collection_bits = 0;
-  std::int64_t distribution_bits = 0;
-};
-
 class SlotTiming {
  public:
   /// `payload_bytes` is the data-packet size carried per slot; it must be
@@ -79,10 +72,6 @@ class SlotTiming {
   sim::Duration t_minslot_;
   sim::Duration t_handover_max_;
 };
-
-/// Eq. 5: EDF feasibility of a connection set under bound `u_max`.
-[[nodiscard]] bool edf_feasible(std::span<const ConnectionParams> set,
-                                double u_max);
 
 /// Total utilisation sum(e_i / P_i) of a connection set.
 [[nodiscard]] double total_utilisation(std::span<const ConnectionParams> set);

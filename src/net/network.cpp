@@ -295,17 +295,15 @@ Network::OpenResult Network::open_connection(
                 "connection: destinations must be non-empty ring nodes");
   CCREDF_EXPECT(!params.dests.contains(params.source),
                 "connection: source cannot be a destination");
-  auto decision = admission_.request(params);
-  bool planner_admit = false;
-  if (!decision.admitted) {
-    if (!plan_can_build()) return OpenResult{false, kNoConnection};
-    // Eq. 5 charges every connection e_i/P_i of per-SLOT capacity, but
-    // spatial reuse packs several segment-disjoint grants into one slot
-    // -- so the planner may still find an exact schedule past U_max.
-    // Admit tentatively; the constructive proof below decides.
-    decision = admission_.admit_unchecked(params);
-    planner_admit = true;
-  }
+  // Eq. 5 charges every connection e_i/P_i of per-SLOT capacity, but
+  // spatial reuse packs several segment-disjoint grants into one slot --
+  // so the planner may still find an exact schedule past U_max.  Such an
+  // open is admitted tentatively and the constructive proof below
+  // decides; either way it is one request to the controller.
+  const bool planner_admit = plan_can_build() && !admission_.fits(params);
+  const auto decision = planner_admit ? admission_.admit_unchecked(params)
+                                      : admission_.request(params);
+  if (!decision.admitted) return OpenResult{false, kNoConnection};
 
   const ConnectionId id = decision.id;
   ConnState& c = new_conn(id);
@@ -315,15 +313,13 @@ Network::OpenResult Network::open_connection(
   c.base = sim_.now() + timing_->slot() * params.offset_slots;
   sim_.arm(c.base, *this, id);
   rebuild_plan();
-  if (planner_admit) {
-    if (!plan_valid_) {
-      // The layout/feasibility proof failed: the Eq. 5 rejection stands.
-      sim_.disarm(*this, id);
-      c.kind = ConnState::Kind::kClosed;
-      admission_.release(c.params);
-      rebuild_plan();
-      return OpenResult{false, kNoConnection};
-    }
+  if (planner_admit && !plan_valid_) {
+    // The layout/feasibility proof failed: the Eq. 5 rejection stands.
+    sim_.disarm(*this, id);
+    c.kind = ConnState::Kind::kClosed;
+    admission_.revoke(c.params);
+    rebuild_plan();
+    return OpenResult{false, kNoConnection};
   }
   return OpenResult{true, id};
 }
@@ -630,13 +626,10 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
   }
 }
 
-void Network::collect_requests(std::vector<core::Request>& reqs) {
-  // SoA dirty tracking: only the entries the previous slot wrote need
-  // clearing (the reused vector keeps everything else idle already).
-  for (const NodeId j : requesters_) reqs[j] = core::Request{};
-  requesters_ = NodeSet{};
-  soa_.bound = NodeSet{};
-
+// Out of line on purpose: inlined into the flattened slot loop, the walk
+// slowed the loop's planned path, which never collects, by about 10%
+// (planned32, 10 of 10 alternating benchmark pairs).
+[[gnu::noinline]] void Network::collect_requests() {
   // Severed-segment truncation (PROTOCOL.md section 7.5): the collection
   // packet dies at the first severed link in collection order, so the
   // master samples (and hears) only the contiguous prefix of nodes up to
@@ -683,121 +676,118 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
       // queued -- quarantine, not arbitration, resolves its fate).
       return;
     }
-    reqs[j].priority = priority_of(m, sample);
-    reqs[j].links = soa_.bind_links[j];
-    reqs[j].dests = m.dests;
+    core::Request& rq = rec_.requests[j];
+    rq.priority = priority_of(m, sample);
+    rq.links = soa_.bind_links[j];
+    rq.dests = m.dests;
     soa_.bound.insert(j);
     requesters_.insert(j);
     ++stats_.node_requests[j];
   };
 
+  // The packet samples each node at slot_start_ + off[node], in hop
+  // order, and an event must reach every later sample and no earlier one
+  // (an event AT a sample instant precedes that sample).  So the events
+  // due inside the window split the walk into quiet hop ranges: a range
+  // runs from the first unsampled hop up to, not including, the first hop
+  // sampled at or after the next event.  No event fires between two
+  // samples of a range, and every sample and fault draw is per node, so a
+  // range is one mask pass in index order.  A slot with nothing due in
+  // its window samples the whole reach as one range.
   const sim::TimePoint last_sample = slot_start_ + last_sample_off_[master_];
-  if (fault_hook_ == nullptr && sim_.next_event_time() > last_sample) {
-    // Fast path: no event fires inside the sampling window (strict
-    // comparison -- an event AT a sample time must precede that sample)
-    // and no fault hook intercepts idle records, so only nodes with a
-    // queued message can produce a request.  Sampling order is
-    // irrelevant here: each node's sample depends only on its own
-    // offset, and no event interleaves.  Every live node's record --
-    // request or idle -- reaches the master untouched: the failed set
-    // cannot change mid-window (no event), so the heard evidence is one
-    // mask expression.  Under a severed segment the same expression is
-    // intersected with the reachable prefix (an arc mask, built only on
-    // degraded slots).
-    NodeSet reached = topo_.all_nodes();
-    if (reach + 1 < nodes()) {
-      reached = NodeSet{};
-      for (NodeId h = 0; h <= reach; ++h) {
-        reached.insert(topo_.downstream(master_, h));
+  rec_.heard = NodeSet{};
+  for (NodeId h = 0; h <= reach;) {
+    const NodeId first = topo_.downstream(master_, h);
+    sim_.run_until(slot_start_ + off[first]);
+    const sim::TimePoint next = sim_.next_event_time();
+    NodeId end = reach + 1;
+    if (next <= last_sample) {
+      end = h + 1;
+      while (end <= reach &&
+             slot_start_ + off[topo_.downstream(master_, end)] < next) {
+        ++end;
       }
     }
-    rec_.heard = reached & ~soa_.failed;
-    const NodeSet candidates = soa_.queued & ~soa_.failed & reached;
-    for (const NodeId j : candidates) {
+    // Link i leaves node i, so the range's links name its nodes.
+    const NodeId len = end - h;
+    const NodeSet range = len == nodes()
+                              ? topo_.all_nodes()
+                              : ring::links_on_path(topo_, first, len);
+    h = end;
+    // Every node live at its sampling instant writes a (possibly idle)
+    // record into the passing packet.  A fault may still destroy any of
+    // them in transit, so a hook sees every live node's record.
+    const NodeSet live = range & ~soa_.failed;
+    rec_.heard |= live;
+    const NodeSet sampled = fault_hook_ == nullptr ? live & soa_.queued : live;
+    for (const NodeId j : sampled) {
       const sim::TimePoint sample = slot_start_ + off[j];
-      const core::Message* m = nodes_[j].queues().head(sample);
-      if (m != nullptr) bind(j, *m, sample);
-    }
-    // Mirror the slow path's final run_until(sample of hop N-1).
-    sim_.advance_to(last_sample);
-    return;
-  }
-
-  rec_.heard = NodeSet{};
-  for (NodeId h = 0; h <= reach; ++h) {
-    const NodeId j = topo_.downstream(master_, h);
-    // The collection packet reaches node j after propagating h hops and
-    // being delayed in each intermediate node (t_node of Eq. 2).
-    const sim::TimePoint sample = slot_start_ + off[j];
-    sim_.run_until(sample);
-    if (soa_.failed.contains(j)) continue;
-    Node& nd = nodes_[j];
-    // The node was live at its sampling instant: it wrote a (possibly
-    // idle) record into the passing collection packet.  Faults below may
-    // still destroy it in transit.
-    rec_.heard.insert(j);
-    if (soa_.queued.contains(j)) {
-      const core::Message* m = nd.queues().head(sample);
-      if (m != nullptr) bind(j, *m, sample);
-    }
-    if (fault_hook_ == nullptr) continue;
-    using RF = FaultHook::RequestFault;
-    switch (fault_hook_->filter_request(slot_, h, j, reqs[j])) {
-      case RF::kNone:
-        break;
-      case RF::kDropped:
-        // The record died on the wire: the master sees an idle node.
-        reqs[j] = core::Request{};
-        soa_.bound.erase(j);
-        requesters_.erase(j);
-        rec_.heard.erase(j);  // no valid record arrived: unheard
-        ++stats_.faults.collection_drops;
-        ++stats_.per_node_faults[j].requests_dropped;
-        break;
-      case RF::kDetected:
-        // The master's integrity guards rejected the record; the
-        // containment action is to treat the node as idle this round
-        // (its message stays queued and re-requests next slot).
-        reqs[j] = core::Request{};
-        soa_.bound.erase(j);
-        requesters_.erase(j);
-        rec_.heard.erase(j);  // guards rejected the record: unheard
-        ++stats_.faults.collection_corruptions;
-        ++stats_.faults.collection_detected;
-        ++stats_.per_node_faults[j].requests_corrupted;
-        ++stats_.per_node_faults[j].requests_rejected;
-        break;
-      case RF::kSilent:
-        // Corruption passed the guards: arbitration acts on the mutated
-        // fields.  The binding stays -- if granted, the node transmits
-        // its real message (only the master's view was lied to).
-        requesters_.insert(j);
-        ++stats_.faults.collection_corruptions;
-        ++stats_.faults.collection_silent;
-        ++stats_.per_node_faults[j].requests_corrupted;
-        break;
-      case RF::kSpurious:
-        // Babbling node: a fabricated request with no message behind
-        // it.  If granted, the grant is wasted (execute_grants counts
-        // it) and the slot capacity is lost to the babbler.
-        soa_.bound.erase(j);
-        requesters_.insert(j);
-        ++stats_.faults.spurious_requests;
-        ++stats_.per_node_faults[j].spurious_requests;
-        break;
+      if (soa_.queued.contains(j)) {
+        const core::Message* m = nodes_[j].queues().head(sample);
+        if (m != nullptr) bind(j, *m, sample);
+      }
+      if (fault_hook_ != nullptr) apply_request_fault(j);
     }
   }
   // When the walk was truncated by a severed link the engine still burns
   // the full sampling window -- the dead packet does not shorten the
-  // slot.  A no-op for full walks (hop N-1's run_until already landed
-  // exactly here).
+  // slot.
   sim_.run_until(last_sample);
+}
+
+void Network::apply_request_fault(NodeId j) {
+  core::Request& rq = rec_.requests[j];
+  using RF = FaultHook::RequestFault;
+  switch (fault_hook_->filter_request(slot_, topo_.hops(master_, j), j, rq)) {
+    case RF::kNone:
+      break;
+    case RF::kDropped:
+      // The record died on the wire: the master sees an idle node.
+      rq = core::Request{};
+      soa_.bound.erase(j);
+      requesters_.erase(j);
+      rec_.heard.erase(j);  // no valid record arrived: unheard
+      ++stats_.faults.collection_drops;
+      ++stats_.per_node_faults[j].requests_dropped;
+      break;
+    case RF::kDetected:
+      // The master's integrity guards rejected the record; the
+      // containment action is to treat the node as idle this round
+      // (its message stays queued and re-requests next slot).
+      rq = core::Request{};
+      soa_.bound.erase(j);
+      requesters_.erase(j);
+      rec_.heard.erase(j);  // guards rejected the record: unheard
+      ++stats_.faults.collection_corruptions;
+      ++stats_.faults.collection_detected;
+      ++stats_.per_node_faults[j].requests_corrupted;
+      ++stats_.per_node_faults[j].requests_rejected;
+      break;
+    case RF::kSilent:
+      // Corruption passed the guards: arbitration acts on the mutated
+      // fields.  The binding stays -- if granted, the node transmits
+      // its real message (only the master's view was lied to).
+      requesters_.insert(j);
+      ++stats_.faults.collection_corruptions;
+      ++stats_.faults.collection_silent;
+      ++stats_.per_node_faults[j].requests_corrupted;
+      break;
+    case RF::kSpurious:
+      // Babbling node: a fabricated request with no message behind
+      // it.  If granted, the grant is wasted (execute_grants counts
+      // it) and the slot capacity is lost to the babbler.
+      soa_.bound.erase(j);
+      requesters_.insert(j);
+      ++stats_.faults.spurious_requests;
+      ++stats_.per_node_faults[j].spurious_requests;
+      break;
+  }
 }
 
 // The slot loop is the simulator's hot path: flattening inlines the phase
 // helpers it calls from this file (grant execution, plan cursor, release
-// table, collection), so the phases stay separate functions without a
-// call round trip per slot.
+// table; not collection, see collect_requests), so the phases stay
+// separate functions without a call round trip per slot.
 [[gnu::flatten]] void Network::advance(std::int64_t max_slots,
                                        sim::TimePoint horizon) {
   const sim::Duration t_slot = timing_->slot();
@@ -850,12 +840,14 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
     // already knows the outcome -- then the wire stays silent (no
     // sampling, no request records, no arbitration).  The decision
     // source is latched here: a divergence signalled later in this slot
-    // takes effect at the next slot boundary.
+    // takes effect at the next slot boundary.  Either source starts from
+    // no request and no binding; only the entries the previous slot wrote
+    // need clearing (the reused vector keeps everything else idle).
+    for (const NodeId j : requesters_) rec.requests[j] = core::Request{};
+    requesters_ = NodeSet{};
+    soa_.bound = NodeSet{};
     const bool planned = plan_engaged();
     if (planned) {
-      for (const NodeId j : requesters_) rec.requests[j] = core::Request{};
-      requesters_ = NodeSet{};
-      soa_.bound = NodeSet{};
       // No failure can have survived engagement (fail_node diverges the
       // plan), so every node evidences itself on a planned slot.
       rec.heard = topo_.all_nodes() & ~soa_.failed;
@@ -863,7 +855,7 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
       // The first slot collection decides after a plan drove: the held
       // messages join the EDF queues the collection samples.
       if (!soa_.holding.empty()) flush_held();
-      collect_requests(rec.requests);
+      collect_requests();
     }
     // The distribution packet ends with the slot.  A token loss (fault
     // injection, or the master dying at any point before the packet's
@@ -1162,7 +1154,7 @@ std::int64_t Network::skip_quiet_slots(std::int64_t max_slots,
   stats_.handover_hops.add_n(0, k);
 
   const sim::TimePoint last_end = slot_start_ + step * (k - 1) + t_slot;
-  sim_.advance_to(last_end);  // no event precedes last_end, by the bound
+  sim_.run_until(last_end);  // nothing is due by last_end, by the bound
   const SlotIndex first = slot_;
   slot_ += k;
   slot_start_ = last_end + g;

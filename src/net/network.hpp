@@ -248,9 +248,6 @@ class Network : private sim::ArrivalProcess {
     const auto it = stats_.per_connection.find(id);
     return it == stats_.per_connection.end() ? kEmpty : it->second;
   }
-  [[nodiscard]] sim::Duration slot_duration() const {
-    return timing_->slot();
-  }
   [[nodiscard]] NodeId current_master() const { return master_; }
   [[nodiscard]] SlotIndex current_slot() const { return slot_; }
 
@@ -479,7 +476,13 @@ class Network : private sim::ArrivalProcess {
   std::int64_t skip_quiet_slots(std::int64_t max_slots,
                                 sim::TimePoint horizon);
   void execute_grants(SlotRecord& rec, sim::TimePoint slot_end);
-  void collect_requests(std::vector<core::Request>& reqs);
+  /// Samples the nodes the collection packet reaches into the cleared
+  /// rec_.requests and rec_.heard; each event inside the sampling window
+  /// fires between the two samples it falls between.
+  void collect_requests();
+  /// Passes node `j`'s record through the fault hook and applies the
+  /// master's reaction to the record, its binding and rec_.heard.
+  void apply_request_fault(NodeId j);
   /// Passes the distribution packet ending this slot through the fault
   /// hook and applies the receivers' reaction to `plan` and `rec`;
   /// returns true when the outcome is a token loss.

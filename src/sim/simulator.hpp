@@ -64,13 +64,6 @@ class Simulator {
   /// Runs every pending event; returns the number run.
   std::size_t run_all();
 
-  /// Advances the clock with no event processing (used by the slot engine
-  /// for intra-slot phases; callers must have drained earlier events).
-  void advance_to(TimePoint t) {
-    CCREDF_EXPECT(t >= now_, "Simulator: clock cannot move backwards");
-    now_ = t;
-  }
-
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] TimePoint next_event_time() const {
     return queue_.next_time();

@@ -345,20 +345,15 @@ ShardMetrics run_shard_impl(const GridSpec& spec, const GridPoint& point,
   return m;
 }
 
-ShardMetrics run_shard_guarded(const GridSpec& spec, const GridPoint& point,
-                               int repetition) {
+}  // namespace
+
+ShardMetrics run_shard(const GridSpec& spec, const GridPoint& point,
+                       int repetition) {
   try {
     return run_shard_impl(spec, point, repetition);
   } catch (const std::exception&) {
     return ShardMetrics{};  // ok == false
   }
-}
-
-}  // namespace
-
-ShardMetrics run_shard(const GridSpec& spec, const GridPoint& point,
-                       int repetition) {
-  return run_shard_guarded(spec, point, repetition);
 }
 
 SweepResult run_sweep(const GridSpec& spec, const RunOptions& opts) {
@@ -386,8 +381,8 @@ SweepResult run_sweep(const GridSpec& spec, const RunOptions& opts) {
     for (;;) {
       const std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
       if (s >= shards) return;
-      shard_results[s] = run_shard_guarded(spec, points[s / reps],
-                                           static_cast<int>(s % reps));
+      shard_results[s] =
+          run_shard(spec, points[s / reps], static_cast<int>(s % reps));
     }
   };
   if (threads <= 1) {

@@ -139,17 +139,6 @@ TEST(EdfFeasibility, TotalUtilisationSums) {
   EXPECT_NEAR(total_utilisation(set), 0.25 + 0.5 + 0.25, 1e-12);
 }
 
-TEST(EdfFeasibility, Eq5AcceptsUpToBound) {
-  const std::vector<ConnectionParams> set{conn(1, 4), conn(1, 4)};
-  EXPECT_TRUE(edf_feasible(set, 0.5));
-  EXPECT_TRUE(edf_feasible(set, 0.6));
-  EXPECT_FALSE(edf_feasible(set, 0.49));
-}
-
-TEST(EdfFeasibility, EmptySetAlwaysFeasible) {
-  EXPECT_TRUE(edf_feasible({}, 0.0));
-}
-
 TEST(ConnectionParams, UtilisationAndValidation) {
   auto c = conn(2, 10);
   EXPECT_DOUBLE_EQ(c.utilisation(), 0.2);

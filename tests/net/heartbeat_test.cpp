@@ -1,7 +1,7 @@
 // SlotRecord::heard -- the free per-slot heartbeat the resilience layer
 // feeds on.  A node is heard when its (possibly idle) request record
-// validly reached the master during the collection phase; the set must
-// behave identically on the engine's fast and slow collection paths.
+// validly reached the master during the collection phase; a fault hook
+// that injects nothing must leave the set unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -107,10 +107,11 @@ TEST(Heartbeat, MasterDeadSlotVoidsAllEvidence) {
   EXPECT_EQ(recs.back().heard.mask(), expect.mask());
 }
 
-TEST(Heartbeat, FastAndSlowCollectionPathsAgree) {
-  // Attaching a do-nothing fault hook forces the slow (per-hop) path;
-  // the heard evidence must match the fast path's mask expression slot
-  // for slot, under both idle and loaded slots.
+TEST(Heartbeat, NoOpFaultHookLeavesEvidenceUnchanged) {
+  // With a hook attached, collection passes every live node's record
+  // through it, idle records included; a hook that injects nothing must
+  // leave the heard evidence as it is without one, slot for slot, under
+  // both idle and loaded slots.
   auto run = [](bool with_hook) {
     net::Network n(cfg6());
     std::optional<fault::FaultInjector> inj;

@@ -156,7 +156,7 @@ std::string run_case(Trigger trigger, bool from_event, int set,
           for (int k = 0; k < 2; ++k) {
             const NodeSet d = NodeSet::single((s + 3) % 8);
             if (trigger == Trigger::kBestEffort) {
-              (void)n.send_best_effort(s, d, 2, n.slot_duration() * 40);
+              (void)n.send_best_effort(s, d, 2, n.timing().slot() * 40);
             } else {
               (void)n.send_non_realtime(s, d, 2);
             }
@@ -183,7 +183,7 @@ std::string run_case(Trigger trigger, bool from_event, int set,
     }
   };
   if (from_event) {
-    n.sim().schedule_at(n.sim().now() + n.slot_duration(), fire);
+    n.sim().schedule_at(n.sim().now() + n.timing().slot(), fire);
   } else {
     fire();
   }

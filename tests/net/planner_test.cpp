@@ -73,6 +73,22 @@ TEST(Planner, AdmitsPastUmaxWithZeroMisses) {
   EXPECT_TRUE(n.plan_engaged());
 }
 
+TEST(Planner, EachOpenIsOneAdmissionRequest) {
+  // An open the planner admits past U_max is one request and no
+  // rejection; an open its proof refuses is one request and one.
+  Network n(cfg8());
+  for (const auto& c : past_umax_set()) {
+    ASSERT_TRUE(n.open_connection(c).admitted);
+  }
+  EXPECT_EQ(n.admission().requests_seen(), 16);
+  EXPECT_EQ(n.admission().rejections(), 0);
+  // Links 0-3 in every slot: no room beside the 1-hop streams on them.
+  EXPECT_FALSE(n.open_connection(conn(0, 4, 8, 8)).admitted);
+  EXPECT_EQ(n.admission().requests_seen(), 17);
+  EXPECT_EQ(n.admission().rejections(), 1);
+  EXPECT_TRUE(n.plan_valid());
+}
+
 TEST(Planner, OffRejectsTheSameSet) {
   Network n(cfg8(/*planner=*/false));
   int rejected = 0;

@@ -84,13 +84,6 @@ TEST(Simulator, CancelWorks) {
   EXPECT_FALSE(once.ran);
 }
 
-TEST(Simulator, AdvanceToMovesClockForwardOnly) {
-  Simulator s;
-  s.advance_to(TimePoint::origin() + 10_ns);
-  EXPECT_EQ(s.now(), TimePoint::origin() + 10_ns);
-  EXPECT_THROW(s.advance_to(TimePoint::origin() + 5_ns), ConfigError);
-}
-
 TEST(Simulator, RunAllCountsEvents) {
   Simulator s;
   for (int i = 0; i < 7; ++i) s.schedule_in(Duration::nanoseconds(i), [] {});
