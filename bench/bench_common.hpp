@@ -30,15 +30,12 @@ namespace ccredf::bench {
 // runner, the CLI and the benches).
 using Protocol = sweep::Protocol;
 
-/// A sweep-configured ring of `nodes` nodes on 10 m links.  Timing runs
-/// keep no inboxes: unbounded inboxes would dominate memory.
+/// A sweep-configured ring of `nodes` nodes on 10 m links.
 inline net::NetworkConfig make_config(NodeId nodes, Protocol proto) {
   sweep::GridPoint point;
   point.protocol = proto;
   point.nodes = nodes;
-  net::NetworkConfig cfg = sweep::make_network_config(sweep::GridSpec{}, point);
-  cfg.record_inboxes = false;
-  return cfg;
+  return sweep::make_network_config(sweep::GridSpec{}, point);
 }
 
 /// Opens every connection of a periodic set; returns how many admitted.

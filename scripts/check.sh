@@ -27,7 +27,11 @@
 # fails naming the lines where a file under src/ outside src/sim/ calls
 # schedule_at, schedule_in or schedule(: a timed action in the library
 # is a key of the sim::ArrivalProcess that owns it, so that destroying
-# the owner disarms it.
+# the owner disarms it.  Also before building, fails naming every
+# src/**/*.hpp that has no consumer: no file includes it other than the
+# header itself and its own .cpp, under src/, tools/, examples/, bench/
+# or perfbench/, or a claims test (tests/integration/*claims_test.cpp).
+# A module that only its own tests use is dead weight.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,6 +72,21 @@ if [[ -n "${CLOSURES}" ]]; then
   echo "check.sh: the library schedules closures outside src/sim/; arm a" \
        "key of the owning sim::ArrivalProcess instead:" >&2
   echo "${CLOSURES}" >&2
+  exit 1
+fi
+
+UNUSED=""
+for hdr in $(find src -name '*.hpp' | sort); do
+  users="$(grep -rlF --include='*.hpp' --include='*.cpp' \
+             "#include \"${hdr#src/}\"" src tools examples bench perfbench \
+             tests/integration/*claims_test.cpp |
+           grep -vxF -e "${hdr}" -e "${hdr%.hpp}.cpp" || true)"
+  [[ -n "${users}" ]] || UNUSED+="${hdr}"$'\n'
+done
+if [[ -n "${UNUSED}" ]]; then
+  echo "check.sh: headers under src/ that nothing outside their own tests" \
+       "includes; delete the module or give it a consumer:" >&2
+  printf '%s' "${UNUSED}" >&2
   exit 1
 fi
 

@@ -74,7 +74,6 @@ void HypercyclePlanner::add(ConnectionId id, const ConnectionParams& params,
   c.source = params.source;
   c.hops = seg.hops();
   c.links = seg.links();
-  c.dests = seg.dests();
   c.path_delay = phy_->path_delay(params.source, seg.hops());
   c.size = params.size_slots;
   c.period = params.period_slots;
@@ -228,7 +227,6 @@ bool HypercyclePlanner::layout(std::vector<Bundle>& bundles,
       g.source = c.source;
       g.hops = c.hops;
       g.links = c.links;
-      g.dests = c.dests;
       g.release_slot = ready[k].release;
       g.deadline_slots = c.deadline;
       g.path_delay = c.path_delay;

@@ -80,7 +80,6 @@ class HypercyclePlanner {
     NodeId source = kInvalidNode;
     NodeId hops = 0;
     LinkSet links;
-    NodeSet dests;
     /// True on the job's last slot (message size e_i reached).
     bool completes = false;
     std::int64_t release_slot = 0;
@@ -167,7 +166,6 @@ class HypercyclePlanner {
     NodeId source = kInvalidNode;
     NodeId hops = 0;
     LinkSet links;
-    NodeSet dests;
     sim::Duration path_delay;
     std::int64_t size = 1;
     std::int64_t period = 1;

@@ -51,6 +51,9 @@ struct Delivery {
   MessageId id = 0;
   NodeId source = kInvalidNode;
   NodeSet dests;
+  /// The destinations that received it: those not failed when the
+  /// transfer completed.  Empty when the receivers' CRC rejected it.
+  NodeSet receivers;
   TrafficClass traffic_class = TrafficClass::kBestEffort;
   ConnectionId connection = kNoConnection;
   sim::TimePoint arrival;

@@ -333,7 +333,6 @@ net::FaultHook::RequestFault FaultInjector::filter_request(
   const bool ber_active = ber_.has_value() && ber_->enabled();
   if (!targeted && !ber_active) return RequestFault::kNone;
   const std::uint64_t channel = kChanCollection + node;
-  const auto nbits = static_cast<std::size_t>(codec.request_bits());
   double p = 0.0;
   if (!targeted) {
     const phy::BitErrorModel::Exposure& e =
@@ -349,7 +348,8 @@ net::FaultHook::RequestFault FaultInjector::filter_request(
     flip_bits(enc, targeted->bits, slot, kChanTargeted + node);
   } else {
     // Same stream and length as the count: the same bits flip.
-    bits_flipped_ += ber_->corrupt(slot, channel, p, enc.bytes.data(), nbits);
+    bits_flipped_ +=
+        ber_->corrupt(slot, channel, p, enc.bytes.data(), enc.bit_count);
   }
   const auto checked = codec.decode_request_checked(enc, node);
   if (!checked.ok) return RequestFault::kDetected;

@@ -62,8 +62,8 @@ struct NetworkConfig {
 
   /// Data-channel integrity extension: every data packet carries a
   /// CRC-32 per payload slot, so receivers detect payload corruption
-  /// instead of delivering garbage.  A detected packet is dropped before
-  /// the inbox and its source is NACKed through the distribution
+  /// instead of delivering garbage.  A detected packet reaches no
+  /// receiver and its source is NACKed through the distribution
   /// packet's ack field on the next slot (requires with_acks for the
   /// NACK bits to have a wire to ride; without acks, detection still
   /// suppresses the delivery).  Off by default: the paper's data fibres
@@ -82,13 +82,6 @@ struct NetworkConfig {
   /// Idle slots-equivalents the restarter waits before declaring the
   /// token lost.
   std::int64_t recovery_timeout_slots = 4;
-
-  /// Record every delivery in the receiving node's inbox vector.  On by
-  /// default (tests and examples drain inboxes); long-running throughput
-  /// and soak experiments turn it off so steady-state slots stay
-  /// allocation-free and memory stays bounded -- NetworkStats still
-  /// sees every delivery.
-  bool record_inboxes = true;
 
   /// Slot fast-forward: when the next slots provably grant nobody and
   /// keep the master (an idle ring, or an engaged plan waiting for its

@@ -89,11 +89,7 @@ Network::Network(NetworkConfig cfg)
         phy_.get(), topo_, timing_->slot(), pcfg);
   }
 
-  nodes_.reserve(cfg_.nodes);
-  for (NodeId i = 0; i < cfg_.nodes; ++i) {
-    nodes_.emplace_back(i);
-    nodes_.back().set_inbox_recording(cfg_.record_inboxes);
-  }
+  nodes_.resize(cfg_.nodes);
   // Per-slot scratch: at most one request and one completed delivery per
   // node per slot, so this capacity is final.
   rec_.requests.assign(cfg_.nodes, core::Request{});
@@ -592,7 +588,7 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
       }
       if (fate == DataF::kDetected) {
         // The receivers' CRC-32 rejected the payload: the garbage never
-        // reaches an inbox, and the source learns through the NACK bits
+        // reaches a receiver, and the source learns through the NACK bits
         // of the next distribution packet (with_acks runs).
         ++stats_.faults.payload_detected;
         rec.corrupt_deliveries.push_back(d);
@@ -603,11 +599,8 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
       // the hazard it is.
       if (fate == DataF::kSilent) ++stats_.faults.payload_undetected;
     }
+    d.receivers = done->dests & ~soa_.failed;
     rec.deliveries.push_back(d);
-
-    for (const NodeId dst : soa_.bind_dests[g]) {
-      if (!soa_.failed.contains(dst)) nodes_[dst].deliver(d);
-    }
     const bool sched_miss = !d.met_deadline();
     // Eq. 3: the user-level bound adds the protocol latency (Eq. 4).
     const bool user_miss =
@@ -659,13 +652,12 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
     if (soa_.bind_msg[j] != m.id) {
       // New head at this node: compute its transmission geometry once.
       // Message ids are never reused and dests are immutable, so a
-      // matching bind_msg means hops/links/dests are already right
+      // matching bind_msg means hops/links/delay are already right
       // (heads typically persist several slots awaiting their grant).
       const auto seg = ring::Segment::for_transmission(topo_, j, m.dests);
       soa_.bind_msg[j] = m.id;
       soa_.bind_hops[j] = seg.hops();
       soa_.bind_links[j] = seg.links();
-      soa_.bind_dests[j] = m.dests;
       soa_.bind_conn[j] = m.connection;
       soa_.bind_delay[j] = phy_->path_delay(j, seg.hops());
     }
@@ -1341,7 +1333,6 @@ SlotPlan Network::plan_next_from_cursor() {
     soa_.bind_msg[s] = held.front().id;
     soa_.bind_hops[s] = g.hops;
     soa_.bind_links[s] = g.links;
-    soa_.bind_dests[s] = g.dests;
     soa_.bind_conn[s] = g.conn;
     soa_.bind_delay[s] = g.path_delay;
   }

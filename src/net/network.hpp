@@ -86,9 +86,9 @@ struct SlotRecord {
   std::vector<core::Delivery> deliveries;
   /// Messages whose final slot completed this slot but whose payload
   /// failed the receivers' CRC-32 (NetworkConfig::with_payload_crc):
-  /// the garbage was dropped before any inbox and the source will be
-  /// NACKed in the NEXT slot's distribution packet.  Always empty on
-  /// clean runs (no fault hook attached).
+  /// the garbage reached no receiver, and the source will be NACKed in
+  /// the NEXT slot's distribution packet.  Always empty on clean runs
+  /// (no fault hook attached).
   std::vector<core::Delivery> corrupt_deliveries;
   /// When the network runs with the reliable-service ack field
   /// (NetworkConfig::with_acks), the per-source acknowledgement bits
@@ -421,11 +421,10 @@ class Network : private sim::ArrivalProcess {
     // bind_msg doubles as a geometry memo across slots: message ids are
     // never reused and a message's destination set is immutable, so
     // while a head message waits for its grant (bind_msg unchanged) the
-    // segment computation is skipped and hops/links/dests are reused.
+    // segment computation is skipped and hops/links/delay are reused.
     std::array<MessageId, kMaxNodes> bind_msg{};
     std::array<NodeId, kMaxNodes> bind_hops{};  // to furthest destination
     std::array<LinkSet, kMaxNodes> bind_links{};
-    std::array<NodeSet, kMaxNodes> bind_dests{};
     /// Propagation to the furthest destination: a completion's delivery
     /// instant is its slot end plus this delay.
     std::array<sim::Duration, kMaxNodes> bind_delay{};

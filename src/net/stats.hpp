@@ -132,7 +132,7 @@ struct FaultStats {
   /// fibres (detected + undetected).
   std::int64_t payload_corruptions = 0;
   /// ... of which the payload CRC-32 caught at the receivers: the
-  /// garbage is dropped before any inbox and the source is NACKed.
+  /// garbage reaches no receiver and the source is NACKed.
   std::int64_t payload_detected = 0;
   /// ... of which reached the application as garbage (no payload CRC,
   /// or the 2^-32 residual that forges a valid checksum).

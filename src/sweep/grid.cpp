@@ -296,8 +296,6 @@ net::NetworkConfig make_network_config(const GridSpec& spec,
   cfg.with_payload_crc = spec.payload_crc;
   // The NACK bits ride the ack field, so the payload CRC implies acks.
   if (spec.payload_crc) cfg.with_acks = true;
-  // Long sweeps must stay allocation-free and memory-bounded.
-  cfg.record_inboxes = false;
   cfg.max_queue_messages = static_cast<std::size_t>(spec.queue_cap);
   cfg.fast_forward = spec.fast_forward;
   cfg.planner = p.planner;

@@ -4,6 +4,7 @@
 
 #include "net/network.hpp"
 #include "ring/segment.hpp"
+#include "support/delivery_log.hpp"
 
 namespace ccredf::baseline {
 namespace {
@@ -113,6 +114,7 @@ TEST(CcFpr, NetworkCountsInversions) {
 
 TEST(CcFpr, EventuallyDeliversEverything) {
   net::Network n(ccfpr_config(6));
+  DeliveryLog log(n);
   for (NodeId s = 0; s < 6; ++s) {
     n.send_best_effort(s, NodeSet::single((s + 2) % 6), 1,
                        Duration::milliseconds(5));
@@ -120,18 +122,19 @@ TEST(CcFpr, EventuallyDeliversEverything) {
   n.run_slots(60);
   std::int64_t delivered = 0;
   for (NodeId i = 0; i < 6; ++i) {
-    delivered += static_cast<std::int64_t>(n.node(i).inbox().size());
+    delivered += static_cast<std::int64_t>(log.inbox(i).size());
   }
   EXPECT_EQ(delivered, 6);
 }
 
 TEST(CcFpr, SpatialReuseStillWorks) {
   net::Network n(ccfpr_config(8));
+  DeliveryLog log(n);
   n.send_best_effort(1, NodeSet::single(2), 1, Duration::milliseconds(1));
   n.send_best_effort(5, NodeSet::single(6), 1, Duration::milliseconds(1));
   n.run_slots(6);
-  EXPECT_EQ(n.node(2).inbox().size(), 1u);
-  EXPECT_EQ(n.node(6).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(2).size(), 1u);
+  EXPECT_EQ(log.inbox(6).size(), 1u);
 }
 
 }  // namespace

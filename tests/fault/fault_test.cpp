@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "support/delivery_log.hpp"
 
 namespace ccredf::fault {
 namespace {
@@ -60,6 +61,7 @@ TEST(Fault, RecoveryGapMatchesTimeoutConfig) {
 
 TEST(Fault, TrafficSurvivesTokenLoss) {
   net::Network n(cfg6());
+  DeliveryLog log(n);
   FaultInjector inj(n);
   inj.schedule_token_loss(2);
   inj.schedule_token_loss(5);
@@ -69,13 +71,14 @@ TEST(Fault, TrafficSurvivesTokenLoss) {
   }
   n.run_slots(60);
   std::size_t delivered = 0;
-  for (NodeId i = 0; i < 6; ++i) delivered += n.node(i).inbox().size();
+  for (NodeId i = 0; i < 6; ++i) delivered += log.inbox(i).size();
   EXPECT_EQ(delivered, 6u);
   EXPECT_EQ(n.recoveries(), 2);
 }
 
 TEST(Fault, GrantsDieWithTheDistributionPacket) {
   net::Network n(cfg6());
+  DeliveryLog log(n);
   FaultInjector inj(n);
   // The collection of slot 0 arbitrates slot 1; losing slot 0's
   // distribution kills those grants.
@@ -89,7 +92,7 @@ TEST(Fault, GrantsDieWithTheDistributionPacket) {
   EXPECT_TRUE(recs[0].token_lost);
   EXPECT_TRUE(recs[1].granted.empty());
   // The message is re-requested and still delivered afterwards.
-  EXPECT_EQ(n.node(2).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(2).size(), 1u);
 }
 
 TEST(Fault, RandomTokenLossRecoversRepeatedly) {
@@ -103,26 +106,29 @@ TEST(Fault, RandomTokenLossRecoversRepeatedly) {
 
 TEST(Fault, FailedNodeDropsTrafficButRingSurvives) {
   net::Network n(cfg6());
+  DeliveryLog log(n);
   FaultInjector inj(n);
   inj.schedule_node_failure(3, sim::TimePoint::origin());
   n.send_best_effort(0, NodeSet::single(3), 1, Duration::milliseconds(5));
   n.send_best_effort(1, NodeSet::single(4), 1, Duration::milliseconds(5));
   n.run_slots(20);
-  EXPECT_EQ(n.node(3).inbox().size(), 0u);  // failed receiver drops
-  EXPECT_EQ(n.node(4).inbox().size(), 1u);  // others unaffected
+  EXPECT_EQ(log.inbox(3).size(), 0u);  // failed receiver drops
+  EXPECT_EQ(log.inbox(4).size(), 1u);  // others unaffected
 }
 
 TEST(Fault, FailedNodeDoesNotRequest) {
   net::Network n(cfg6());
+  DeliveryLog log(n);
   n.send_best_effort(2, NodeSet::single(4), 1, Duration::milliseconds(5));
   n.fail_node(2);  // queue cleared, node silent
   n.run_slots(10);
-  EXPECT_EQ(n.node(4).inbox().size(), 0u);
+  EXPECT_EQ(log.inbox(4).size(), 0u);
   EXPECT_EQ(n.stats().busy_slots, 0);
 }
 
 TEST(Fault, MasterFailureRecoversViaTimeout) {
   net::Network n(cfg6());
+  DeliveryLog log(n);
   FaultInjector inj(n);
   // Node 0 is the initial master; kill it mid-run.
   inj.schedule_node_failure(
@@ -130,11 +136,12 @@ TEST(Fault, MasterFailureRecoversViaTimeout) {
   n.send_best_effort(3, NodeSet::single(5), 1, Duration::milliseconds(50));
   n.run_slots(20);
   EXPECT_GE(n.recoveries(), 1);
-  EXPECT_EQ(n.node(5).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(5).size(), 1u);
 }
 
 TEST(Fault, RestoredNodeWorksAgain) {
   net::Network n(cfg6());
+  DeliveryLog log(n);
   FaultInjector inj(n);
   inj.schedule_node_failure(2, sim::TimePoint::origin());
   inj.schedule_node_restore(
@@ -142,7 +149,7 @@ TEST(Fault, RestoredNodeWorksAgain) {
   n.run_slots(25);
   n.send_best_effort(2, NodeSet::single(5), 1, Duration::milliseconds(5));
   n.run_slots(10);
-  EXPECT_EQ(n.node(5).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(5).size(), 1u);
 }
 
 TEST(Fault, InjectorValidatesProbability) {
@@ -176,6 +183,7 @@ TEST(Fault, AllNodesFailedLeavesRingDarkWithoutPhantomRecoveries) {
   // ring-dark -- not as a recovery, which would poison the recovery-cost
   // statistics with events that never happened.
   net::Network n(cfg6());
+  DeliveryLog log(n);
   FaultInjector inj(n);
   for (NodeId i = 0; i < 6; ++i) {
     inj.schedule_node_failure(i, sim::TimePoint::origin());
@@ -195,7 +203,7 @@ TEST(Fault, AllNodesFailedLeavesRingDarkWithoutPhantomRecoveries) {
   EXPECT_GE(n.recoveries(), 1);
   n.send_best_effort(3, NodeSet::single(4), 1, Duration::milliseconds(5));
   n.run_slots(10);
-  EXPECT_EQ(n.node(4).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(4).size(), 1u);
 }
 
 TEST(Fault, MasterRestoredMidRecoveryYieldsOneClockMaster) {
@@ -206,6 +214,7 @@ TEST(Fault, MasterRestoredMidRecoveryYieldsOneClockMaster) {
   net::NetworkConfig cfg = cfg6();
   cfg.designated_restarter = 2;
   net::Network n(cfg);
+  DeliveryLog log(n);
   FaultInjector inj(n);
   inj.schedule_node_failure(
       0, sim::TimePoint::origin() + n.timing().slot() / 2);
@@ -235,7 +244,7 @@ TEST(Fault, MasterRestoredMidRecoveryYieldsOneClockMaster) {
   }
   n.send_best_effort(0, NodeSet::single(3), 1, Duration::milliseconds(5));
   n.run_slots(10);
-  EXPECT_EQ(n.node(3).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(3).size(), 1u);
 }
 
 // -- satellite: node-restore paths ---------------------------------------
@@ -244,6 +253,7 @@ TEST(Fault, RestoredMasterAtFailureTimeWorksAgain) {
   // Node 0 is the initial master; killing it breaks the clock, and a
   // restore must bring it back as an ordinary participant.
   net::Network n(cfg6());
+  DeliveryLog log(n);
   FaultInjector inj(n);
   inj.schedule_node_failure(
       0, sim::TimePoint::origin() + n.timing().slot() / 2);
@@ -253,7 +263,7 @@ TEST(Fault, RestoredMasterAtFailureTimeWorksAgain) {
   EXPECT_GE(n.recoveries(), 1);
   n.send_best_effort(0, NodeSet::single(3), 1, Duration::milliseconds(5));
   n.run_slots(10);
-  EXPECT_EQ(n.node(3).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(3).size(), 1u);
 }
 
 TEST(Fault, FailedRestarterDeputizesThenResumesAfterRestore) {
@@ -295,6 +305,7 @@ net::NetworkConfig cfg6_crc() {
 
 TEST(Fault, CollectionCorruptionIsDetectedWithCrcAndMessageSurvives) {
   net::Network n(cfg6_crc());
+  DeliveryLog log(n);
   FaultInjector inj(n);
   for (SlotIndex s = 0; s < 5; ++s) {
     inj.schedule_collection_corruption(s, 1);
@@ -309,7 +320,7 @@ TEST(Fault, CollectionCorruptionIsDetectedWithCrcAndMessageSurvives) {
   EXPECT_EQ(n.stats().per_node_faults[1].requests_rejected, 5);
   EXPECT_GT(inj.bits_flipped(), 0);
   // Containment, not loss: the rejected node re-requests and delivers.
-  EXPECT_EQ(n.node(4).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(4).size(), 1u);
 }
 
 TEST(Fault, PriorityFieldCorruptionNeverMisarbitratesWithCrc) {
@@ -359,13 +370,14 @@ TEST(Fault, WithoutCrcSomeCorruptionSlipsThroughTheGuards) {
 
 TEST(Fault, CollectionDropDelaysButDeliversMessage) {
   net::Network n(cfg6());
+  DeliveryLog log(n);
   FaultInjector inj(n);
   inj.schedule_collection_drop(0, 4);
   n.send_best_effort(4, NodeSet::single(1), 1, Duration::milliseconds(50));
   n.run_slots(10);
   EXPECT_EQ(n.stats().faults.collection_drops, 1);
   EXPECT_EQ(n.stats().per_node_faults[4].requests_dropped, 1);
-  EXPECT_EQ(n.node(1).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(1).size(), 1u);
 }
 
 TEST(Fault, DistributionCorruptionDetectedTriggersRecovery) {
@@ -432,7 +444,9 @@ TEST(Fault, IdleInjectorLeavesTheNetworkUntouched) {
   // An attached hook with nothing configured must not perturb the run:
   // the fault counters stay zero and traffic behaves as without it.
   net::Network clean(cfg6());
+  DeliveryLog clean_log(clean);
   net::Network hooked(cfg6());
+  DeliveryLog hooked_log(hooked);
   FaultInjector inj(hooked, /*seed=*/9);
   for (net::Network* n : {&clean, &hooked}) {
     for (NodeId s = 0; s < 6; ++s) {
@@ -446,7 +460,7 @@ TEST(Fault, IdleInjectorLeavesTheNetworkUntouched) {
   EXPECT_EQ(hooked.stats().faults.silent(), 0);
   EXPECT_EQ(hooked.stats().faults.token_losses, 0);
   for (NodeId i = 0; i < 6; ++i) {
-    EXPECT_EQ(hooked.node(i).inbox().size(), clean.node(i).inbox().size());
+    EXPECT_EQ(hooked_log.inbox(i).size(), clean_log.inbox(i).size());
   }
   EXPECT_EQ(hooked.stats().busy_slots, clean.stats().busy_slots);
 }
@@ -501,6 +515,7 @@ net::NetworkConfig cfg6_payload_crc() {
 
 TEST(Fault, PayloadCorruptionDetectedWithPayloadCrc) {
   net::Network n(cfg6_payload_crc());
+  DeliveryLog log(n);
   FaultInjector inj(n);
   for (SlotIndex s = 0; s < 6; ++s) inj.schedule_payload_corruption(s, 1);
   n.send_best_effort(1, NodeSet::single(4), 1, Duration::milliseconds(50));
@@ -515,11 +530,12 @@ TEST(Fault, PayloadCorruptionDetectedWithPayloadCrc) {
   EXPECT_EQ(inj.bits_flipped(), 0);  // control channel untouched
   // The receivers drop the garbage; the engine itself never retries
   // (end-to-end repair is the ReliableChannel's job).
-  EXPECT_EQ(n.node(4).inbox().size(), 0u);
+  EXPECT_EQ(log.inbox(4).size(), 0u);
 }
 
 TEST(Fault, PayloadCorruptionSilentWithoutPayloadCrc) {
   net::Network n(cfg6());
+  DeliveryLog log(n);
   FaultInjector inj(n);
   for (SlotIndex s = 0; s < 6; ++s) inj.schedule_payload_corruption(s, 1);
   n.send_best_effort(1, NodeSet::single(4), 1, Duration::milliseconds(50));
@@ -531,7 +547,7 @@ TEST(Fault, PayloadCorruptionSilentWithoutPayloadCrc) {
   EXPECT_EQ(f.payload_nacks, 0);
   EXPECT_GE(f.silent(), 1);
   // The corrupted payload reaches the application as garbage.
-  EXPECT_EQ(n.node(4).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(4).size(), 1u);
 }
 
 TEST(Fault, DataBerRunIsDeterministicAcrossIdenticalNetworks) {

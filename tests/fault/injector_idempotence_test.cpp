@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
+#include "support/delivery_log.hpp"
 
 namespace ccredf::fault {
 namespace {
@@ -55,10 +56,11 @@ TEST(InjectorIdempotence, FailRestoreFailCyclesCleanly) {
 
 TEST(InjectorIdempotence, RestoreOfHealthyDoesNotDropQueuedTraffic) {
   net::Network n(cfg6());
+  DeliveryLog log(n);
   n.send_best_effort(0, NodeSet::single(2), 1, Duration::milliseconds(50));
   EXPECT_FALSE(n.restore_node(0));  // must NOT clear node 0's queue
   n.run_slots(10);
-  EXPECT_EQ(n.node(2).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(2).size(), 1u);
 }
 
 TEST(InjectorIdempotence, DoubleFailDoesNotResetState) {

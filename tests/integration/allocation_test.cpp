@@ -90,7 +90,6 @@ TEST(Allocation, SteadyStateSlotsAreAllocationFree) {
     SCOPED_TRACE(leg.name);
     net::NetworkConfig cfg;
     cfg.nodes = 16;
-    cfg.record_inboxes = false;  // inboxes grow forever by design
     cfg.planner = leg.planner;
     if (leg.generator) cfg.max_queue_messages = 32;
     net::Network n(cfg);

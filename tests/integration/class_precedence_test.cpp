@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
+#include "support/delivery_log.hpp"
 #include "workload/poisson.hpp"
 
 namespace ccredf {
@@ -41,15 +42,16 @@ TEST(ClassPrecedence, NrtStarvesUnderBeLoadAndRecovers) {
 
 TEST(ClassPrecedence, BeYieldsToRtAtItsOwnNode) {
   Network n(cfg8());
+  DeliveryLog log(n);
   // Queue BE first, then RT at the same node: RT must leave first even
   // though BE is older and has the earlier deadline.
   n.send_best_effort(2, NodeSet::single(5), 1, Duration::microseconds(30));
   n.send(2, NodeSet::single(6), TrafficClass::kRealTime, 1,
          Duration::milliseconds(5));
   n.run_slots(6);
-  ASSERT_EQ(n.node(5).inbox().size(), 1u);
-  ASSERT_EQ(n.node(6).inbox().size(), 1u);
-  EXPECT_LT(n.node(6).inbox()[0].completed, n.node(5).inbox()[0].completed);
+  ASSERT_EQ(log.inbox(5).size(), 1u);
+  ASSERT_EQ(log.inbox(6).size(), 1u);
+  EXPECT_LT(log.inbox(6)[0].completed, log.inbox(5)[0].completed);
 }
 
 TEST(ClassPrecedence, RtFromOneNodeBeatsBeFromAll) {
@@ -76,6 +78,7 @@ TEST(ClassPrecedence, SpatialReuseLetsBeRideAlongsideRt) {
   // and may be transmitted simultaneously as a logical real-time
   // connection message".
   Network n(cfg8());
+  DeliveryLog log(n);
   n.send(0, NodeSet::single(2), TrafficClass::kRealTime, 1,
          Duration::milliseconds(1));                        // links 0,1
   n.send_best_effort(4, NodeSet::single(6), 1,
@@ -86,8 +89,8 @@ TEST(ClassPrecedence, SpatialReuseLetsBeRideAlongsideRt) {
   });
   n.run_slots(5);
   EXPECT_EQ(shared_slots, 1);
-  EXPECT_EQ(n.node(2).inbox().size(), 1u);
-  EXPECT_EQ(n.node(6).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(2).size(), 1u);
+  EXPECT_EQ(log.inbox(6).size(), 1u);
 }
 
 TEST(ClassPrecedence, NodeRequestsBeOnlyWithNoRtQueued) {

@@ -39,14 +39,12 @@ using sim::TimePoint;
 using sweep::Protocol;
 
 /// The experiment ring: `nodes` nodes on 10 m links, configured the way
-/// the sweep configures a cell, with inboxes recorded.
+/// the sweep configures a cell.
 NetworkConfig ring_config(NodeId nodes, Protocol proto = Protocol::kCcrEdf) {
   sweep::GridPoint point;
   point.protocol = proto;
   point.nodes = nodes;
-  NetworkConfig cfg = sweep::make_network_config(sweep::GridSpec{}, point);
-  cfg.record_inboxes = true;
-  return cfg;
+  return sweep::make_network_config(sweep::GridSpec{}, point);
 }
 
 TimePoint after_extents(const Network& n, std::int64_t extents) {
@@ -470,7 +468,6 @@ TEST(ExtensionClaims, E22ChurnHurtsOnlyTrafficThatTouchesIt) {
   constexpr std::int64_t kHorizon = 10'000'000;
   constexpr std::int64_t kWindow = 16;
   NetworkConfig cfg = ring_config(8);
-  cfg.record_inboxes = false;  // the long horizon stays memory-bounded
   Network n(cfg);
   NodeSet churned;
   churned.insert(6);
@@ -560,7 +557,6 @@ TEST(ExtensionClaims, E23aPlannerAdmitsPastUmaxWithZeroMisses) {
     SCOPED_TRACE(std::string(sweep::protocol_name(cell.proto)) +
                  (cell.planner ? ", planner on" : ", planner off"));
     NetworkConfig cfg = ring_config(kNodes, cell.proto);
-    cfg.record_inboxes = false;
     cfg.planner = cell.planner;
     Network n(cfg);
     const double u_max = n.admission().u_max();
@@ -603,7 +599,6 @@ TEST(ExtensionClaims, E24aCutHurtsOnlyTrafficThatCrossesIt) {
   constexpr std::int64_t kHorizon = 2'000'000;
   constexpr LinkId kCutLink = 7;  // anchor = node 0, the restarter
   NetworkConfig cfg = ring_config(8);
-  cfg.record_inboxes = false;
   Network n(cfg);
   fault::FaultInjector injector(n);
   services::ResilienceMonitor monitor(n, services::ResilienceParams{});

@@ -34,7 +34,6 @@ RunResult run_periodic(NodeId nodes, double load, bool fast_forward,
                        std::int64_t slots) {
   net::NetworkConfig cfg;
   cfg.nodes = nodes;
-  cfg.record_inboxes = false;
   cfg.fast_forward = fast_forward;
   net::Network n(cfg);
   workload::PeriodicSetParams wp;
@@ -104,7 +103,6 @@ TEST(FastForward, ArmedFaultAxesStayByteIdentical) {
   auto run = [](bool fast_forward) {
     net::NetworkConfig cfg;
     cfg.nodes = 16;
-    cfg.record_inboxes = false;
     cfg.with_frame_crc = true;
     cfg.with_payload_crc = true;
     cfg.with_acks = true;

@@ -26,6 +26,7 @@
 #include "services/reduce.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
+#include "support/delivery_log.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/runner.hpp"
 #include "workload/periodic.hpp"
@@ -43,7 +44,7 @@ using sweep::Metric;
 using sweep::Protocol;
 
 /// The experiment ring: `nodes` nodes on equal `link_m` links, configured
-/// the way the sweep configures a cell, with inboxes recorded.
+/// the way the sweep configures a cell.
 NetworkConfig ring_config(NodeId nodes, Protocol proto = Protocol::kCcrEdf,
                           double link_m = 10.0) {
   sweep::GridSpec spec;
@@ -51,9 +52,7 @@ NetworkConfig ring_config(NodeId nodes, Protocol proto = Protocol::kCcrEdf,
   sweep::GridPoint point;
   point.protocol = proto;
   point.nodes = nodes;
-  NetworkConfig cfg = sweep::make_network_config(spec, point);
-  cfg.record_inboxes = true;
-  return cfg;
+  return sweep::make_network_config(spec, point);
 }
 
 TimePoint after_slots(const Network& n, std::int64_t slots) {
@@ -121,6 +120,7 @@ TEST(PaperClaims, E1bFig2ReuseNeedsTheBreakLinkOutsideBothSegments) {
   };
   const auto run = [&](Duration multicast_deadline) {
     Network n(ring_config(5));
+    DeliveryLog log(n);
     n.send_best_effort(0, NodeSet::single(2), 1, Duration::milliseconds(1));
     n.send(3, multicast, TrafficClass::kBestEffort, 1, multicast_deadline);
     Outcome out;
@@ -129,9 +129,9 @@ TEST(PaperClaims, E1bFig2ReuseNeedsTheBreakLinkOutsideBothSegments) {
       out.granted.push_back(rec.granted);
     });
     n.run_slots(4);
-    EXPECT_EQ(n.node(2).inbox().size(), 1u);
-    EXPECT_EQ(n.node(4).inbox().size(), 1u);
-    EXPECT_EQ(n.node(0).inbox().size(), 1u);
+    EXPECT_EQ(log.inbox(2).size(), 1u);
+    EXPECT_EQ(log.inbox(4).size(), 1u);
+    EXPECT_EQ(log.inbox(0).size(), 1u);
     out.reuse_slots = n.stats().reuse_slots;
     return out;
   };
@@ -559,11 +559,12 @@ TEST(PaperClaims, E7OvershootStaysWithinTheEq4Bound) {
 // transmit) plus hand-over and propagation -- the Fig. 3 pipeline.
 TEST(PaperClaims, E7bIdleRingLatencyIsTheTwoSlotPipeline) {
   Network n(ring_config(8));
+  DeliveryLog log(n);
   n.send_best_effort(0, NodeSet::single(4), 1, Duration::seconds(1));
   n.run_slots(5);
-  ASSERT_EQ(n.node(4).inbox().size(), 1u);
+  ASSERT_EQ(log.inbox(4).size(), 1u);
   EXPECT_EQ(n.timing().slot(), Duration::picoseconds(892'500));
-  EXPECT_EQ(n.node(4).inbox()[0].latency(), Duration::nanoseconds(1990));
+  EXPECT_EQ(log.inbox(4)[0].latency(), Duration::nanoseconds(1990));
 }
 
 // -- E8: priority mapping (Table 1, §3) -----------------------------------

@@ -9,6 +9,7 @@
 
 #include "core/schedulability.hpp"
 #include "net/network.hpp"
+#include "support/delivery_log.hpp"
 #include "workload/periodic.hpp"
 #include "workload/poisson.hpp"
 
@@ -169,6 +170,7 @@ TEST_P(ConservationProperties, EveryGrantIsAccounted) {
   NetworkConfig cfg;
   cfg.nodes = 8;
   Network n(cfg);
+  DeliveryLog log(n);
   workload::PoissonParams pp;
   // Keep demand well below capacity (~0.7 slots of demand per slot for
   // uniform destinations) so queues provably drain before the check.
@@ -183,7 +185,7 @@ TEST_P(ConservationProperties, EveryGrantIsAccounted) {
   // Slot conservation: delivered sizes sum to executed grants.
   std::int64_t delivered_slots = 0;
   for (NodeId i = 0; i < 8; ++i) {
-    for (const auto& d : n.node(i).inbox()) {
+    for (const auto& d : log.inbox(i)) {
       if (d.dests.lowest() == i) delivered_slots += d.size_slots;
     }
   }

@@ -7,6 +7,7 @@
 #include "baseline/ccfpr.hpp"
 #include "baseline/tdma.hpp"
 #include "net/network.hpp"
+#include "support/delivery_log.hpp"
 #include "workload/periodic.hpp"
 
 namespace ccredf {
@@ -79,12 +80,13 @@ TEST(ProtocolComparison, AllProtocolsDrainFeasibleQueues) {
     if (proto == 1) cfg.protocol_factory = baseline::ccfpr_factory();
     if (proto == 2) cfg.protocol_factory = baseline::tdma_factory();
     Network n(cfg);
+    DeliveryLog log(n);
     for (NodeId s = 0; s < 6; ++s) {
       n.send_non_realtime(s, NodeSet::single((s + 2) % 6), 2);
     }
     n.run_slots(100);
     std::size_t delivered = 0;
-    for (NodeId i = 0; i < 6; ++i) delivered += n.node(i).inbox().size();
+    for (NodeId i = 0; i < 6; ++i) delivered += log.inbox(i).size();
     EXPECT_EQ(delivered, 6u) << "protocol " << proto;
   }
 }

@@ -1,4 +1,4 @@
-// Long-horizon soak: 50k slots of mixed periodic + Poisson + bursty
+// Long-horizon soak: 50k slots of mixed periodic RT + Poisson BE and NRT
 // traffic with sporadic token losses and one node failing and returning.
 // Every protocol invariant must hold across the whole run, and the
 // accounting must stay self-consistent.
@@ -6,7 +6,6 @@
 
 #include "fault/injector.hpp"
 #include "net/network.hpp"
-#include "workload/burst.hpp"
 #include "workload/periodic.hpp"
 #include "workload/poisson.hpp"
 
@@ -46,7 +45,7 @@ TEST(Soak, FiftyThousandSlotsOfEverything) {
     prev = rec;
   });
 
-  // Load: periodic RT (admitted), Poisson BE, bursts, NRT background.
+  // Load: periodic RT (admitted), Poisson BE, NRT background.
   workload::PeriodicSetParams wp;
   wp.nodes = 16;
   wp.connections = 20;
@@ -65,9 +64,6 @@ TEST(Soak, FiftyThousandSlotsOfEverything) {
   pp.rate_per_node = 0.05;
   pp.seed = 2;
   workload::PoissonGenerator poisson(n, pp, horizon);
-  workload::BurstParams bp;
-  bp.seed = 3;
-  workload::BurstGenerator bursts(n, bp, horizon);
   workload::PoissonParams np;
   np.rate_per_node = 0.01;
   np.traffic_class = TrafficClass::kNonRealTime;

@@ -6,6 +6,7 @@
 
 #include "fault/injector.hpp"
 #include "net/network.hpp"
+#include "support/delivery_log.hpp"
 #include "workload/poisson.hpp"
 
 namespace ccredf::net {
@@ -78,6 +79,7 @@ NetworkConfig cfg6_nacks() {
 
 TEST(NackField, CorruptPayloadNacksTheSourceNextSlot) {
   Network n(cfg6_nacks());
+  DeliveryLog log(n);
   fault::FaultInjector inj(n);
   // Whichever slot the transfer lands in, its payload is corrupted.
   for (SlotIndex s = 0; s < 6; ++s) inj.schedule_payload_corruption(s, 2);
@@ -99,7 +101,7 @@ TEST(NackField, CorruptPayloadNacksTheSourceNextSlot) {
   }
   EXPECT_TRUE(found);
   // The CRC rejected the garbage before any inbox saw it.
-  EXPECT_EQ(n.node(4).inbox().size(), 0u);
+  EXPECT_EQ(log.inbox(4).size(), 0u);
   EXPECT_EQ(n.stats().faults.payload_detected, 1);
   EXPECT_EQ(n.stats().faults.payload_nacks, 1);
 }
@@ -109,6 +111,7 @@ TEST(NackField, WithoutPayloadCrcCorruptionIsSilentAndUnNacked) {
   cfg.nodes = 6;
   cfg.with_acks = true;  // acks on, payload CRC off: no NACK wire
   Network n(cfg);
+  DeliveryLog log(n);
   fault::FaultInjector inj(n);
   for (SlotIndex s = 0; s < 6; ++s) inj.schedule_payload_corruption(s, 2);
   std::vector<SlotRecord> recs;
@@ -117,7 +120,7 @@ TEST(NackField, WithoutPayloadCrcCorruptionIsSilentAndUnNacked) {
   n.run_slots(6);
   for (const auto& r : recs) EXPECT_TRUE(r.nacks.empty());
   // The garbage reaches the application undetected.
-  EXPECT_EQ(n.node(4).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(4).size(), 1u);
   EXPECT_EQ(n.stats().faults.payload_undetected, 1);
   EXPECT_EQ(n.stats().faults.payload_nacks, 0);
 }

@@ -79,7 +79,6 @@ void run_sequence(std::uint64_t seed, Tally& tally) {
   NetworkConfig cfg;
   cfg.nodes = kNodes;
   cfg.planner = true;
-  cfg.record_inboxes = false;
   Network n(cfg);
   sim::Rng rng(seed);
   std::vector<ConnectionId> open;

@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "net/network.hpp"
+#include "support/delivery_log.hpp"
 
 namespace ccredf::net {
 namespace {
@@ -108,6 +109,7 @@ TEST(Connection, OffsetDelaysFirstRelease) {
 
 TEST(Connection, MulticastConnection) {
   Network n(cfg8());
+  DeliveryLog log(n);
   ConnectionParams c;
   c.source = 1;
   c.dests.insert(3);
@@ -116,16 +118,17 @@ TEST(Connection, MulticastConnection) {
   c.period_slots = 20;
   ASSERT_TRUE(n.open_connection(c).admitted);
   n.run_slots(30);
-  EXPECT_GE(n.node(3).inbox().size(), 1u);
-  EXPECT_GE(n.node(5).inbox().size(), 1u);
+  EXPECT_GE(log.inbox(3).size(), 1u);
+  EXPECT_GE(log.inbox(5).size(), 1u);
 }
 
 TEST(Connection, ReleasesArriveInOrder) {
   Network n(cfg8());
+  DeliveryLog log(n);
   const auto r = n.open_connection(conn(0, 3, 1, 8));
   ASSERT_TRUE(r.admitted);
   n.run_slots(200);
-  const auto& inbox = n.node(3).inbox();
+  const auto& inbox = log.inbox(3);
   ASSERT_GT(inbox.size(), 5u);
   for (std::size_t i = 1; i < inbox.size(); ++i) {
     EXPECT_LE(inbox[i - 1].completed, inbox[i].completed);

@@ -20,6 +20,7 @@
 #include "services/reliable.hpp"
 #include "services/resilience.hpp"
 #include "sim/rng.hpp"
+#include "support/delivery_log.hpp"
 #include "support/stats_fingerprint.hpp"
 #include "workload/periodic.hpp"
 
@@ -32,7 +33,6 @@ using sim::TimePoint;
 net::NetworkConfig cfg8(bool fast_forward = true) {
   net::NetworkConfig cfg;
   cfg.nodes = 8;
-  cfg.record_inboxes = false;
   cfg.fast_forward = fast_forward;
   cfg.with_acks = true;
   cfg.with_payload_crc = true;
@@ -121,6 +121,8 @@ TEST(SlotListener, IdleServicesKeepTheFastForward) {
          return std::make_shared<services::ResilienceMonitor>(
              n, services::ResilienceParams{});
        }},
+      {"delivery log",
+       [](net::Network& n) { return std::make_shared<DeliveryLog>(n); }},
   };
   for (const auto& [name, make] : idle) {
     SCOPED_TRACE(name);
@@ -326,6 +328,13 @@ TEST(SlotListener, DestroyedListenersAreDetached) {
        [](net::Network& n) {
          return std::make_shared<services::ResilienceMonitor>(
              n, services::ResilienceParams{});
+       }},
+      {"delivery log",
+       [](net::Network& n) {
+         // Six slots long, so it completes after the reset.
+         n.send_best_effort(0, NodeSet::single(3), 6,
+                            Duration::milliseconds(1));
+         return std::make_shared<DeliveryLog>(n);
        }},
       {"injector",
        [](net::Network& n) {

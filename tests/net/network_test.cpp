@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "support/delivery_log.hpp"
 
 namespace ccredf::net {
 namespace {
@@ -52,10 +53,11 @@ TEST(Network, IdleRingAdvancesTime) {
 
 TEST(Network, SingleMessageDelivered) {
   Network n(small_config());
+  DeliveryLog log(n);
   n.send_best_effort(0, NodeSet::single(2), 1, Duration::milliseconds(1));
   n.run_slots(5);
-  ASSERT_EQ(n.node(2).inbox().size(), 1u);
-  const auto& d = n.node(2).inbox()[0];
+  ASSERT_EQ(log.inbox(2).size(), 1u);
+  const auto& d = log.inbox(2)[0];
   EXPECT_EQ(d.source, 0u);
   EXPECT_TRUE(d.met_deadline());
   EXPECT_EQ(n.stats().cls(TrafficClass::kBestEffort).delivered, 1);
@@ -65,10 +67,11 @@ TEST(Network, DeliveryLatencyWithinPipelineBound) {
   // A message on an idle ring is sampled in the current slot, granted for
   // the next, delivered at its end: latency <= 2 slots + gaps + prop.
   Network n(small_config());
+  DeliveryLog log(n);
   n.send_best_effort(0, NodeSet::single(3), 1, Duration::milliseconds(10));
   n.run_slots(5);
-  ASSERT_EQ(n.node(3).inbox().size(), 1u);
-  const auto lat = n.node(3).inbox()[0].latency();
+  ASSERT_EQ(log.inbox(3).size(), 1u);
+  const auto lat = log.inbox(3)[0].latency();
   EXPECT_LE(lat, n.timing().worst_case_latency() + n.phy().ring_delay());
 }
 
@@ -87,42 +90,74 @@ TEST(Network, SenderBecomesMaster) {
 
 TEST(Network, MultiSlotMessageUsesMultipleSlots) {
   Network n(small_config());
+  DeliveryLog log(n);
   n.send_best_effort(0, NodeSet::single(2), 4, Duration::milliseconds(10));
   n.run_slots(10);
-  ASSERT_EQ(n.node(2).inbox().size(), 1u);
-  EXPECT_EQ(n.node(2).inbox()[0].size_slots, 4);
+  ASSERT_EQ(log.inbox(2).size(), 1u);
+  EXPECT_EQ(log.inbox(2)[0].size_slots, 4);
   EXPECT_EQ(n.stats().total_grants, 4);
   EXPECT_EQ(n.stats().busy_slots, 4);
 }
 
 TEST(Network, MulticastReachesAllDestinations) {
   Network n(small_config());
+  DeliveryLog log(n);
   NodeSet dests;
   dests.insert(2);
   dests.insert(4);
   n.send(1, dests, TrafficClass::kBestEffort, 1, Duration::milliseconds(1));
   n.run_slots(5);
-  EXPECT_EQ(n.node(2).inbox().size(), 1u);
-  EXPECT_EQ(n.node(4).inbox().size(), 1u);
-  EXPECT_EQ(n.node(3).inbox().size(), 0u);  // passed through, not a dest
+  EXPECT_EQ(log.inbox(2).size(), 1u);
+  EXPECT_EQ(log.inbox(4).size(), 1u);
+  EXPECT_EQ(log.inbox(3).size(), 0u);  // passed through, not a dest
+}
+
+TEST(Network, DeliveryNamesItsReceivers) {
+  // A failed destination receives nothing; the transfer still completes
+  // once, for the destinations that are up.
+  Network n(small_config());
+  std::vector<core::Delivery> deliveries;
+  n.add_slot_observer([&deliveries](const SlotRecord& rec) {
+    deliveries.insert(deliveries.end(), rec.deliveries.begin(),
+                      rec.deliveries.end());
+  });
+  NodeSet dests;
+  dests.insert(2);
+  dests.insert(4);
+  ASSERT_TRUE(n.fail_node(4));
+  n.send(0, dests, TrafficClass::kBestEffort, 1, Duration::milliseconds(1));
+  n.run_slots(5);
+  ASSERT_EQ(deliveries.size(), 1u);
+  EXPECT_EQ(deliveries[0].dests.mask(), dests.mask());
+  EXPECT_EQ(deliveries[0].receivers.mask(), NodeSet::single(2).mask());
+  EXPECT_EQ(n.stats().cls(TrafficClass::kBestEffort).delivered, 1);
+
+  ASSERT_TRUE(n.restore_node(4));
+  n.send(0, dests, TrafficClass::kBestEffort, 1, Duration::milliseconds(1));
+  n.run_slots(5);
+  ASSERT_EQ(deliveries.size(), 2u);
+  EXPECT_EQ(deliveries[1].receivers.mask(), dests.mask());
+  EXPECT_EQ(n.stats().cls(TrafficClass::kBestEffort).delivered, 2);
 }
 
 TEST(Network, BroadcastReachesEveryoneButSource) {
   Network n(small_config());
+  DeliveryLog log(n);
   n.send(2, n.broadcast_dests(2), TrafficClass::kBestEffort, 1,
          Duration::milliseconds(1));
   n.run_slots(5);
   for (NodeId i = 0; i < n.nodes(); ++i) {
-    EXPECT_EQ(n.node(i).inbox().size(), i == 2 ? 0u : 1u) << "node " << i;
+    EXPECT_EQ(log.inbox(i).size(), i == 2 ? 0u : 1u) << "node " << i;
   }
 }
 
 TEST(Network, NonRealTimeEventuallyDelivered) {
   Network n(small_config());
+  DeliveryLog log(n);
   n.send_non_realtime(0, NodeSet::single(5), 2);
   n.run_slots(8);
-  ASSERT_EQ(n.node(5).inbox().size(), 1u);
-  EXPECT_TRUE(n.node(5).inbox()[0].met_deadline());  // infinite deadline
+  ASSERT_EQ(log.inbox(5).size(), 1u);
+  EXPECT_TRUE(log.inbox(5)[0].met_deadline());  // infinite deadline
 }
 
 TEST(Network, RtOutranksBestEffortAcrossNodes) {
@@ -159,12 +194,13 @@ TEST(Network, NoPriorityInversionEver) {
 
 TEST(Network, SpatialReuseCarriesMultipleMessages) {
   Network n(small_config(8));
+  DeliveryLog log(n);
   // Two disjoint short segments: 0->1 and 4->5.
   n.send_best_effort(0, NodeSet::single(1), 1, Duration::milliseconds(1));
   n.send_best_effort(4, NodeSet::single(5), 1, Duration::milliseconds(1));
   n.run_slots(4);
-  EXPECT_EQ(n.node(1).inbox().size(), 1u);
-  EXPECT_EQ(n.node(5).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(1).size(), 1u);
+  EXPECT_EQ(log.inbox(5).size(), 1u);
   EXPECT_GE(n.stats().reuse_slots, 1);
 }
 
@@ -172,12 +208,13 @@ TEST(Network, SpatialReuseDisabledSerialises) {
   NetworkConfig cfg = small_config(8);
   cfg.spatial_reuse = false;
   Network n(cfg);
+  DeliveryLog log(n);
   n.send_best_effort(0, NodeSet::single(1), 1, Duration::milliseconds(1));
   n.send_best_effort(4, NodeSet::single(5), 1, Duration::milliseconds(1));
   n.run_slots(6);
   EXPECT_EQ(n.stats().reuse_slots, 0);
-  EXPECT_EQ(n.node(1).inbox().size(), 1u);
-  EXPECT_EQ(n.node(5).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(1).size(), 1u);
+  EXPECT_EQ(log.inbox(5).size(), 1u);
 }
 
 TEST(Network, GapReflectsHandoverDistance) {
@@ -288,12 +325,13 @@ TEST(Network, FifoWithinSameSource) {
   // Two BE messages from one node with increasing deadlines leave in EDF
   // order; deliveries must preserve it.
   Network n(small_config());
+  DeliveryLog log(n);
   n.send_best_effort(0, NodeSet::single(2), 1, Duration::microseconds(100));
   n.send_best_effort(0, NodeSet::single(3), 1, Duration::microseconds(300));
   n.run_slots(6);
-  ASSERT_EQ(n.node(2).inbox().size(), 1u);
-  ASSERT_EQ(n.node(3).inbox().size(), 1u);
-  EXPECT_LE(n.node(2).inbox()[0].completed, n.node(3).inbox()[0].completed);
+  ASSERT_EQ(log.inbox(2).size(), 1u);
+  ASSERT_EQ(log.inbox(3).size(), 1u);
+  EXPECT_LE(log.inbox(2)[0].completed, log.inbox(3)[0].completed);
 }
 
 }  // namespace

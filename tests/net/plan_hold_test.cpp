@@ -29,7 +29,6 @@ NetworkConfig cfg8() {
   NetworkConfig cfg;
   cfg.nodes = 8;
   cfg.planner = true;
-  cfg.record_inboxes = false;
   // Small enough that a burst of sends meets the held messages in the
   // tail-drop check.
   cfg.max_queue_messages = 2;

@@ -27,7 +27,6 @@ NetworkConfig cfg8(bool planner = true, bool fast_forward = true) {
   cfg.nodes = 8;
   cfg.planner = planner;
   cfg.fast_forward = fast_forward;
-  cfg.record_inboxes = false;
   return cfg;
 }
 

@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "fault/injector.hpp"
 #include "net/network.hpp"
+#include "support/delivery_log.hpp"
 
 namespace ccredf::services {
 namespace {
@@ -287,6 +288,7 @@ TEST(Resilience, RestoreMidTokenLossRecoveryStaysClean) {
   net::NetworkConfig cfg = cfg6();
   cfg.designated_restarter = 2;
   net::Network n(cfg);
+  DeliveryLog log(n);
   ResilienceMonitor m(n, fast_params(/*window=*/12));
   fault::FaultInjector inj(n);
   inj.schedule_node_failure(0, TimePoint::origin() + n.timing().slot() / 2);
@@ -298,7 +300,7 @@ TEST(Resilience, RestoreMidTokenLossRecoveryStaysClean) {
   EXPECT_EQ(m.state(0), NodeState::kUp);
   n.send_best_effort(0, NodeSet::single(3), 1, Duration::milliseconds(5));
   n.run_slots(10);
-  EXPECT_EQ(n.node(3).inbox().size(), 1u);
+  EXPECT_EQ(log.inbox(3).size(), 1u);
 }
 
 TEST(Resilience, MasterFailureDuringReadmitDrainRecoversAndDrains) {

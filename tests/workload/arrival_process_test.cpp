@@ -13,7 +13,6 @@
 #include "net/network.hpp"
 #include "services/cbs.hpp"
 #include "workload/aperiodic.hpp"
-#include "workload/burst.hpp"
 #include "workload/poisson.hpp"
 
 namespace ccredf::workload {
@@ -51,14 +50,6 @@ std::vector<Kind> kinds() {
          p.mean_idle_slots = 20.0;
          return std::make_shared<AperiodicGenerator>(n, flows.ids(), p,
                                                      far_future(n));
-       }},
-      {"burst",
-       [](net::Network& n) -> std::shared_ptr<void> {
-         BurstParams p;
-         p.mean_idle_slots = 5.0;
-         p.mean_burst_slots = 20.0;
-         p.burst_rate = 2.0;
-         return std::make_shared<BurstGenerator>(n, p, far_future(n));
        }},
   };
 }
